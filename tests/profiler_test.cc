@@ -169,12 +169,19 @@ TEST_F(ProfilerTest, FusedFilterRunAttributesToFusedStage) {
       if (!produced.ok()) break;
     }
   });
+  // Samples are paced at the 997 Hz EXPLAIN ANALYZE rate from
+  // docs/PROFILING.md, like every sampler the profiler offers. The pacing
+  // spreads the 200 samples across repeated runs; unpaced, they all fell
+  // within the first ~0.2 ms and caught only the first batch's one-time
+  // set-up under the bare "process" frame.
+  const auto period = std::chrono::nanoseconds(1'000'000'000 / 997);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (Profiler::Instance().TotalSamples() < 200 &&
          std::chrono::steady_clock::now() < deadline) {
     if (running.load()) {
       Profiler::Instance().SampleOnce();
+      std::this_thread::sleep_for(period);
     } else {
       std::this_thread::yield();
     }
