@@ -19,6 +19,10 @@ struct QueryCase {
   bool needs_products = false;
 };
 
+// gtest's default printer dumps the struct's raw bytes, pointers included, so
+// the listed test names would change from run to run under ASLR.
+void PrintTo(const QueryCase& qc, std::ostream* os) { *os << qc.name; }
+
 class EquivalenceSweep : public ::testing::TestWithParam<QueryCase> {};
 
 TEST_P(EquivalenceSweep, StreamingEqualsBatch) {
