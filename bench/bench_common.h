@@ -63,7 +63,7 @@ inline Config BenchJobConfig(int containers) {
 inline ThroughputResult MeasureJob(JobRunner& job) {
   ThroughputResult result;
   for (size_t c = 0; c < job.NumContainers(); ++c) {
-    Container* container = job.container(static_cast<int32_t>(c));
+    auto container = job.container(static_cast<int32_t>(c));
     auto processed = container->RunUntilCaughtUp();
     if (!processed.ok()) throw std::runtime_error(processed.status().ToString());
     result.messages += processed.value();

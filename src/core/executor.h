@@ -54,7 +54,7 @@ class QueryExecutor {
   // pipelines chained through intermediate topics). Scheduling is governed
   // by executor.mode in the job defaults: "threaded" (default) runs
   // containers of all jobs concurrently on a pool sized by
-  // executor.threads; "serial" round-robins them on this thread
+  // executor.threads; "serial" runs them on one worker in FIFO order
   // (deterministic interleaving). See core/scheduler.h.
   Result<int64_t> RunJobsUntilQuiescent();
 

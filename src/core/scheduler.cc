@@ -11,29 +11,16 @@ Result<ExecutorMode> ParseExecutorMode(const std::string& value) {
                                  "' (want serial|threaded)");
 }
 
-Result<int64_t> SerialScheduler::RunUntilQuiescent(
-    const std::vector<JobRunner*>& jobs) {
-  return JobRunner::RunPipelineUntilQuiescent(jobs);
-}
-
-Result<int64_t> ThreadedScheduler::RunUntilQuiescent(
-    const std::vector<JobRunner*>& jobs) {
-  return JobRunner::RunPipelineThreaded(jobs, threads_);
-}
-
 Result<std::unique_ptr<JobScheduler>> MakeScheduler(const Config& config) {
   SQS_ASSIGN_OR_RETURN(mode,
                        ParseExecutorMode(config.Get(cfg::kExecutorMode,
                                                     "threaded")));
-  if (mode == ExecutorMode::kSerial) {
-    return std::unique_ptr<JobScheduler>(new SerialScheduler());
-  }
   int threads = static_cast<int>(config.GetInt(cfg::kExecutorThreads, 0));
   if (threads < 0) {
     return Status::InvalidArgument("executor.threads must be >= 0, got " +
                                    std::to_string(threads));
   }
-  return std::unique_ptr<JobScheduler>(new ThreadedScheduler(threads));
+  return std::make_unique<JobScheduler>(mode, threads);
 }
 
 }  // namespace sqs::core

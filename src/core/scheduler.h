@@ -1,15 +1,12 @@
 // JobScheduler: how QueryExecutor drives its submitted jobs' containers to
-// quiescence (docs/EXECUTION.md "Threaded execution").
-//
-//  - ThreadedScheduler (executor.mode=threaded, the default): containers of
-//    all jobs run concurrently on a worker pool sized by executor.threads
-//    (0 = one worker per container), under the global quiescence barrier of
-//    JobRunner::RunPipelineThreaded. This is the paper's execution model —
-//    partition-parallel containers (§5.1 / Figure 5) — and what the
-//    multicore bench measures.
-//  - SerialScheduler (executor.mode=serial): round-robin on the calling
-//    thread via JobRunner::RunPipelineUntilQuiescent. Deterministic
-//    interleaving and output order; determinism-sensitive tests pin it.
+// quiescence (docs/EXECUTION.md "Threaded execution"). Both modes run the
+// one ready-queue driver, JobRunner::RunPipeline:
+//  - executor.mode=threaded (the default): executor.threads workers (0 = one
+//    per container) take containers in fetch-deadline order. This is the
+//    paper's execution model — partition-parallel containers (§5.1 /
+//    Figure 5) — and what the benchmarks measure.
+//  - executor.mode=serial: one worker takes containers in FIFO order.
+//    Deterministic interleaving; determinism-sensitive tests pin it.
 #pragma once
 
 #include <memory>
@@ -28,34 +25,18 @@ Result<ExecutorMode> ParseExecutorMode(const std::string& value);
 
 class JobScheduler {
  public:
-  virtual ~JobScheduler() = default;
-  virtual const char* name() const = 0;
+  JobScheduler(ExecutorMode mode, int threads) : mode_(mode), threads_(threads) {}
   // Drive every container of every job until globally quiescent; returns
   // messages processed. `jobs` may form a pipeline chained through
-  // intermediate topics — a scheduler must not declare quiescence while any
-  // upstream job still owes output.
-  virtual Result<int64_t> RunUntilQuiescent(
-      const std::vector<JobRunner*>& jobs) = 0;
-};
-
-class SerialScheduler : public JobScheduler {
- public:
-  const char* name() const override { return "serial"; }
-  Result<int64_t> RunUntilQuiescent(
-      const std::vector<JobRunner*>& jobs) override;
-};
-
-class ThreadedScheduler : public JobScheduler {
- public:
-  // threads = 0: one pool worker per container (preserves per-container
-  // liveness for kill/restart/stall scenarios).
-  explicit ThreadedScheduler(int threads = 0) : threads_(threads) {}
-  const char* name() const override { return "threaded"; }
-  Result<int64_t> RunUntilQuiescent(
-      const std::vector<JobRunner*>& jobs) override;
-  int threads() const { return threads_; }
+  // intermediate topics — quiescence waits for every upstream job's output.
+  Result<int64_t> RunUntilQuiescent(const std::vector<JobRunner*>& jobs) const {
+    return mode_ == ExecutorMode::kSerial
+               ? JobRunner::RunPipeline(jobs, 1, /*fifo=*/true)
+               : JobRunner::RunPipeline(jobs, threads_);
+  }
 
  private:
+  ExecutorMode mode_;
   int threads_;
 };
 

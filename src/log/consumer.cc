@@ -15,11 +15,13 @@ Status Consumer::Assign(const StreamPartition& sp, int64_t offset) {
     return Status::InvalidArgument("no partition " + sp.ToString());
   }
   positions_[sp] = offset;
+  fetch_ready_at_ = -1;
   return Status::Ok();
 }
 
 Status Consumer::Unassign(const StreamPartition& sp) {
   if (positions_.erase(sp) == 0) return Status::NotFound("not assigned: " + sp.ToString());
+  fetch_ready_at_ = -1;
   return Status::Ok();
 }
 
@@ -33,7 +35,17 @@ Status Consumer::Seek(const StreamPartition& sp, int64_t offset) {
   auto it = positions_.find(sp);
   if (it == positions_.end()) return Status::NotFound("not assigned: " + sp.ToString());
   it->second = offset;
+  fetch_ready_at_ = -1;
   return Status::Ok();
+}
+
+void Consumer::Prefetch() {
+  if (fetch_ready_at_ >= 0) return;
+  // Sleep: the RTT is wait, not work, so it ends at a deadline the caller
+  // can spend processing. Spin charges it as CPU inside Poll() instead.
+  fetch_ready_at_ = poll_latency_model_ == Broker::LatencyModel::kSleep
+                        ? MonotonicNanos() + poll_latency_nanos_
+                        : 0;
 }
 
 Result<std::vector<IncomingMessage>> Consumer::Poll() {
@@ -41,15 +53,15 @@ Result<std::vector<IncomingMessage>> Consumer::Poll() {
   if (positions_.empty()) return batch;
   Tracer& tracer = Tracer::Instance();
   const int64_t poll_start = tracer.enabled() ? MonotonicNanos() : 0;
-  if (poll_latency_nanos_ > 0) {
-    if (poll_latency_model_ == Broker::LatencyModel::kSleep) {
-      // Sleep: the RTT is wait, not work — concurrent pollers overlap it.
-      std::this_thread::sleep_for(std::chrono::nanoseconds(poll_latency_nanos_));
-    } else {
-      int64_t until = MonotonicNanos() + poll_latency_nanos_;
-      while (MonotonicNanos() < until) {
-        // busy-wait: simulated broker RTT must consume measurable CPU time
-      }
+  Prefetch();
+  const int64_t wait = fetch_ready_at_ - MonotonicNanos();
+  if (wait > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(wait));
+  fetch_ready_at_ = -1;
+  if (poll_latency_nanos_ > 0 &&
+      poll_latency_model_ == Broker::LatencyModel::kSpin) {
+    int64_t until = MonotonicNanos() + poll_latency_nanos_;
+    while (MonotonicNanos() < until) {
+      // busy-wait: simulated broker RTT must consume measurable CPU time
     }
   }
   // Visit assignments starting from a rotating index so no partition starves
@@ -96,6 +108,7 @@ Result<std::vector<IncomingMessage>> Consumer::Poll() {
       break;
     }
   }
+  Prefetch();
   return batch;
 }
 

@@ -9,6 +9,7 @@
 // `max_poll_messages` in total.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -46,13 +47,23 @@ class Consumer {
   // amortize this worse: the mechanism behind the paper's sublinear
   // container scaling (§5.1).
   void SetPollLatencyNanos(int64_t nanos) { poll_latency_nanos_ = nanos; }
-  // How the per-poll RTT is charged: kSpin burns real CPU (single-threaded
-  // microbenches, where the cost must appear in busy time); kSleep blocks
-  // without consuming CPU, so concurrent containers overlap their waits the
-  // way real network I/O overlaps (the multicore bench model).
+  // How the per-poll RTT is charged: kSpin burns real CPU inside Poll()
+  // (single-threaded microbenches, where the cost must appear in busy
+  // time); kSleep pipelines the fetch: Poll() issues the next fetch as soon
+  // as it hands out a batch, and that fetch is ready at a deadline one RTT
+  // later, so the round trip overlaps the processing of the batch the way
+  // Kafka's fetcher and Samza's BrokerProxy prefetch (the multicore model).
   void SetPollLatencyModel(Broker::LatencyModel m) { poll_latency_model_ = m; }
 
-  // Assign a partition starting at `offset`.
+  // Issue a fetch if none is in flight. The broker is read only when the
+  // fetch completes inside Poll(), so it sees every append made before then.
+  void Prefetch();
+  // Monotonic-clock deadline (ns) at which the in-flight fetch completes; 0
+  // when none is in flight. Only the kSleep model sets a future deadline.
+  int64_t ReadyAtNanos() const { return std::max<int64_t>(0, fetch_ready_at_); }
+
+  // Assign a partition starting at `offset`. Assign, Unassign and Seek
+  // cancel an in-flight fetch.
   Status Assign(const StreamPartition& sp, int64_t offset);
   Status Unassign(const StreamPartition& sp);
   bool IsAssigned(const StreamPartition& sp) const { return positions_.count(sp) > 0; }
@@ -61,8 +72,10 @@ class Consumer {
   Result<int64_t> Position(const StreamPartition& sp) const;
   Status Seek(const StreamPartition& sp, int64_t offset);
 
-  // Fetch the next batch across assigned partitions. Empty result means
-  // fully caught up.
+  // Complete the in-flight fetch (issuing one first if none is), blocking
+  // until its deadline, and deliver the next batch across assigned
+  // partitions; then issue the next fetch. Empty result means fully caught
+  // up. Positions advance only here, on delivery.
   Result<std::vector<IncomingMessage>> Poll();
 
   // True when every assigned partition's position has reached the end
@@ -84,6 +97,7 @@ class Consumer {
   int32_t max_fetch_per_partition_ = 0;  // 0 = unlimited
   int64_t poll_latency_nanos_ = 0;
   Broker::LatencyModel poll_latency_model_ = Broker::LatencyModel::kSpin;
+  int64_t fetch_ready_at_ = -1;  // -1 = no fetch in flight
   std::map<StreamPartition, int64_t> positions_;
   size_t next_start_ = 0;  // round-robin start index over assignments
   Retrier retrier_;

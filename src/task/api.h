@@ -142,16 +142,17 @@ inline constexpr const char* kBatchMaxMessages = "task.batch.max.messages";
 inline constexpr const char* kMaxFetchPerPartition = "task.fetch.max.per.partition";
 inline constexpr const char* kPollLatencyNanos = "task.poll.latency.nanos";
 // How the simulated per-poll broker RTT is charged: "spin" (default) burns
-// real CPU so the cost appears in measured busy time; "sleep" blocks the
-// polling thread without consuming CPU, so concurrently running containers
-// overlap their RTT waits like real network I/O (the multicore bench model,
-// docs/EXECUTION.md "Threaded execution").
+// real CPU inside the poll so the cost appears in measured busy time;
+// "sleep" pipelines the fetch — the next one is issued as a batch is handed
+// out and is ready one RTT later — so the wait overlaps processing like real
+// network I/O (the multicore bench model, docs/EXECUTION.md "Threaded
+// execution").
 inline constexpr const char* kPollLatencyModel = "task.poll.latency.model";
 // --- executor (core/scheduler.h, docs/EXECUTION.md "Threaded execution") ---
 // How QueryExecutor drives submitted jobs' containers: "threaded" (the
-// default — containers of all jobs run on a shared pool under a global
-// quiescence barrier) or "serial" (round-robin on the calling thread;
-// deterministic output order, used by tests that compare row-for-row).
+// default — workers of a shared pool take containers of all jobs off a
+// ready queue in fetch-deadline order) or "serial" (the same driver with one
+// worker in FIFO order; deterministic interleaving).
 inline constexpr const char* kExecutorMode = "executor.mode";
 // Pool size for executor.mode=threaded; 0 (default) = one thread per
 // container, preserving per-container liveness under kill/stall tests.

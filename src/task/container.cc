@@ -343,7 +343,6 @@ Status Container::Start() {
   if (config_.Get(cfg::kPollLatencyModel, "spin") == "sleep") {
     consumer_->SetPollLatencyModel(Broker::LatencyModel::kSleep);
     bootstrap_consumer_->SetPollLatencyModel(Broker::LatencyModel::kSleep);
-    broker_->SetFetchLatencyModel(Broker::LatencyModel::kSleep);
   }
 
   std::string cp_topic = config_.Get(cfg::kCheckpointTopic,
@@ -483,6 +482,9 @@ Status Container::Start() {
     }
   }
   SQS_RETURN_IF_ERROR(UpdateLagGauges());
+  // Issue the first fetch now, so the first turn finds it due.
+  SQS_ASSIGN_OR_RETURN(bs_caught_up, bootstrap_consumer_->CaughtUp());
+  (bs_caught_up ? consumer_ : bootstrap_consumer_)->Prefetch();
 
   started_ = true;
   last_heartbeat_ms_.store(clock_->NowMillis(), std::memory_order_relaxed);
@@ -848,58 +850,65 @@ Status Container::MaybeFireWindows() {
   return Status::Ok();
 }
 
-Result<int64_t> Container::RunUntilCaughtUp(int64_t max_messages) {
+Result<Container::Turn> Container::RunTurn() {
   if (!started_) return Status::StateError("container not started");
-  int64_t processed = 0;
+  Turn turn;
+  if (shutdown_requested_ || KillRequested()) {
+    turn.idle = true;
+    return turn;
+  }
   int64_t t0 = MonotonicNanos();
-  // Watchdog heartbeat: one store per poll-loop iteration. A task wedged
-  // inside Process never returns here, so the heartbeat goes stale and the
-  // monitor's stall watchdog fires (docs/PROFILING.md "Stall watchdog").
+  // Watchdog heartbeat: one store per turn. A task wedged inside Process
+  // never returns here, so the heartbeat goes stale and the monitor's stall
+  // watchdog fires (docs/PROFILING.md "Stall watchdog").
+  last_heartbeat_ms_.store(clock_->NowMillis(), std::memory_order_relaxed);
   busy_.store(true, std::memory_order_relaxed);
   struct BusyReset {
     std::atomic<bool>* flag;
     ~BusyReset() { flag->store(false, std::memory_order_relaxed); }
   } busy_reset{&busy_};
-  while (!shutdown_requested_ && !KillRequested()) {
-    last_heartbeat_ms_.store(clock_->NowMillis(), std::memory_order_relaxed);
-    if (max_messages >= 0 && processed >= max_messages) break;
-    if (reporter_) reporter_->MaybeReport();
+  if (reporter_) reporter_->MaybeReport();
 
-    // Bootstrap phase: deliver only bootstrap partitions until drained
-    // (Samza holds back all other inputs, §2 "Bootstrap Streams").
-    SQS_ASSIGN_OR_RETURN(bootstrap_done, bootstrap_consumer_->CaughtUp());
-    if (!bootstrap_done) {
-      SQS_ASSIGN_OR_RETURN(batch, bootstrap_consumer_->Poll());
-      if (!batch.empty()) {
-        SQS_ASSIGN_OR_RETURN(n, ProcessBatch(batch));
-        processed += n;
-        SQS_RETURN_IF_ERROR(UpdateLagGauges());
-      }
-      continue;
-    }
-
-    SQS_RETURN_IF_ERROR(MaybeFireWindows());
-
-    SQS_ASSIGN_OR_RETURN(batch, consumer_->Poll());
-    if (batch.empty()) {
-      SQS_ASSIGN_OR_RETURN(caught_up, consumer_->CaughtUp());
-      SQS_ASSIGN_OR_RETURN(bs_caught_up, bootstrap_consumer_->CaughtUp());
-      if (caught_up && bs_caught_up) break;
-      continue;
-    }
+  // Bootstrap phase: deliver only bootstrap partitions until drained
+  // (Samza holds back all other inputs, §2 "Bootstrap Streams").
+  SQS_ASSIGN_OR_RETURN(bootstrap_done, bootstrap_consumer_->CaughtUp());
+  if (bootstrap_done) SQS_RETURN_IF_ERROR(MaybeFireWindows());
+  SQS_ASSIGN_OR_RETURN(
+      batch, (bootstrap_done ? consumer_ : bootstrap_consumer_)->Poll());
+  if (!batch.empty()) {
     SQS_ASSIGN_OR_RETURN(n, ProcessBatch(batch));
-    processed += n;
+    turn.processed = n;
     SQS_RETURN_IF_ERROR(UpdateLagGauges());
   }
-  SQS_RETURN_IF_ERROR(UpdateLagGauges());
+  // Keep one fetch in flight, on the consumer the next turn polls.
+  SQS_ASSIGN_OR_RETURN(bs_caught_up, bootstrap_consumer_->CaughtUp());
+  Consumer& next = bs_caught_up ? *consumer_ : *bootstrap_consumer_;
+  next.Prefetch();
+  turn.ready_at_ns = next.ReadyAtNanos();
+  if (batch.empty() && bs_caught_up) {
+    SQS_ASSIGN_OR_RETURN(caught_up, consumer_->CaughtUp());
+    turn.idle = caught_up;
+  }
   int64_t busy = MonotonicNanos() - t0;
   busy_nanos_.fetch_add(busy, std::memory_order_relaxed);
-  processed_total_.fetch_add(processed, std::memory_order_relaxed);
+  processed_total_.fetch_add(turn.processed, std::memory_order_relaxed);
   if (m_processed_ != nullptr) {
-    m_processed_->Inc(processed);
+    m_processed_->Inc(turn.processed);
     m_busy_ns_->Add(busy);
   }
-  if (reporter_) reporter_->MaybeReport();
+  return turn;
+}
+
+Result<int64_t> Container::RunUntilCaughtUp(int64_t max_messages) {
+  if (!started_) return Status::StateError("container not started");
+  int64_t processed = 0;
+  while (!shutdown_requested_ && !KillRequested() &&
+         (max_messages < 0 || processed < max_messages)) {
+    SQS_ASSIGN_OR_RETURN(turn, RunTurn());
+    processed += turn.processed;
+    if (turn.idle) break;
+  }
+  SQS_RETURN_IF_ERROR(UpdateLagGauges());
   return processed;
 }
 

@@ -1,6 +1,7 @@
 // Container: runs a set of task instances over their assigned partitions.
 // Implements the Samza semantics the paper builds on (§2, §4):
-//  - poll -> dispatch-by-partition -> process, one message at a time;
+//  - poll -> dispatch-by-partition -> process, one fetch response per turn,
+//    with the next fetch in flight while the batch is processed;
 //  - bootstrap streams fully drained before any other input is delivered;
 //  - task-local stores backed by changelog topics, restored on start;
 //  - offset checkpoints written every `task.commit.max.messages` processed
@@ -91,10 +92,25 @@ class Container {
   // consumers at the last checkpoint (or the beginning).
   Status Start();
 
-  // Process messages until every assigned partition is caught up (or until
-  // `max_messages` have been processed, if >= 0). Returns the number of
-  // messages processed by this call. Safe to call repeatedly: new input
-  // appended between calls is picked up.
+  // One scheduling quantum: complete the pending fetch, process that one
+  // batch (bootstrap gating, window firing, commits, the kill flag, the
+  // heartbeat), then issue the next fetch. A killed or shut-down container
+  // does nothing and reports idle.
+  struct Turn {
+    int64_t processed = 0;
+    // Empty poll and caught up on both consumers: nothing to do until new
+    // input arrives.
+    bool idle = false;
+    // Monotonic deadline (ns) of the next fetch; a turn run earlier blocks
+    // in Consumer::Poll until it.
+    int64_t ready_at_ns = 0;
+  };
+  Result<Turn> RunTurn();
+
+  // Run turns until every assigned partition is caught up (or until
+  // `max_messages` have been processed, if >= 0), then refresh the lag
+  // gauges. Returns the number of messages processed by this call. Safe to
+  // call repeatedly: new input appended between calls is picked up.
   Result<int64_t> RunUntilCaughtUp(int64_t max_messages = -1);
 
   // Final commit + task Close(). Not called on simulated failure.
@@ -103,10 +119,10 @@ class Container {
   bool ShutdownRequested() const { return shutdown_requested_; }
 
   // Asynchronous kill signal (JobRunner::KillContainer): the driving thread
-  // observes the flag at the next poll-loop iteration and returns without a
+  // observes the flag before the next commit or turn and returns without a
   // final commit — exactly the state loss a real kill produces. The
   // container object itself is destroyed only once the last shared_ptr
-  // holder (the pool worker that may be inside RunUntilCaughtUp) drops it.
+  // holder (the pool worker that may be inside a turn) drops it.
   void RequestKill() { kill_requested_.store(true, std::memory_order_relaxed); }
   bool KillRequested() const {
     return kill_requested_.load(std::memory_order_relaxed);
@@ -122,9 +138,9 @@ class Container {
     return busy_nanos_.load(std::memory_order_relaxed);
   }
 
-  // Stall-watchdog surface: Busy() is true while RunUntilCaughtUp is
-  // driving input; the heartbeat advances at every poll-loop iteration, so
-  // a task wedged inside Process leaves it stale. Thread-safe.
+  // Stall-watchdog surface: Busy() is true during a turn; the heartbeat
+  // advances at every turn, so a task wedged inside Process leaves it
+  // stale. Thread-safe.
   bool Busy() const { return busy_.load(std::memory_order_relaxed); }
   int64_t LastHeartbeatMs() const {
     return last_heartbeat_ms_.load(std::memory_order_relaxed);
@@ -191,9 +207,9 @@ class Container {
   bool started_ = false;
   bool shutdown_requested_ = false;
   std::atomic<bool> kill_requested_{false};
-  // Atomic: written by the driving thread at the end of every
-  // RunUntilCaughtUp, read by monitor/bench threads mid-run (regression:
-  // plain int64_t was a data race under the threaded executor).
+  // Atomic: written by the driving thread at the end of every turn, read by
+  // monitor/bench threads mid-run (regression: plain int64_t was a data race
+  // under the threaded executor).
   std::atomic<int64_t> processed_total_{0};
   std::atomic<int64_t> busy_nanos_{0};
   // Watchdog heartbeat (written by the driving thread, read by the monitor

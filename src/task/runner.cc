@@ -1,9 +1,10 @@
 #include "task/runner.h"
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <set>
 #include <thread>
+#include <tuple>
 
 #include "common/flightrec.h"
 #include "common/logging.h"
@@ -120,45 +121,9 @@ Status JobRunner::SuperviseRestart(int32_t container_id) {
   return Status::Ok();
 }
 
-Result<int64_t> JobRunner::RunUntilQuiescent() {
-  if (!started_) return Status::StateError("job not started");
-  int64_t total = 0;
-  while (true) {
-    int64_t round = 0;
-    bool supervised_action = false;
-    for (int32_t id = 0; id < static_cast<int32_t>(containers_.size()); ++id) {
-      if (!containers_[id]) {
-        if (!Supervised()) continue;  // killed, not restarted, no supervisor
-        SQS_RETURN_IF_ERROR(SuperviseRestart(id));
-        supervised_action = true;
-        if (!containers_[id]) continue;  // restart failed; retry next pass
-      }
-      auto r = containers_[id]->RunUntilCaughtUp();
-      if (!r.ok()) {
-        if (!Supervised()) return r.status();
-        RecordCrash(id, r.status());
-        supervised_action = true;
-        continue;
-      }
-      round += r.value();
-    }
-    total += round;
-    // Quiescent only when a full pass made no progress AND the supervisor
-    // had nothing to do — a restarted container may still owe replay work.
-    if (round == 0 && !supervised_action) break;
-  }
-  return total;
-}
-
 Result<int64_t> JobRunner::RunThreadedUntilQuiescent(int threads) {
   if (!started_) return Status::StateError("job not started");
-  return RunPipelineThreaded({this}, threads);
-}
-
-std::shared_ptr<Container> JobRunner::SnapshotContainer(
-    int32_t container_id) const {
-  std::lock_guard<std::mutex> lock(containers_mu_);
-  return containers_[container_id];
+  return RunPipeline({this}, threads);
 }
 
 bool JobRunner::SlotHolds(int32_t container_id, const Container* c) const {
@@ -166,44 +131,46 @@ bool JobRunner::SlotHolds(int32_t container_id, const Container* c) const {
   return containers_[container_id].get() == c;
 }
 
-namespace {
-
-// Shared state of one RunPipelineThreaded invocation. Workers claim units
-// (one per live container per round) off an atomic cursor, then meet at a
-// round barrier where the last arrival decides whether the pipeline is
-// globally quiescent. The barrier is the fix for the old per-thread
-// `idle_rounds < 2` exit: no container can conclude "nothing left" from its
-// own idleness while an upstream container is still mid-round.
-struct ThreadedRun {
+// Shared state of one RunPipeline call, all guarded by `mu`. Each unit (one
+// job's container slot) is in exactly one place: the ready queue, on a
+// worker, in the idle set, or dropped (dead and unsupervised).
+struct JobRunner::PipelineRun {
   struct Unit {
     JobRunner* job;
     int32_t slot;
+    int64_t ready_at = 0;     // deadline of the pending fetch (monotonic ns)
+    uint64_t turn_epoch = 0;  // progress epoch when its current turn began
   };
   std::vector<Unit> units;
-  size_t workers = 0;
+  bool fifo = false;
 
-  std::atomic<size_t> next{0};            // round-local unit cursor
-  std::atomic<int64_t> total{0};          // messages processed, all rounds
-  std::atomic<int64_t> round_progress{0};
-  std::atomic<bool> supervised_action{false};
-  std::atomic<bool> failed{false};
-
-  std::mutex err_mu;
+  std::mutex mu;
+  std::condition_variable cv;
+  // (deadline or 0 in FIFO mode, push sequence, unit index).
+  std::set<std::tuple<int64_t, uint64_t, size_t>> ready;
+  uint64_t pushes = 0;
+  std::vector<size_t> idle;  // units whose turn found nothing at `epoch`
+  uint64_t epoch = 0;
+  size_t running = 0;
+  bool done = false;
+  int64_t total = 0;
   Status first_error;  // the status the run returns on failure
   Status first_crash;  // the first real container error (crash provenance)
 
-  std::mutex bar_mu;
-  std::condition_variable bar_cv;
-  size_t arrived = 0;
-  uint64_t generation = 0;
-  bool done = false;
+  void Push(size_t u) { ready.emplace(fifo ? 0 : units[u].ready_at, pushes++, u); }
+
+  // Progress or a supervisor action: every idle unit is owed one more turn.
+  void Bump() {
+    ++epoch;
+    for (size_t u : idle) Push(u);
+    idle.clear();
+  }
 
   // Record the failure that ends the run. If a supervised crash was seen
   // earlier and `st` (e.g. a budget-exhaustion message) does not already
   // carry it, append it — the first real error must never be masked by a
-  // generic wrapper (crash provenance, ISSUE 9 satellite 2).
+  // generic wrapper.
   void FailWith(Status st) {
-    std::lock_guard<std::mutex> lock(err_mu);
     if (first_error.ok()) {
       if (!first_crash.ok() &&
           st.message().find(first_crash.message()) == std::string::npos) {
@@ -212,121 +179,111 @@ struct ThreadedRun {
       }
       first_error = std::move(st);
     }
-    failed.store(true);
+    done = true;
   }
 
-  void NoteCrash(const Status& st) {
-    std::lock_guard<std::mutex> lock(err_mu);
-    if (first_crash.ok()) first_crash = st;
+  // One turn of unit `u` (or one supervision pass if its slot is dead),
+  // called without `mu`; returns with `lock` held and the outcome applied.
+  void RunUnit(size_t u, std::unique_lock<std::mutex>& lock) {
+    Unit& unit = units[u];
+    JobRunner* job = unit.job;
+    std::shared_ptr<Container> c = job->container(unit.slot);
+    if (!c) {
+      // Killed and unsupervised: the slot stays dead and leaves the run.
+      if (!job->Supervised()) {
+        lock.lock();
+        return;
+      }
+      Status st = job->SuperviseRestart(unit.slot);
+      lock.lock();
+      // Budget exhausted: the status carries the slot's last real error.
+      if (!st.ok()) return FailWith(st);
+      // Restarted (or the restart failed and the slot retries): owed a turn.
+      unit.ready_at = 0;
+      Bump();
+      return Push(u);
+    }
+    Result<Container::Turn> r = c->RunTurn();
+    const bool detached = !job->SlotHolds(unit.slot, c.get());
+    if (r.ok() && !detached) {
+      lock.lock();
+      const Container::Turn& turn = r.value();
+      total += turn.processed;
+      if (turn.processed > 0) Bump();
+      unit.ready_at = turn.ready_at_ns;
+      // Idle only counts if nothing progressed since the turn began: input
+      // appended meanwhile may have landed after this turn's poll.
+      if (turn.idle && unit.turn_epoch == epoch) return idle.push_back(u);
+      return Push(u);
+    }
+    if (!detached && !job->Supervised()) {
+      SQS_ERROR("container failed: " << r.status().ToString());
+      lock.lock();
+      return FailWith(r.status());
+    }
+    // A crash under supervision, or a container detached (killed or
+    // replaced) while this worker drove it, whose result belongs to a
+    // container that no longer exists: the slot's successor (or the
+    // supervisor) is owed a turn.
+    if (!detached) job->RecordCrash(unit.slot, r.status());
+    lock.lock();
+    // Keep the first real error even when supervision later masks it
+    // behind a budget-exhaustion message (crash provenance).
+    if (!detached && first_crash.ok()) first_crash = r.status();
+    unit.ready_at = 0;
+    Bump();
+    Push(u);
+  }
+
+  void Work() {
+    std::unique_lock<std::mutex> lock(mu);
+    while (!done) {
+      if (ready.empty()) {
+        // Quiescent: every live unit idle at the current epoch.
+        if (running == 0) done = true;
+        else cv.wait(lock);
+        continue;
+      }
+      const size_t u = std::get<2>(*ready.begin());
+      if (units[u].ready_at > MonotonicNanos()) {
+        // Block until the earliest fetch deadline or a queue change.
+        cv.wait_until(lock, std::chrono::steady_clock::time_point(
+                                std::chrono::nanoseconds(units[u].ready_at)));
+        continue;
+      }
+      ready.erase(ready.begin());
+      units[u].turn_epoch = epoch;
+      ++running;
+      lock.unlock();
+      RunUnit(u, lock);
+      --running;
+      cv.notify_all();
+    }
+    cv.notify_all();
   }
 };
 
-}  // namespace
-
-Result<int64_t> JobRunner::RunPipelineThreaded(std::vector<JobRunner*> jobs,
-                                               int threads) {
+Result<int64_t> JobRunner::RunPipeline(std::vector<JobRunner*> jobs, int threads,
+                                       bool fifo) {
+  PipelineRun run;
+  run.fifo = fifo;
   for (JobRunner* job : jobs) {
     if (!job->started_) return Status::StateError("job not started");
-  }
-  ThreadedRun run;
-  for (JobRunner* job : jobs) {
     for (int32_t id = 0; id < static_cast<int32_t>(job->containers_.size());
          ++id) {
       run.units.push_back({job, id});
+      run.Push(run.units.size() - 1);
     }
   }
-  if (run.units.empty()) return 0;
   size_t workers = threads > 0 ? static_cast<size_t>(threads)
                                : run.units.size();
-  run.workers = workers = std::min(workers, run.units.size());
-
-  // Run one unit: one RunUntilCaughtUp on the slot's current container (or
-  // one supervision pass if the slot is dead).
-  auto run_unit = [&run](const ThreadedRun::Unit& u) {
-    JobRunner* job = u.job;
-    std::shared_ptr<Container> c = job->SnapshotContainer(u.slot);
-    if (!c) {
-      if (!job->Supervised()) return;  // killed and unsupervised: stays dead
-      Status st = job->SuperviseRestart(u.slot);
-      if (!st.ok()) {
-        // Budget exhausted: the status carries the slot's last real error.
-        run.FailWith(st);
-        return;
-      }
-      // Restarted (or restart failed and the slot retries next round):
-      // either way another round is owed.
-      run.supervised_action.store(true, std::memory_order_relaxed);
-      return;
-    }
-    auto r = c->RunUntilCaughtUp();
-    if (!job->SlotHolds(u.slot, c.get())) {
-      // The container was detached (killed or replaced) while this worker
-      // drove it. Its result — progress or error — belongs to a container
-      // that no longer exists; force another round so the slot's successor
-      // (or the supervisor) gets its turn.
-      run.supervised_action.store(true, std::memory_order_relaxed);
-      return;
-    }
-    if (!r.ok()) {
-      if (!job->Supervised()) {
-        SQS_ERROR("container failed: " << r.status().ToString());
-        run.FailWith(r.status());
-        return;
-      }
-      // Keep the first real error even when supervision later masks it
-      // behind a budget-exhaustion message (crash provenance).
-      run.NoteCrash(r.status());
-      job->RecordCrash(u.slot, r.status());
-      run.supervised_action.store(true, std::memory_order_relaxed);
-      return;
-    }
-    if (r.value() > 0) {
-      run.round_progress.fetch_add(r.value(), std::memory_order_relaxed);
-      run.total.fetch_add(r.value(), std::memory_order_relaxed);
-    }
-  };
-
-  auto worker = [&run, &run_unit] {
-    while (true) {
-      for (size_t i = run.next.fetch_add(1); i < run.units.size();
-           i = run.next.fetch_add(1)) {
-        if (run.failed.load(std::memory_order_relaxed)) break;
-        run_unit(run.units[i]);
-      }
-      // Round barrier: the last worker to arrive evaluates global
-      // quiescence over the whole round and opens the next one.
-      std::unique_lock<std::mutex> lock(run.bar_mu);
-      uint64_t gen = run.generation;
-      if (++run.arrived == run.workers) {
-        run.arrived = 0;
-        bool quiescent =
-            run.round_progress.load(std::memory_order_relaxed) == 0 &&
-            !run.supervised_action.load(std::memory_order_relaxed);
-        if (quiescent || run.failed.load(std::memory_order_relaxed)) {
-          run.done = true;
-        }
-        run.round_progress.store(0, std::memory_order_relaxed);
-        run.supervised_action.store(false, std::memory_order_relaxed);
-        run.next.store(0, std::memory_order_relaxed);
-        ++run.generation;
-        run.bar_cv.notify_all();
-      } else {
-        run.bar_cv.wait(lock, [&run, gen] { return run.generation != gen; });
-      }
-      if (run.done) return;
-    }
-  };
-
   std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-
-  if (run.failed.load()) {
-    std::lock_guard<std::mutex> lock(run.err_mu);
-    return run.first_error;
+  for (size_t i = 0; i < std::min(workers, run.units.size()); ++i) {
+    pool.emplace_back([&run] { run.Work(); });
   }
-  return run.total.load();
+  for (auto& t : pool) t.join();
+  if (!run.first_error.ok()) return run.first_error;
+  return run.total;
 }
 
 Status JobRunner::Stop() {
@@ -427,20 +384,6 @@ int64_t JobRunner::TotalBusyNanos() const {
   int64_t total = 0;
   for (const auto& c : containers_) {
     if (c) total += c->BusyNanos();
-  }
-  return total;
-}
-
-Result<int64_t> JobRunner::RunPipelineUntilQuiescent(std::vector<JobRunner*> jobs) {
-  int64_t total = 0;
-  while (true) {
-    int64_t round = 0;
-    for (JobRunner* job : jobs) {
-      SQS_ASSIGN_OR_RETURN(n, job->RunUntilQuiescent());
-      round += n;
-    }
-    total += round;
-    if (round == 0) break;
   }
   return total;
 }

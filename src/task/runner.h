@@ -1,11 +1,10 @@
 // JobRunner: the YARN stand-in. Builds the job model (application-master
 // role), allocates containers, and drives them. Supports:
-//  - serial deterministic execution (round-robin across containers until
-//    the whole job — or a set of chained jobs — is quiescent), used by
-//    determinism-sensitive tests;
-//  - threaded execution (the mainline: containers scheduled on a worker
-//    pool under a global round barrier — see docs/EXECUTION.md "Threaded
-//    execution");
+//  - one driver (RunPipeline): worker threads take containers off a ready
+//    queue ordered by fetch deadline and run one turn each, until every
+//    container of every chained job is idle — see docs/EXECUTION.md
+//    "Threaded execution"; one worker in FIFO order is the deterministic
+//    serial mode;
 //  - failure injection: KillContainer drops a container without clean
 //    shutdown; RestartContainer allocates a fresh one that restores state
 //    from changelogs and resumes from the last checkpoint (§2 Durability);
@@ -38,14 +37,9 @@ class JobRunner {
   // Build the job model and start all containers.
   Status Start();
 
-  // Drive all containers round-robin until none makes progress and all are
-  // caught up. Picks up input appended between calls. Returns total
-  // messages processed by this call.
-  Result<int64_t> RunUntilQuiescent();
-
-  // Run all containers concurrently on a worker pool until globally
-  // quiescent (equivalent to RunPipelineThreaded({this}, threads)).
-  // threads = 0 means one worker per container.
+  // Run this job's containers until quiescent: RunPipeline({this},
+  // threads). Picks up input appended between calls; returns messages
+  // processed by this call. threads = 0 means one worker per container.
   Result<int64_t> RunThreadedUntilQuiescent(int threads = 0);
 
   Status Stop();
@@ -71,10 +65,12 @@ class JobRunner {
   bool AllContainersRunning() const {
     return NumRunningContainers() == containers_.size();
   }
-  Container* container(int32_t id) {
+  // The slot's current container, kept alive for the caller even if
+  // KillContainer / a crash clears the slot concurrently; null when dead.
+  std::shared_ptr<Container> container(int32_t id) const {
     std::lock_guard<std::mutex> lock(containers_mu_);
     return id >= 0 && id < static_cast<int32_t>(containers_.size())
-               ? containers_[id].get()
+               ? containers_[id]
                : nullptr;
   }
 
@@ -88,7 +84,7 @@ class JobRunner {
   }
 
   // Per-slot health for the monitor's watchdog: running (allocated), busy
-  // (inside RunUntilCaughtUp), and heartbeat age at `now_ms`. Thread-safe.
+  // (inside a turn), and heartbeat age at `now_ms`. Thread-safe.
   struct ContainerStatus {
     int32_t id = 0;
     bool running = false;
@@ -104,24 +100,26 @@ class JobRunner {
     return metrics_;
   }
 
-  // Drive several jobs (a Kappa-style pipeline connected by intermediate
-  // topics) round-robin to global quiescence.
-  static Result<int64_t> RunPipelineUntilQuiescent(std::vector<JobRunner*> jobs);
-
-  // Drive every container of every job on one worker pool until globally
-  // quiescent. Each round, every live container gets exactly one
-  // RunUntilCaughtUp (claimed by at most one worker, so no container is
-  // ever driven by two threads); a round barrier then declares quiescence
-  // only when a full round across ALL jobs made zero progress and the
-  // supervisor had nothing to do — a downstream container cannot exit while
-  // an upstream job is still producing. threads = 0 means one worker per
-  // container. On failure the returned status is the first real container
-  // error (crash provenance survives supervision — see
-  // docs/EXECUTION.md "Threaded execution").
-  static Result<int64_t> RunPipelineThreaded(std::vector<JobRunner*> jobs,
-                                             int threads = 0);
+  // The one driver: run every container of every job (a Kappa-style
+  // pipeline may chain them through intermediate topics) until globally
+  // quiescent. Workers pop the container whose pending fetch is due first
+  // off a ready queue, run one Container::RunTurn on it (so no container is
+  // ever driven by two threads), and requeue it at its next fetch deadline;
+  // they block, never spin, until the earliest deadline. A container whose
+  // turn found nothing parks idle and is re-polled once per progress epoch
+  // (any progress or supervisor action bumps it). The run ends when every
+  // live container is idle at the current epoch and none is on a worker —
+  // a downstream container cannot exit while an upstream job still
+  // produces. threads = 0 means one worker per container; fifo orders the
+  // queue by push order instead (executor.mode=serial is one FIFO worker).
+  // On failure the returned status is the first real container error
+  // (crash provenance survives supervision — see docs/EXECUTION.md).
+  static Result<int64_t> RunPipeline(std::vector<JobRunner*> jobs,
+                                     int threads = 0, bool fifo = false);
 
  private:
+  struct PipelineRun;  // one RunPipeline call's ready queue and idle set
+
   // Per-slot supervision bookkeeping.
   struct SupervisorState {
     int64_t restarts = 0;
@@ -129,9 +127,6 @@ class JobRunner {
     std::string last_error;
   };
 
-  // Snapshot a slot's container, keeping it alive for the caller even if
-  // KillContainer / RecordCrash clears the slot concurrently.
-  std::shared_ptr<Container> SnapshotContainer(int32_t container_id) const;
   // True while `slot` still holds exactly `c` — a worker uses this to tell
   // "my container crashed" from "my container was detached (killed /
   // replaced) while I was driving it".
@@ -153,7 +148,7 @@ class JobRunner {
   JobModel model_;
   // shared_ptr, not unique_ptr: KillContainer only detaches a slot (and
   // raises the container's kill flag); the object is destroyed when the
-  // last holder — possibly a pool worker inside RunUntilCaughtUp — drops
+  // last holder — possibly a pool worker inside a turn — drops
   // its reference. This is what makes kill-during-threaded-run safe.
   std::vector<std::shared_ptr<Container>> containers_;
   bool started_ = false;

@@ -194,9 +194,9 @@ TEST_F(LatencyPipelineTest, StampSurvivesRepartitionAndPipelineWithOracleE2e) {
   ASSERT_TRUE(stage2.Start().ok());
 
   clock_->Advance(3);  // broker dwell before stage 1
-  ASSERT_EQ(stage1.RunUntilQuiescent().value(), 10);
+  ASSERT_EQ(stage1.RunThreadedUntilQuiescent(1).value(), 10);
   clock_->Advance(4);  // broker dwell before stage 2
-  ASSERT_EQ(stage2.RunUntilQuiescent().value(), 10);
+  ASSERT_EQ(stage2.RunThreadedUntilQuiescent(1).value(), 10);
 
   // The intermediate hop carries the original ingest stamp but its own
   // append time (the dwell basis for the next hop).
@@ -248,7 +248,7 @@ TEST_F(LatencyPipelineTest, StampingKillSwitchZeroesStampsAndE2e) {
   c.SetBool(cfg::kLatencyStampingEnable, false);
   JobRunner runner(broker_, c, clock_);
   ASSERT_TRUE(runner.Start().ok());
-  ASSERT_EQ(runner.RunUntilQuiescent().value(), 5);
+  ASSERT_EQ(runner.RunThreadedUntilQuiescent(1).value(), 5);
   for (const IncomingMessage& m : FetchAll(*broker_, "out")) {
     EXPECT_EQ(m.message.ingest_us, 0);
     EXPECT_EQ(m.message.append_us, 0);
@@ -272,7 +272,7 @@ TEST_F(LatencyPipelineTest, StalledConsumerAgesFreshnessLag) {
   ASSERT_TRUE(runner.Start().ok());
 
   Produce(5);
-  ASSERT_EQ(runner.RunUntilQuiescent().value(), 5);
+  ASSERT_EQ(runner.RunThreadedUntilQuiescent(1).value(), 5);
   auto gauge = [&](const char* leaf) {
     MetricsSnapshot snap = runner.metrics_registry()->Snapshot();
     auto it = snap.gauges.find("lat-stall-job.container0." + std::string(leaf));
@@ -293,7 +293,7 @@ TEST_F(LatencyPipelineTest, StalledConsumerAgesFreshnessLag) {
   EXPECT_EQ(gauge("backlog_bytes"), backlog_bytes);
 
   // Catching up clears both.
-  ASSERT_EQ(runner.RunUntilQuiescent().value(), 5);
+  ASSERT_EQ(runner.RunThreadedUntilQuiescent(1).value(), 5);
   EXPECT_EQ(gauge("freshness_lag_ms"), 0);
   EXPECT_EQ(gauge("backlog_bytes"), 0);
   ASSERT_TRUE(runner.Stop().ok());
@@ -309,7 +309,7 @@ TEST_F(LatencyPipelineTest, LedgerReconcilesWithBrokerContents) {
   JobRunner runner(broker_, StageConfig("lat-ledger-job", "in", "lat-ledger"),
                    clock_);
   ASSERT_TRUE(runner.Start().ok());
-  ASSERT_EQ(runner.RunUntilQuiescent().value(), 50);
+  ASSERT_EQ(runner.RunThreadedUntilQuiescent(1).value(), 50);
 
   MonitorJobView view;
   view.name = runner.job_name();

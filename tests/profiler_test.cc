@@ -114,13 +114,14 @@ TEST_F(ProfilerTest, StartStopSamplingLifecycle) {
   Profiler& prof = Profiler::Instance();
   EXPECT_FALSE(prof.sampling());
   EXPECT_FALSE(prof.StartSampling(0).ok());
-  ASSERT_TRUE(prof.StartSampling(500).ok());
-  EXPECT_TRUE(prof.sampling());
-  EXPECT_DOUBLE_EQ(prof.hz(), 500.0);
   {
-    // Give the sampler something to see on this thread.
+    // Give the sampler something to see on this thread: the whole stack is
+    // pushed before sampling starts, so the first sample already holds it.
     ProfiledFrame frame("process");
     ProfiledFrame op("op0-scan");
+    ASSERT_TRUE(prof.StartSampling(500).ok());
+    EXPECT_TRUE(prof.sampling());
+    EXPECT_DOUBLE_EQ(prof.hz(), 500.0);
     for (int i = 0; i < 200 && prof.TotalSamples() == 0; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -423,7 +424,7 @@ TEST(CrashDumpTest, SupervisorDumpsRecorderOnContainerDeath) {
   c.Set(cfg::kFlightRecDumpPath, path);
   JobRunner runner(broker, c);
   ASSERT_TRUE(runner.Start().ok());
-  auto ran = runner.RunUntilQuiescent();
+  auto ran = runner.RunThreadedUntilQuiescent(1);
   ASSERT_TRUE(ran.ok()) << ran.status().ToString();
   EXPECT_GE(runner.TotalRestarts(), 1);
   ASSERT_TRUE(runner.Stop().ok());
@@ -493,7 +494,7 @@ TEST(StallWatchdogTest, WedgedContainerFiresStallAndRecovers) {
 
   // Phase 1: a healthy drain lays down batch_run + checkpoint events so the
   // eventual dump shows normal progress before the stall.
-  auto drained = runner.RunUntilQuiescent();
+  auto drained = runner.RunThreadedUntilQuiescent(1);
   ASSERT_TRUE(drained.ok()) << drained.status().ToString();
   ASSERT_EQ(drained.value(), 6);
 

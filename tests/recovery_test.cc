@@ -317,7 +317,7 @@ TEST(ChangelogStickyErrorTest, UnhealthyStoreBlocksCommitAndSupervisorRecovers) 
   ASSERT_TRUE(runner.Start().ok());
 
   fb->FailNextAppends(1);  // one changelog write is lost mid-batch
-  auto ran = runner.RunUntilQuiescent();
+  auto ran = runner.RunThreadedUntilQuiescent(1);
   ASSERT_TRUE(ran.ok()) << ran.status().ToString();
   EXPECT_GE(runner.TotalRestarts(), 1);
 

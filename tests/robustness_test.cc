@@ -187,7 +187,7 @@ TEST(AtLeastOnceTest, CrashBetweenOutputFlushAndCheckpointReplaysDuplicates) {
   // The first commit's checkpoint append fails (no retries configured), so
   // the container crashes with its outputs already flushed to the broker.
   fault->FailNextAppends(1);
-  auto crashed = runner.RunUntilQuiescent();
+  auto crashed = runner.RunThreadedUntilQuiescent(1);
   ASSERT_FALSE(crashed.ok());
   EXPECT_EQ(crashed.status().code(), ErrorCode::kUnavailable);
 
@@ -207,7 +207,7 @@ TEST(AtLeastOnceTest, CrashBetweenOutputFlushAndCheckpointReplaysDuplicates) {
   // Recover (no checkpoint landed → replay from the beginning) and finish.
   ASSERT_TRUE(runner.KillContainer(0).ok());
   ASSERT_TRUE(runner.RestartContainer(0).ok());
-  auto finished = runner.RunUntilQuiescent();
+  auto finished = runner.RunThreadedUntilQuiescent(1);
   ASSERT_TRUE(finished.ok()) << finished.status().ToString();
 
   std::vector<std::string> out = read_out();
@@ -255,7 +255,7 @@ TEST(ExactlyOnceTest, CrashBetweenOutputFlushAndCheckpointDedupsAtBroker) {
   // The first transactional commit fails, crashing the container with its
   // outputs already flushed — the same crash point as the at-least-once run.
   fault->FailNextAppends(1);
-  auto crashed = runner.RunUntilQuiescent();
+  auto crashed = runner.RunThreadedUntilQuiescent(1);
   ASSERT_FALSE(crashed.ok());
   EXPECT_EQ(crashed.status().code(), ErrorCode::kUnavailable);
 
@@ -274,7 +274,7 @@ TEST(ExactlyOnceTest, CrashBetweenOutputFlushAndCheckpointDedupsAtBroker) {
 
   ASSERT_TRUE(runner.KillContainer(0).ok());
   ASSERT_TRUE(runner.RestartContainer(0).ok());
-  auto finished = runner.RunUntilQuiescent();
+  auto finished = runner.RunThreadedUntilQuiescent(1);
   ASSERT_TRUE(finished.ok()) << finished.status().ToString();
 
   std::vector<std::string> out = read_out();

@@ -202,7 +202,7 @@ TEST_F(RunnerTest, ProcessesAllInputOnce) {
   Produce(100);
   JobRunner runner(broker_, BaseConfig("echo"));
   ASSERT_TRUE(runner.Start().ok());
-  auto n = runner.RunUntilQuiescent();
+  auto n = runner.RunThreadedUntilQuiescent(1);
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(n.value(), 100);
   EXPECT_EQ(ReadAll(*broker_, "out").size(), 100u);
@@ -215,9 +215,9 @@ TEST_F(RunnerTest, PicksUpLateInput) {
   Produce(10);
   JobRunner runner(broker_, BaseConfig("echo2"));
   ASSERT_TRUE(runner.Start().ok());
-  EXPECT_EQ(runner.RunUntilQuiescent().value(), 10);
+  EXPECT_EQ(runner.RunThreadedUntilQuiescent(1).value(), 10);
   Produce(5);
-  EXPECT_EQ(runner.RunUntilQuiescent().value(), 5);
+  EXPECT_EQ(runner.RunThreadedUntilQuiescent(1).value(), 5);
   EXPECT_EQ(runner.TotalProcessed(), 15);
 }
 
@@ -227,7 +227,7 @@ TEST_F(RunnerTest, OutputPreservesInputPartition) {
   Produce(64);
   JobRunner runner(broker_, BaseConfig("echo3"));
   ASSERT_TRUE(runner.Start().ok());
-  ASSERT_TRUE(runner.RunUntilQuiescent().ok());
+  ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
   for (int p = 0; p < 4; ++p) {
     EXPECT_EQ(broker_->EndOffset({"out", p}).value(),
               broker_->EndOffset({"in", p}).value());
@@ -263,7 +263,7 @@ TEST_F(RunnerTest, KillRestartReplayIsDeterministicAfterDedup) {
     c.SetInt(cfg::kContainerCount, 2);
     JobRunner runner(broker2, c);
     ASSERT_TRUE(runner.Start().ok());
-    ASSERT_TRUE(runner.RunUntilQuiescent().ok());
+    ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
     for (const auto& s : ReadAll(*broker2, "out")) reference.insert(s);
   }
 
@@ -276,7 +276,7 @@ TEST_F(RunnerTest, KillRestartReplayIsDeterministicAfterDedup) {
   ASSERT_TRUE(runner.container(0)->RunUntilCaughtUp(37).ok());
   ASSERT_TRUE(runner.KillContainer(0).ok());
   ASSERT_TRUE(runner.RestartContainer(0).ok());
-  ASSERT_TRUE(runner.RunUntilQuiescent().ok());
+  ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
 
   auto out = ReadAll(*broker_, "out");
   EXPECT_GE(out.size(), 200u);  // at-least-once: duplicates allowed
@@ -296,7 +296,7 @@ TEST_F(RunnerTest, StatefulStoreSurvivesKillRestart) {
   ASSERT_TRUE(runner.container(0)->RunUntilCaughtUp(41).ok());
   ASSERT_TRUE(runner.KillContainer(0).ok());
   ASSERT_TRUE(runner.RestartContainer(0).ok());
-  ASSERT_TRUE(runner.RunUntilQuiescent().ok());
+  ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
   ASSERT_TRUE(runner.Stop().ok());
 
   // Every input message (partition:offset) must be present exactly once in
@@ -338,7 +338,7 @@ TEST_F(RunnerTest, BootstrapStreamFullyDrainedFirst) {
   c.SetInt(cfg::kContainerCount, 1);  // single container: one global order
   JobRunner runner(broker_, c);
   ASSERT_TRUE(runner.Start().ok());
-  ASSERT_TRUE(runner.RunUntilQuiescent().ok());
+  ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
 
   ASSERT_EQ(rec->topics.size(), 60u);
   // All "table" deliveries strictly precede all "in" deliveries.
@@ -363,16 +363,16 @@ TEST_F(RunnerTest, WindowTimerFiresOnClock) {
   JobRunner runner(broker_, c, clock);
   ASSERT_TRUE(runner.Start().ok());
   Produce(4);
-  ASSERT_TRUE(runner.RunUntilQuiescent().ok());
+  ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
   EXPECT_EQ(rec->windows.load(), 0);  // clock hasn't advanced
   clock->Advance(150);
   Produce(1);
-  ASSERT_TRUE(runner.RunUntilQuiescent().ok());
+  ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
   // One firing invokes Window() on each of the container's 4 tasks.
   EXPECT_EQ(rec->windows.load(), 4);
   clock->Advance(350);
   Produce(1);
-  ASSERT_TRUE(runner.RunUntilQuiescent().ok());
+  ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
   EXPECT_EQ(rec->windows.load(), 8);
 }
 
@@ -384,7 +384,7 @@ TEST_F(RunnerTest, ContainerMetricsExposedViaSharedRegistry) {
   c.SetInt(cfg::kCommitEveryMessages, 10);
   JobRunner runner(broker_, c);
   ASSERT_TRUE(runner.Start().ok());
-  ASSERT_TRUE(runner.RunUntilQuiescent().ok());
+  ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
   ASSERT_TRUE(runner.Stop().ok());
 
   MetricsSnapshot snap = runner.metrics_registry()->Snapshot();
@@ -421,7 +421,7 @@ TEST_F(RunnerTest, ChangelogWriteVolumeCounted) {
   c.Set("stores.state.changelog", "state-changelog-metrics");
   JobRunner runner(broker_, c);
   ASSERT_TRUE(runner.Start().ok());
-  ASSERT_TRUE(runner.RunUntilQuiescent().ok());
+  ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
   MetricsSnapshot snap = runner.metrics_registry()->Snapshot();
   int64_t writes = 0, bytes = 0;
   for (const auto& [name, value] : snap.counters) {
@@ -445,7 +445,7 @@ TEST_F(RunnerTest, ReporterEmitsJsonLinesOnInterval) {
   c.Set(cfg::kMetricsReporterPath, path);
   JobRunner runner(broker_, c, clock);
   ASSERT_TRUE(runner.Start().ok());
-  ASSERT_TRUE(runner.RunUntilQuiescent().ok());
+  ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
   {
     std::ifstream in(path);
     std::stringstream contents;
@@ -454,7 +454,7 @@ TEST_F(RunnerTest, ReporterEmitsJsonLinesOnInterval) {
   }
   clock->Advance(150);
   Produce(1);
-  ASSERT_TRUE(runner.RunUntilQuiescent().ok());
+  ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
   ASSERT_TRUE(runner.Stop().ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
