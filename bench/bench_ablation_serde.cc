@@ -5,7 +5,9 @@
 //  1. Serde microbenchmarks: reflective (Kryo-model) vs Avro round trips
 //     on the Products row — the >=2x per-record gap itself.
 //  2. The join query with the SQL state serde switched from reflective to
-//     avro — how much of the Figure 5c gap the serde alone explains.
+//     avro — how much of the Figure 5c gap the serde alone explains — on
+//     the fused mainline (sql.fusion=on) and on the paper-faithful
+//     interpreted operator DAG (sql.fusion=off).
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
@@ -46,7 +48,8 @@ void BM_Serde_ReflectiveDeserialize(benchmark::State& state) {
 constexpr int64_t kMessages = 60'000;
 constexpr int32_t kProducts = 1'000;
 
-void RunJoin(benchmark::State& state, const char* label, const char* state_serde) {
+void RunJoin(benchmark::State& state, const char* label, const char* state_serde,
+             bool fusion) {
   for (auto _ : state) {
     auto env = MakeBenchEnv();
     workload::OrdersGeneratorOptions options;
@@ -58,6 +61,7 @@ void RunJoin(benchmark::State& state, const char* label, const char* state_serde
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     Config config = BenchJobConfig(1);
     config.Set(core::sqlcfg::kStateSerde, state_serde);
+    config.Set(core::sqlcfg::kFusion, fusion ? "on" : "off");
     auto r = MeasureSqlQuery(
         env,
         "SELECT STREAM Orders.rowtime, Orders.orderId, Orders.productId, "
@@ -70,14 +74,24 @@ void RunJoin(benchmark::State& state, const char* label, const char* state_serde
 }
 
 void BM_Join_ReflectiveState(benchmark::State& state) {
-  RunJoin(state, "kryo", "reflective");
+  RunJoin(state, "kryo", "reflective", true);
 }
-void BM_Join_AvroState(benchmark::State& state) { RunJoin(state, "avro", "avro"); }
+void BM_Join_AvroState(benchmark::State& state) {
+  RunJoin(state, "avro", "avro", true);
+}
+void BM_Join_ReflectiveState_Interpreted(benchmark::State& state) {
+  RunJoin(state, "kryo-off", "reflective", false);
+}
+void BM_Join_AvroState_Interpreted(benchmark::State& state) {
+  RunJoin(state, "avro-off", "avro", false);
+}
 
 BENCHMARK(BM_Serde_AvroDeserialize);
 BENCHMARK(BM_Serde_ReflectiveDeserialize);
 BENCHMARK(BM_Join_ReflectiveState)->Iterations(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Join_AvroState)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Join_ReflectiveState_Interpreted)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Join_AvroState_Interpreted)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sqs::bench

@@ -13,6 +13,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <type_traits>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -28,10 +29,43 @@ namespace {
 // or crash dump can never race a thread's exit.
 // ---------------------------------------------------------------------------
 
+// The payload is stored as relaxed atomic words so a reader copying a slot
+// while its writer overwrites it is a detected torn read, not a data race.
+constexpr size_t kSlotWords = (sizeof(FlightEvent) + 7) / 8;
+static_assert(std::is_trivially_copyable_v<FlightEvent>);
+
 struct Slot {
   std::atomic<uint64_t> version{0};  // odd = write in progress
-  FlightEvent ev;
+  std::atomic<uint64_t> words[kSlotWords] = {};
 };
+
+// Writer side: odd version, release fence, payload, even version.
+void StoreSlot(Slot& slot, const FlightEvent& ev) {
+  uint64_t buf[kSlotWords] = {};
+  std::memcpy(buf, &ev, sizeof(FlightEvent));
+  const uint64_t v = slot.version.load(std::memory_order_relaxed);
+  slot.version.store(v + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  for (size_t i = 0; i < kSlotWords; ++i) {
+    slot.words[i].store(buf[i], std::memory_order_relaxed);
+  }
+  slot.version.store(v + 2, std::memory_order_release);
+}
+
+// Reader side: false when the slot is being written or was overwritten
+// during the copy (torn). Allocation-free, so the signal dump can use it.
+bool LoadSlot(const Slot& slot, FlightEvent* out) {
+  const uint64_t v1 = slot.version.load(std::memory_order_acquire);
+  if (v1 & 1) return false;
+  uint64_t buf[kSlotWords];
+  for (size_t i = 0; i < kSlotWords; ++i) {
+    buf[i] = slot.words[i].load(std::memory_order_relaxed);
+  }
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (slot.version.load(std::memory_order_relaxed) != v1) return false;
+  std::memcpy(out, buf, sizeof(FlightEvent));
+  return true;
+}
 
 struct Ring {
   explicit Ring(size_t capacity, int32_t ord)
@@ -78,7 +112,8 @@ Ring* CurrentRing() {
 
 void CopyTruncated(char* dst, size_t dst_size, std::string_view src) {
   size_t n = std::min(src.size(), dst_size - 1);
-  std::memcpy(dst, src.data(), n);
+  // A default string_view has a null data(); memcpy forbids it even for 0.
+  if (n > 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
 
@@ -156,9 +191,7 @@ void FlightRecorder::Record(FlightEventType type, std::string_view scope,
   if (!g_enabled.load(std::memory_order_relaxed)) return;
   Ring* ring = CurrentRing();
   Slot& slot = ring->slots[ring->next % ring->slots.size()];
-  uint64_t v = slot.version.load(std::memory_order_relaxed);
-  slot.version.store(v + 1, std::memory_order_release);  // odd: in progress
-  FlightEvent& ev = slot.ev;
+  FlightEvent ev;
   ev.ts_ms = SystemClock::Instance()->NowMillis();
   ev.mono_ns = MonotonicNanos();
   ev.seq = g_seq.fetch_add(1, std::memory_order_relaxed);
@@ -168,7 +201,7 @@ void FlightRecorder::Record(FlightEventType type, std::string_view scope,
   ev.b = b;
   CopyTruncated(ev.scope, sizeof(ev.scope), scope);
   CopyTruncated(ev.detail, sizeof(ev.detail), detail);
-  slot.version.store(v + 2, std::memory_order_release);  // even: stable
+  StoreSlot(slot, ev);
   ring->next++;
   ring->written.store(ring->next, std::memory_order_release);
   g_recorded.fetch_add(1, std::memory_order_relaxed);
@@ -201,13 +234,8 @@ std::vector<FlightEvent> FlightRecorder::Snapshot(
     const uint64_t w = ring->written.load(std::memory_order_acquire);
     const uint64_t start = w > cap ? w - cap : 0;
     for (uint64_t i = start; i < w; ++i) {
-      const Slot& slot = ring->slots[i % cap];
-      uint64_t v1 = slot.version.load(std::memory_order_acquire);
-      if (v1 & 1) continue;  // write in progress
-      FlightEvent copy = slot.ev;
-      std::atomic_thread_fence(std::memory_order_acquire);
-      uint64_t v2 = slot.version.load(std::memory_order_relaxed);
-      if (v1 != v2) continue;  // torn: overwritten during the copy
+      FlightEvent copy;
+      if (!LoadSlot(ring->slots[i % cap], &copy)) continue;  // in progress or torn
       if (!HasPrefix(copy.scope, scope_prefix)) continue;
       out.push_back(copy);
     }
@@ -257,12 +285,8 @@ void FlightRecorder::DumpToFd(int fd) const {
     const uint64_t w = ring->written.load(std::memory_order_acquire);
     const uint64_t start = w > cap ? w - cap : 0;
     for (uint64_t i = start; i < w; ++i) {
-      const Slot& slot = ring->slots[i % cap];
-      uint64_t v1 = slot.version.load(std::memory_order_acquire);
-      if (v1 & 1) continue;
-      FlightEvent copy = slot.ev;
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.version.load(std::memory_order_relaxed) != v1) continue;
+      FlightEvent copy;
+      if (!LoadSlot(ring->slots[i % cap], &copy)) continue;
       n = FormatEventLine(copy, buf, sizeof(buf));
       if (n > 0) {
         ssize_t ignored = write(fd, buf, static_cast<size_t>(n));
@@ -320,7 +344,7 @@ void FlightRecorder::Clear() {
     // tests call Clear() between runs, never concurrently with recording.
     for (Slot& slot : ring->slots) {
       slot.version.store(0, std::memory_order_relaxed);
-      slot.ev = FlightEvent{};
+      for (auto& word : slot.words) word.store(0, std::memory_order_relaxed);
     }
     ring->next = 0;
     ring->written.store(0, std::memory_order_release);

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/clock.h"
+#include "common/config.h"
 #include "log/broker.h"
 #include "serde/registry.h"
 #include "sql/catalog.h"
@@ -44,10 +45,16 @@ inline constexpr const char* kOutputKeyIndex = "samzasql.output.key.index";
 inline constexpr const char* kStateSerde = "samzasql.state.serde";
 inline constexpr const char* kGraceMs = "samzasql.window.grace.ms";
 inline constexpr const char* kFuseConversions = "samzasql.fuse.conversions";
-// Fused execution of terminal filter/project chains: "on" (default) or
-// "off" ("false"/"0" also accepted) — the escape hatch back to the fully
-// interpreted operator DAG. See docs/EXECUTION.md.
+// Fused execution of the root filter/project chain, over a scan or a
+// stream-relation join: "on" (default) or "off" ("false"/"0" also accepted)
+// — the escape hatch back to the fully interpreted operator DAG. See
+// docs/EXECUTION.md.
 inline constexpr const char* kFusion = "sql.fusion";
+
+inline bool FusionEnabled(const Config& config) {
+  const std::string fusion = config.Get(kFusion, "on");
+  return !(fusion == "off" || fusion == "false" || fusion == "0");
+}
 }  // namespace sqlcfg
 
 }  // namespace sqs::core

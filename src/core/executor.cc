@@ -82,16 +82,18 @@ std::string RenderAnalyzedPlan(const sql::LogicalNode& plan,
   std::map<std::string, SpanStats> stats = ComputeSpanStats(spans, scope_prefix);
 
   // Index operator stats by preorder id ("op<k>-...").
-  std::map<int, std::pair<std::string, SpanStats>> by_id;
+  std::map<int, std::vector<std::pair<std::string, SpanStats>>> by_id;
   for (const auto& [name, st] : stats) {
     if (name.compare(0, 2, "op") != 0) continue;
     size_t dash = name.find('-');
     if (dash == std::string::npos || dash == 2) continue;
-    by_id[std::atoi(name.substr(2, dash - 2).c_str())] = {name, st};
+    by_id[std::atoi(name.substr(2, dash - 2).c_str())].push_back({name, st});
   }
   // A fused stage reports one span named "fused<opA..opB>" (or "fused<opA>")
   // covering plan lines A..B plus the stream-insert it subsumes. Annotate
-  // every covered line with the stage's stats so no row "vanishes".
+  // every covered line with the stage's stats so no row "vanishes". A fused
+  // join's line also keeps its operator's own annotation: that operator
+  // upserts the relation side.
   bool has_fused = false;
   std::pair<std::string, SpanStats> fused_stat;
   for (const auto& [name, st] : stats) {
@@ -104,7 +106,8 @@ std::string RenderAnalyzedPlan(const sql::LogicalNode& plan,
     size_t dots = inner.find("..");
     if (dots != std::string::npos) b = std::atoi(inner.substr(dots + 4).c_str());
     for (int k = a; k <= b; ++k) {
-      if (by_id.find(k) == by_id.end()) by_id[k] = {name, st};
+      auto& line = by_id[k];
+      line.insert(line.begin(), {name, st});
     }
     has_fused = true;
     fused_stat = {name, st};
@@ -152,7 +155,10 @@ std::string RenderAnalyzedPlan(const sql::LogicalNode& plan,
     os << lines[k] << std::string(width - lines[k].size(), ' ');
     auto it = by_id.find(static_cast<int>(k));
     if (it != by_id.end()) {
-      os << Annotate(it->second.first, it->second.second, traced_busy_ns);
+      for (size_t i = 0; i < it->second.size(); ++i) {
+        os << (i > 0 ? " " : "")
+           << Annotate(it->second[i].first, it->second[i].second, traced_busy_ns);
+      }
     } else {
       os << "[no sampled spans]";
     }
@@ -164,7 +170,7 @@ std::string RenderAnalyzedPlan(const sql::LogicalNode& plan,
     os << insert_line << std::string(width - insert_line.size(), ' ');
     auto it = by_id.find(static_cast<int>(lines.size()));
     if (it != by_id.end()) {
-      os << Annotate(it->second.first, it->second.second, traced_busy_ns);
+      os << Annotate(it->second[0].first, it->second[0].second, traced_busy_ns);
     } else if (has_fused) {
       os << Annotate(fused_stat.first, fused_stat.second, traced_busy_ns);
     } else {
@@ -445,6 +451,18 @@ Result<QueryExecutor::ExecutionResult> QueryExecutor::Execute(
     ExecutionResult result;
     result.kind = ExecutionResult::Kind::kExplained;
     result.text = plan->ToString();
+    if (plan->is_stream && sqlcfg::FusionEnabled(defaults_)) {
+      // Name each fused stage by the plan lines (preorder ids) it covers.
+      for (const sql::FusedStageSpec& spec : sql::PlanFusedStages(*plan)) {
+        result.text += "stage " + spec.label + ": plan lines " +
+                       std::to_string(spec.first_op) + ".." +
+                       std::to_string(spec.last_op) + " + insert";
+        if (spec.probe) {
+          result.text += ", probes " + spec.probe->store_prefix + "-table";
+        }
+        result.text += "\n";
+      }
+    }
     result.schema = plan->schema;
     return result;
   }

@@ -65,9 +65,7 @@ Status SamzaSqlTask::Init(TaskContext& context) {
   router_config.fuse_conversions = config.GetBool(sqlcfg::kFuseConversions, false);
   router_config.out_key_index =
       static_cast<int>(config.GetInt(sqlcfg::kOutputKeyIndex, -1));
-  // sql.fusion is on unless explicitly disabled (accepts off/false/0).
-  const std::string fusion = config.Get(sqlcfg::kFusion, "on");
-  router_config.fusion = !(fusion == "off" || fusion == "false" || fusion == "0");
+  router_config.fusion = sqlcfg::FusionEnabled(config);
 
   SQS_ASSIGN_OR_RETURN(router, ops::MessageRouter::Build(*plan, router_config));
   router_ = std::move(router);

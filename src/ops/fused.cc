@@ -4,10 +4,16 @@
 
 namespace sqs::ops {
 
+namespace {
+
+bool Truthy(const Value& v) { return v.kind() == TypeKind::kBool && v.as_bool(); }
+
+}  // namespace
+
 bool FusedStageCanPassthrough(const sql::FusedStageSpec& spec,
                               const RowSerde& input_serde,
                               const RowSerde& output_serde) {
-  if (!spec.projections.empty()) return false;
+  if (spec.probe || !spec.projections.empty()) return false;
   const auto* in = dynamic_cast<const AvroRowSerde*>(&input_serde);
   const auto* out = dynamic_cast<const AvroRowSerde*>(&output_serde);
   if (in == nullptr || out == nullptr) return false;
@@ -25,39 +31,132 @@ bool FusedStageCanPassthrough(const sql::FusedStageSpec& spec,
   return true;
 }
 
-Status FusedStageOperator::Init(OperatorContext&) {
+Status FusedStageOperator::Init(OperatorContext& ctx) {
   // Keyed output needs the key column's decoded value, so it stays on the
   // re-serialize path (key sends are rare for filter/project pipelines).
   passthrough_ = key_index_ < 0 &&
                  FusedStageCanPassthrough(spec_, *input_serde_, *output_serde_);
   std::vector<int> extra;
-  if (key_index_ >= 0) extra.push_back(key_index_);
+  if (key_index_ >= 0 && !spec_.probe) extra.push_back(key_index_);
   SQS_ASSIGN_OR_RETURN(kernel,
                        sql::FusedStageKernel::Compile(spec_, input_serde_,
                                                       passthrough_, extra));
   kernel_ = std::move(kernel);
-  // The plan node is only valid during build/init (the task frees its plan
+  if (spec_.probe) SQS_RETURN_IF_ERROR(CompileProbe(ctx));
+  // The plan nodes are only valid during build/init (the task frees its plan
   // after Init); everything the stage needs is copied into spec_/kernel_.
   spec_.scan = nullptr;
+  if (spec_.probe) spec_.probe->relation = nullptr;
+  return Status::Ok();
+}
+
+Status FusedStageOperator::CompileProbe(OperatorContext& ctx) {
+  const sql::FusedProbeSpec& spec = *spec_.probe;
+  if (relation_serde_ == nullptr) {
+    return Status::Internal("fused probe stage without a relation serde");
+  }
+  Probe probe;
+  probe.key = JoinKey::Left(spec.equi_keys);
+  probe.prefix_arity = spec.prefix_arity;
+  probe.table = ctx.task->GetStore(spec.store_prefix + "-table");
+  if (!probe.table) {
+    return Status::StateError("join table store not configured: " +
+                              spec.store_prefix + "-table");
+  }
+  if (spec.residual) {
+    SQS_ASSIGN_OR_RETURN(compiled, sql::CompiledExpr::Compile(*spec.residual));
+    probe.residual = std::move(compiled);
+  }
+  for (const sql::ExprPtr& p : spec.predicates) {
+    SQS_ASSIGN_OR_RETURN(compiled, sql::CompiledExpr::Compile(*p));
+    probe.predicates.push_back(std::move(compiled));
+  }
+  bool all_columns = !spec.projections.empty();
+  for (const sql::ExprPtr& e : spec.projections) {
+    ProbeProjection proj;
+    if (e->kind == sql::ExprKind::kColumnRef && e->resolved_index >= 0) {
+      proj.column = e->resolved_index;
+    } else {
+      SQS_ASSIGN_OR_RETURN(compiled, sql::CompiledExpr::Compile(*e));
+      proj.expr = std::move(compiled);
+      all_columns = false;
+    }
+    probe.projections.push_back(std::move(proj));
+  }
+  probe.needs_joined_row =
+      probe.residual.has_value() || !probe.predicates.empty() || !all_columns;
+  probe_ = std::move(probe);
   return Status::Ok();
 }
 
 Status FusedStageOperator::Evaluate(const IncomingMessage& msg, PendingSend& out) {
   SQS_ASSIGN_OR_RETURN(result, kernel_.Apply(msg.message.value));
-  out.pass = result.pass;
-  if (!result.pass || passthrough_) return Status::Ok();
-  if (key_index_ >= 0) {
-    out.key = EncodeOrderedKey(result.row[static_cast<size_t>(key_index_)]);
+  out.fate = result.pass ? Fate::kSend : Fate::kDrop;
+  if (result.pass && !passthrough_) out.row = std::move(result.row);
+  return Status::Ok();
+}
+
+Status FusedStageOperator::ProbeOne(PendingSend& pending) {
+  const Probe& probe = *probe_;
+  Bytes key;
+  std::optional<Bytes> stored;
+  if (probe.key.Encode(pending.row, &key)) stored = probe.table->Get(key);
+  if (!stored) {
+    pending.fate = Fate::kDrop;  // inner join: no match, no output
+    return Status::Ok();
   }
-  out.row = std::move(result.row);
+  // The relation decode is the paper's join cost centre (§5.1): with the
+  // reflective state serde it is most of what still separates the fused
+  // join from the native task.
+  SQS_ASSIGN_OR_RETURN(relation, relation_serde_->DeserializeBytes(*stored));
+  const Row& prefix = pending.row;
+
+  if (!probe.needs_joined_row) {
+    Row out;
+    out.reserve(probe.projections.size());
+    for (const ProbeProjection& proj : probe.projections) {
+      const size_t c = static_cast<size_t>(proj.column);
+      out.push_back(c < probe.prefix_arity ? prefix[c]
+                                           : relation[c - probe.prefix_arity]);
+    }
+    pending.row = std::move(out);
+    return Status::Ok();
+  }
+
+  Row joined;
+  joined.reserve(prefix.size() + relation.size());
+  joined.insert(joined.end(), std::make_move_iterator(pending.row.begin()),
+                std::make_move_iterator(pending.row.end()));
+  joined.insert(joined.end(), std::make_move_iterator(relation.begin()),
+                std::make_move_iterator(relation.end()));
+  if (probe.residual && !Truthy(probe.residual->Eval(joined))) {
+    pending.fate = Fate::kResidualMiss;
+    return Status::Ok();
+  }
+  for (const sql::CompiledExpr& pred : probe.predicates) {
+    if (!Truthy(pred.Eval(joined))) {
+      pending.fate = Fate::kDrop;
+      return Status::Ok();
+    }
+  }
+  if (probe.projections.empty()) {
+    pending.row = std::move(joined);
+    return Status::Ok();
+  }
+  Row out;
+  out.reserve(probe.projections.size());
+  for (const ProbeProjection& proj : probe.projections) {
+    out.push_back(proj.column >= 0 ? joined[static_cast<size_t>(proj.column)]
+                                   : proj.expr.Eval(joined));
+  }
+  pending.row = std::move(out);
   return Status::Ok();
 }
 
 Status FusedStageOperator::SendOne(const IncomingMessage& msg, PendingSend& pending,
                                    OperatorContext& ctx) {
-  // Both the per-message and the batched (phase-2) paths funnel through
-  // here, so this one scope propagates the input's ingest stamp onto every
-  // fused-stage output (common/latency.h).
+  // Every send funnels through here, so this one scope propagates the
+  // input's ingest stamp onto every fused-stage output (common/latency.h).
   IngestScope ingest(msg.message.ingest_us);
   if (passthrough_) {
     ++emitted_;
@@ -68,7 +167,9 @@ Status FusedStageOperator::SendOne(const IncomingMessage& msg, PendingSend& pend
   SQS_RETURN_IF_ERROR(output_serde_->Serialize(pending.row, writer));
   ++emitted_;
   if (key_index_ >= 0) {
-    return ctx.collector->Send(topic_, std::move(pending.key), writer.Take());
+    return ctx.collector->Send(
+        topic_, EncodeOrderedKey(pending.row[static_cast<size_t>(key_index_)]),
+        writer.Take());
   }
   return ctx.collector->SendToPartition(topic_, msg.origin.partition, Bytes{},
                                         writer.Take());
@@ -76,29 +177,8 @@ Status FusedStageOperator::SendOne(const IncomingMessage& msg, PendingSend& pend
 
 Status FusedStageOperator::ProcessMessage(const IncomingMessage& message,
                                           OperatorContext& ctx) {
-  EnsureMetrics(ctx);
-  TraceContext parent = CurrentTraceContext();
-  if (!parent.valid()) parent = message.message.trace;
-  TraceSpan span(parent, TraceName(), TraceScopeName(), message.origin.partition);
-  int64_t t0 = MonotonicNanos();
-  PendingSend pending;
-  Status st;
-  {
-    TraceSpan decode(CurrentTraceContext(), "decode", TraceScopeName(),
-                     message.origin.partition);
-    st = Evaluate(message, pending);
-  }
-  if (st.ok()) {
-    if (pending.pass) {
-      TraceSpan encode(CurrentTraceContext(), "encode", TraceScopeName(),
-                       message.origin.partition);
-      st = SendOne(message, pending, ctx);
-    } else {
-      CountDropped();
-    }
-  }
-  RecordTuple(MonotonicNanos() - t0, message.message.timestamp);
-  return st;
+  size_t consumed = 0;
+  return ProcessMessages(&message, 1, ctx, &consumed);
 }
 
 Status FusedStageOperator::ProcessMessages(const IncomingMessage* msgs, size_t count,
@@ -113,8 +193,8 @@ Status FusedStageOperator::ProcessMessages(const IncomingMessage* msgs, size_t c
   TraceSpan span(parent, TraceName(), TraceScopeName(), msgs[0].origin.partition);
   int64_t t0 = MonotonicNanos();
 
-  // Phase 1: run the kernel over the whole run. On a kernel error the
-  // already-evaluated prefix still gets sent below, then the error is
+  // Phase 1: run the kernel (and the probe) over the whole run. On an error
+  // the already-evaluated prefix still gets sent below, then the error is
   // surfaced with `consumed` at the failing message.
   std::vector<PendingSend> pendings(count);
   size_t evaluated = count;
@@ -131,29 +211,37 @@ Status FusedStageOperator::ProcessMessages(const IncomingMessage* msgs, size_t c
       }
     }
   }
-
-  // Phase 2: send survivors in input order (per-message producer sequencing,
-  // so exactly-once replay is indistinguishable from the per-message path).
-  size_t done = evaluated;
-  bool send_failed = false;
-  {
-    TraceSpan encode(CurrentTraceContext(), "encode", TraceScopeName(),
-                     msgs[0].origin.partition);
+  if (probe_) {
+    TraceSpan probe(CurrentTraceContext(), "probe", TraceScopeName(),
+                    msgs[0].origin.partition);
     for (size_t i = 0; i < evaluated; ++i) {
-      if (!pendings[i].pass) {
-        CountDropped();
-        continue;
-      }
-      Status st = SendOne(msgs[i], pendings[i], ctx);
+      if (pendings[i].fate != Fate::kSend) continue;
+      Status st = ProbeOne(pendings[i]);
       if (!st.ok()) {
         result = st;
-        done = i;
-        send_failed = true;
+        evaluated = i;
         break;
       }
     }
   }
-  (void)send_failed;
+
+  // Phase 2: send survivors in input order (per-message producer sequencing,
+  // so exactly-once replay is indistinguishable from the per-message path).
+  size_t done = evaluated;
+  {
+    TraceSpan encode(CurrentTraceContext(), "encode", TraceScopeName(),
+                     msgs[0].origin.partition);
+    for (size_t i = 0; i < evaluated; ++i) {
+      if (pendings[i].fate == Fate::kDrop) CountDropped();
+      if (pendings[i].fate != Fate::kSend) continue;
+      Status st = SendOne(msgs[i], pendings[i], ctx);
+      if (!st.ok()) {
+        result = st;
+        done = i;
+        break;
+      }
+    }
+  }
 
   int64_t max_ts = 0;
   for (size_t i = 0; i < done; ++i) {

@@ -1,5 +1,6 @@
 #include "ops/join.h"
 
+#include <cmath>
 #include <limits>
 
 namespace sqs::ops {
@@ -17,7 +18,66 @@ void AppendFixed32(Bytes& key, uint32_t v) {
 
 bool Truthy(const Value& v) { return v.kind() == TypeKind::kBool && v.as_bool(); }
 
+// 2^53: every integer up to here is exactly representable as a double.
+constexpr double kMaxExactDouble = 9007199254740992.0;
+
+// Encodes one non-NULL key value with numbers in one canonical kind: every
+// integer as BIGINT, and integral doubles that are exact as integers as
+// BIGINT too (-0.0 included).
+Bytes EncodeKeyValue(const Value& v) {
+  switch (v.kind()) {
+    case TypeKind::kInt32:
+      return EncodeOrderedKey(Value(v.ToInt64()));
+    case TypeKind::kDouble: {
+      const double d = v.as_double();
+      if (std::trunc(d) == d && std::fabs(d) <= kMaxExactDouble) {
+        return EncodeOrderedKey(Value(static_cast<int64_t>(d)));
+      }
+      return EncodeOrderedKey(v);
+    }
+    default:
+      return EncodeOrderedKey(v);
+  }
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// JoinKey
+// ---------------------------------------------------------------------------
+
+JoinKey JoinKey::Left(const std::vector<std::pair<int, int>>& equi_keys) {
+  std::vector<int> columns;
+  for (const auto& [l, r] : equi_keys) {
+    (void)r;
+    columns.push_back(l);
+  }
+  return JoinKey(std::move(columns));
+}
+
+JoinKey JoinKey::Right(const std::vector<std::pair<int, int>>& equi_keys) {
+  std::vector<int> columns;
+  for (const auto& [l, r] : equi_keys) {
+    (void)l;
+    columns.push_back(r);
+  }
+  return JoinKey(std::move(columns));
+}
+
+bool JoinKey::Encode(const Row& row, Bytes* out) const {
+  out->clear();
+  for (int c : columns_) {
+    const Value& v = row[static_cast<size_t>(c)];
+    if (v.is_null()) return false;
+    Bytes part = EncodeKeyValue(v);
+    if (out->empty()) {
+      *out = std::move(part);
+    } else {
+      out->insert(out->end(), part.begin(), part.end());
+    }
+  }
+  return true;
+}
 
 // ---------------------------------------------------------------------------
 // StreamTableJoinOperator
@@ -37,29 +97,21 @@ Status StreamTableJoinOperator::Init(OperatorContext& ctx) {
 }
 
 Status StreamTableJoinOperator::DoProcess(const TupleEvent& event, OperatorContext& ctx) {
+  Bytes key;
   if (event.side == 1) {
     // Relation changelog tuple: upsert into the cached table keyed by the
-    // join key (last write wins — changelog semantics).
-    Row key_values;
-    key_values.reserve(equi_keys_.size());
-    for (const auto& [l, r] : equi_keys_) {
-      (void)l;
-      key_values.push_back(event.row[static_cast<size_t>(r)]);
-    }
+    // join key (last write wins — changelog semantics). A NULL-keyed row can
+    // never match, so it is not stored.
+    if (!right_key_.Encode(event.row, &key)) return Status::Ok();
     BytesWriter writer(64);
     SQS_RETURN_IF_ERROR(right_serde_->Serialize(event.row, writer));
-    table_->Put(EncodeOrderedKey(key_values), writer.Take());
+    table_->Put(key, writer.Take());
     return Status::Ok();
   }
 
   // Stream tuple: lookup.
-  Row key_values;
-  key_values.reserve(equi_keys_.size());
-  for (const auto& [l, r] : equi_keys_) {
-    (void)r;
-    key_values.push_back(event.row[static_cast<size_t>(l)]);
-  }
-  auto stored = table_->Get(EncodeOrderedKey(key_values));
+  std::optional<Bytes> stored;
+  if (left_key_.Encode(event.row, &key)) stored = table_->Get(key);
   if (!stored) {
     CountDropped();  // inner join: no match, no output
     return Status::Ok();

@@ -25,6 +25,31 @@
 
 namespace sqs::ops {
 
+// The equi-join key of a row, encoded for the relation store. The relation
+// upsert and every probe, interpreted or fused, encode through this one
+// helper, so streaming key equality is the batch oracle's (sql/batch_eval.cc
+// EvalJoin, Value::Compare):
+//  - a NULL key column never matches: Encode returns false, and the row is
+//    neither stored nor looked up;
+//  - numbers of different kinds that compare equal encode alike: INT 1,
+//    BIGINT 1 and DOUBLE 1.0 are one key. Integral doubles are exact as
+//    integers only up to 2^53; beyond that a double matches only a double.
+class JoinKey {
+ public:
+  JoinKey() = default;
+  explicit JoinKey(std::vector<int> columns) : columns_(std::move(columns)) {}
+
+  // The key columns of the left (stream) or right (relation) side of
+  // (left, right) equi-key pairs.
+  static JoinKey Left(const std::vector<std::pair<int, int>>& equi_keys);
+  static JoinKey Right(const std::vector<std::pair<int, int>>& equi_keys);
+
+  bool Encode(const Row& row, Bytes* out) const;
+
+ private:
+  std::vector<int> columns_;
+};
+
 class StreamTableJoinOperator : public Operator {
  public:
   // `equi_keys`: (left index, right index) pairs. `right_serde` stores and
@@ -32,7 +57,8 @@ class StreamTableJoinOperator : public Operator {
   StreamTableJoinOperator(std::vector<std::pair<int, int>> equi_keys,
                           sql::ExprPtr residual, RowSerdePtr right_serde,
                           std::string store_prefix)
-      : equi_keys_(std::move(equi_keys)),
+      : left_key_(JoinKey::Left(equi_keys)),
+        right_key_(JoinKey::Right(equi_keys)),
         residual_(std::move(residual)),
         right_serde_(std::move(right_serde)),
         store_prefix_(std::move(store_prefix)) {}
@@ -52,7 +78,8 @@ class StreamTableJoinOperator : public Operator {
   size_t table_size() const { return table_ ? table_->Size() : 0; }
 
  private:
-  std::vector<std::pair<int, int>> equi_keys_;
+  JoinKey left_key_;
+  JoinKey right_key_;
   sql::ExprPtr residual_;
   RowSerdePtr right_serde_;
   std::string store_prefix_;

@@ -41,17 +41,20 @@ class Builder {
   }
 
   int next_id() const { return next_id_; }
+  // Continue the preorder numbering at `id` (building one subtree of a plan
+  // whose earlier ids a fused stage took).
+  void set_next_id(int id) { next_id_ = id; }
+
+  Result<RowSerdePtr> StateSerde(SchemaPtr schema) const {
+    return SerdeForFormat(config_ ? config_->state_serde : "reflective",
+                          std::move(schema));
+  }
 
   std::vector<OperatorPtr> operators_;
   std::vector<std::pair<std::string, bool>> scan_topics_;  // topic, bootstrap
   std::vector<std::shared_ptr<ScanOperator>> scan_ops_;
 
  private:
-  Result<RowSerdePtr> StateSerde(SchemaPtr schema) const {
-    return SerdeForFormat(config_ ? config_->state_serde : "reflective",
-                          std::move(schema));
-  }
-
   const RouterConfig* config_;   // null during RequiredStores traversal
   MessageRouter* router_;        // unused; kept for future bindings
   std::vector<std::string>* stores_out_;
@@ -227,30 +230,14 @@ Result<std::unique_ptr<MessageRouter>> MessageRouter::Build(
     const sql::LogicalNode& plan, const RouterConfig& config) {
   auto router = std::make_unique<MessageRouter>();
 
-  // Fusion: when the whole plan is one terminal Scan <- Filter*/Project*
-  // chain, replace the interpreted DAG (scan -> ... -> insert) with a
-  // single fused stage that owns the serde boundary on both sides.
+  // Fusion: when the plan's root chain sits on a Scan, or on a stream-
+  // relation join over a Scan-rooted stream input, replace the interpreted
+  // stream path (scan -> ... -> insert) with a single fused stage that owns
+  // the serde boundary on both sides.
   if (config.fusion) {
     std::vector<sql::FusedStageSpec> specs = sql::PlanFusedStages(plan);
     if (specs.size() == 1 && specs[0].first_op == 0 && specs[0].reaches_root) {
-      sql::FusedStageSpec spec = std::move(specs[0]);
-      const sql::SourceDef& source = spec.scan->source;
-      SQS_ASSIGN_OR_RETURN(input_serde,
-                           SerdeForFormat(source.format, source.schema));
-      const std::string label = spec.label;
-      auto fused = std::make_shared<FusedStageOperator>(
-          std::move(spec), input_serde, config.output_topic,
-          config.output_serde, config.out_key_index);
-      fused->set_metric_id(label);
-      FlightRecorder::Record(FlightEventType::kPlanBuilt, source.topic, label);
-      router->operators_.push_back(fused);
-      router->fused_stage_ = fused;
-      SourceBinding binding;
-      binding.topic = source.topic;
-      binding.bootstrap = !source.is_stream();
-      binding.source = fused;
-      router->by_topic_[binding.topic].push_back(fused.get());
-      router->sources_.push_back(std::move(binding));
+      SQS_RETURN_IF_ERROR(router->BuildFused(std::move(specs[0]), config));
       return router;
     }
   }
@@ -268,15 +255,59 @@ Result<std::unique_ptr<MessageRouter>> MessageRouter::Build(
   router->operators_ = std::move(builder.operators_);
   FlightRecorder::Record(FlightEventType::kPlanBuilt, config.output_topic,
                          "interpreted", static_cast<int64_t>(router->operators_.size()));
-  for (size_t i = 0; i < builder.scan_ops_.size(); ++i) {
-    SourceBinding binding;
-    binding.topic = builder.scan_topics_[i].first;
-    binding.bootstrap = builder.scan_topics_[i].second;
-    binding.source = builder.scan_ops_[i];
-    router->by_topic_[binding.topic].push_back(binding.source.get());
-    router->sources_.push_back(std::move(binding));
-  }
+  router->BindScans(builder.scan_topics_, builder.scan_ops_);
   return router;
+}
+
+Status MessageRouter::BuildFused(sql::FusedStageSpec spec, const RouterConfig& config) {
+  const sql::SourceDef& source = spec.scan->source;
+  SQS_ASSIGN_OR_RETURN(input_serde, SerdeForFormat(source.format, source.schema));
+  const std::string label = spec.label;
+  const std::string topic = source.topic;
+  const bool bootstrap = !source.is_stream();
+
+  // A probe stage reads the relation store its join fills: only the
+  // relation side is built as operators, numbered after the stage's range,
+  // and its scan feeds the side-1 upsert of the join operator.
+  Builder builder(&config, this, nullptr);
+  RowSerdePtr relation_serde;
+  if (spec.probe) {
+    const sql::FusedProbeSpec& probe = *spec.probe;
+    SQS_ASSIGN_OR_RETURN(state_serde, builder.StateSerde(probe.relation_schema));
+    relation_serde = state_serde;
+    builder.set_next_id(spec.last_op + 1);
+    SQS_ASSIGN_OR_RETURN(relation, builder.BuildNode(*probe.relation));
+    auto join = std::make_shared<StreamTableJoinOperator>(
+        probe.equi_keys, nullptr, relation_serde, probe.store_prefix);
+    relation->SetNext(join, 1);
+    builder.Register(probe.store_prefix, join);
+  }
+
+  auto fused = std::make_shared<FusedStageOperator>(
+      std::move(spec), input_serde, config.output_topic, config.output_serde,
+      config.out_key_index, relation_serde);
+  fused->set_metric_id(label);
+  FlightRecorder::Record(FlightEventType::kPlanBuilt, topic, label);
+  operators_ = std::move(builder.operators_);
+  operators_.push_back(fused);
+  fused_stage_ = fused;
+  BindSource(topic, bootstrap, fused);
+  BindScans(builder.scan_topics_, builder.scan_ops_);
+  return Status::Ok();
+}
+
+void MessageRouter::BindSource(const std::string& topic, bool bootstrap,
+                               std::shared_ptr<SourceOperator> source) {
+  by_topic_[topic].push_back(source.get());
+  sources_.push_back(SourceBinding{topic, bootstrap, std::move(source)});
+}
+
+void MessageRouter::BindScans(
+    const std::vector<std::pair<std::string, bool>>& topics,
+    const std::vector<std::shared_ptr<ScanOperator>>& scans) {
+  for (size_t i = 0; i < scans.size(); ++i) {
+    BindSource(topics[i].first, topics[i].second, scans[i]);
+  }
 }
 
 Result<std::vector<std::string>> MessageRouter::RequiredStores(

@@ -33,9 +33,10 @@ struct RouterConfig {
   // Hash-partition output by this column instead of preserving the input
   // partition (-1 = preserve).
   int out_key_index = -1;
-  // Compile terminal Scan <- Filter*/Project* chains into one fused stage
-  // (sql.fusion, default on; see docs/EXECUTION.md). Join/window/aggregate
-  // plans always use the interpreted operator DAG.
+  // Compile the root Filter*/Project* chain into one fused stage when it
+  // sits on a Scan or on a stream-relation join over a Scan-rooted stream
+  // input (sql.fusion, default on; see docs/EXECUTION.md). Stream-stream
+  // joins, self-joins, windows and aggregates use the interpreted DAG.
   bool fusion = true;
 };
 
@@ -62,7 +63,8 @@ class MessageRouter {
   Status RouteBatch(const IncomingMessage* msgs, size_t count,
                     OperatorContext& ctx, size_t* consumed);
 
-  // The fused terminal stage, or nullptr when the plan runs interpreted.
+  // The fused terminal stage (with its relation probe, for a fused join),
+  // or nullptr when the plan runs interpreted.
   const FusedStageOperator* fused_stage() const { return fused_stage_.get(); }
 
   // Fire window timers (early-results emission).
@@ -84,6 +86,14 @@ class MessageRouter {
     bool bootstrap = false;
     std::shared_ptr<SourceOperator> source;
   };
+
+  // Fused build: the stage, plus the interpreted relation side of a probe.
+  Status BuildFused(sql::FusedStageSpec spec, const RouterConfig& config);
+  void BindSource(const std::string& topic, bool bootstrap,
+                  std::shared_ptr<SourceOperator> source);
+  // Binds built scans (topic, bootstrap flag) as sources.
+  void BindScans(const std::vector<std::pair<std::string, bool>>& topics,
+                 const std::vector<std::shared_ptr<ScanOperator>>& scans);
 
   std::vector<OperatorPtr> operators_;  // all, in build order
   std::vector<SourceBinding> sources_;

@@ -313,28 +313,25 @@ void MarkColumns(const Expr& expr, std::vector<bool>& bits) {
   }
 }
 
-FusedStageSpec BuildFusedSpec(int first_op,
-                              const std::vector<const LogicalNode*>& chain,
-                              const LogicalNode& scan) {
-  FusedStageSpec spec;
-  spec.first_op = first_op;
-  spec.last_op = first_op + static_cast<int>(chain.size());
-  spec.reaches_root = true;
-  spec.scan = &scan;
-  spec.scan_schema = scan.schema;
-  spec.scan_rowtime_index = scan.rowtime_index;
-  const LogicalNode& top = chain.empty() ? scan : *chain.front();
-  spec.output_schema = top.schema;
-  spec.out_rowtime_index = top.rowtime_index;
+// A Filter*/Project* chain (top node first) composed over a base schema:
+// every filter conjunct and the chain's output expressions, rebased onto the
+// base and constant-folded.
+struct ComposedChain {
+  std::vector<ExprPtr> predicates;
+  std::vector<ExprPtr> projections;  // empty = identity over the base
+};
 
-  const size_t n = scan.schema->num_fields();
-  // Current intermediate schema expressed over the scan schema; starts as
-  // the identity and composes upward through the chain.
+ComposedChain ComposeChain(const std::vector<const LogicalNode*>& chain,
+                           const Schema& base) {
+  const size_t n = base.num_fields();
+  // Current intermediate schema expressed over the base; starts as the
+  // identity and composes upward through the chain.
   std::vector<ExprPtr> current;
   current.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    current.push_back(ScanColumnRef(*scan.schema, static_cast<int>(i)));
+    current.push_back(ScanColumnRef(base, static_cast<int>(i)));
   }
+  ComposedChain out;
   bool projected = false;
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     const LogicalNode& node = **it;
@@ -342,7 +339,7 @@ FusedStageSpec BuildFusedSpec(int first_op,
       ExprPtr rebased = SubstituteColumns(*node.predicate, BindingPtrs(current));
       for (ExprPtr& conjunct : SplitConjuncts(*rebased)) {
         FoldConstants(*conjunct);
-        spec.predicates.push_back(std::move(conjunct));
+        out.predicates.push_back(std::move(conjunct));
       }
     } else {  // kProject
       std::vector<ExprPtr> next;
@@ -356,6 +353,48 @@ FusedStageSpec BuildFusedSpec(int first_op,
       projected = true;
     }
   }
+  if (projected && !IsIdentityOverScan(current, n)) out.projections = std::move(current);
+  return out;
+}
+
+// Follows Filter/Project inputs from `node` down; fills `chain` (top first)
+// and returns the first other node.
+const LogicalNode* CollectChain(const LogicalNode* node,
+                                std::vector<const LogicalNode*>& chain) {
+  while (node->kind == LogicalKind::kFilter || node->kind == LogicalKind::kProject) {
+    chain.push_back(node);
+    node = node->inputs[0].get();
+  }
+  return node;
+}
+
+std::string StageLabel(int first_op, int last_op) {
+  std::string label = "fused<op" + std::to_string(first_op);
+  if (last_op != first_op) label += "..op" + std::to_string(last_op);
+  return label + ">";
+}
+
+// The stage for a Scan <- Filter*/Project* chain. `needed` (when non-null)
+// names the chain outputs the consumer uses; the rest are never computed.
+FusedStageSpec BuildFusedSpec(int first_op,
+                              const std::vector<const LogicalNode*>& chain,
+                              const LogicalNode& scan,
+                              const std::vector<bool>* needed = nullptr) {
+  FusedStageSpec spec;
+  spec.first_op = first_op;
+  spec.last_op = first_op + static_cast<int>(chain.size());
+  spec.reaches_root = true;
+  spec.scan = &scan;
+  spec.scan_schema = scan.schema;
+  spec.scan_rowtime_index = scan.rowtime_index;
+  const LogicalNode& top = chain.empty() ? scan : *chain.front();
+  spec.output_schema = top.schema;
+  spec.out_rowtime_index = top.rowtime_index;
+
+  const size_t n = scan.schema->num_fields();
+  ComposedChain composed = ComposeChain(chain, *scan.schema);
+  spec.predicates = std::move(composed.predicates);
+  spec.projections = std::move(composed.projections);
 
   spec.referenced.assign(n, false);
   spec.predicate_columns.assign(n, false);
@@ -363,20 +402,74 @@ FusedStageSpec BuildFusedSpec(int first_op,
     MarkColumns(*p, spec.referenced);
     MarkColumns(*p, spec.predicate_columns);
   }
-  if (projected && !IsIdentityOverScan(current, n)) {
-    for (const ExprPtr& e : current) MarkColumns(*e, spec.referenced);
-    spec.projections = std::move(current);
+  if (!spec.projections.empty()) {
+    for (size_t i = 0; i < spec.projections.size(); ++i) {
+      ExprPtr& e = spec.projections[i];
+      if (needed != nullptr && !(*needed)[i]) {
+        // Unused by the consumer: a typed NULL instead of an evaluation.
+        FieldType type = e->resolved_type;
+        e = MakeLiteral(Value::Null());
+        e->resolved_type = type;
+        continue;
+      }
+      MarkColumns(*e, spec.referenced);
+    }
+  } else if (needed != nullptr) {
+    // Identity: the row is the scan row, undecoded columns stay NULL.
+    for (size_t i = 0; i < n; ++i) {
+      if ((*needed)[i]) spec.referenced[i] = true;
+    }
   } else {
     // Identity projection: every scan column reaches the output.
     spec.referenced.assign(n, true);
   }
   if (spec.scan_rowtime_index >= 0) spec.referenced[spec.scan_rowtime_index] = true;
+  spec.label = StageLabel(spec.first_op, spec.last_op);
+  return spec;
+}
 
-  spec.label = "fused<op" + std::to_string(spec.first_op);
-  if (spec.last_op != spec.first_op) {
-    spec.label += "..op" + std::to_string(spec.last_op);
+// The stage for `upper` (top first) over the stream-relation join `join`,
+// whose stream input is `lower` over `scan`; `first_op` is the id of the
+// top node. Ids: upper chain, join, lower chain, scan (= last_op), then
+// the relation side.
+FusedStageSpec BuildProbeSpec(int first_op,
+                              const std::vector<const LogicalNode*>& upper,
+                              const LogicalNode& join,
+                              const std::vector<const LogicalNode*>& lower,
+                              const LogicalNode& scan) {
+  const int join_op = first_op + static_cast<int>(upper.size());
+  FusedProbeSpec probe;
+  probe.store_prefix = "op" + std::to_string(join_op);
+  probe.relation = join.inputs[1].get();
+  probe.relation_schema = join.inputs[1]->schema;
+  probe.prefix_arity = join.inputs[0]->schema->num_fields();
+  probe.equi_keys = join.equi_keys;
+  if (join.residual) {
+    probe.residual = join.residual->Clone();
+    FoldConstants(*probe.residual);
   }
-  spec.label += ">";
+  ComposedChain composed = ComposeChain(upper, *join.schema);
+  probe.predicates = std::move(composed.predicates);
+  probe.projections = std::move(composed.projections);
+
+  // Join-output columns the keys, residual and upper chain read.
+  std::vector<bool> used(join.schema->num_fields(), probe.projections.empty());
+  for (const ExprPtr& e : probe.projections) MarkColumns(*e, used);
+  for (const ExprPtr& p : probe.predicates) MarkColumns(*p, used);
+  if (probe.residual) MarkColumns(*probe.residual, used);
+  std::vector<bool> needed(used.begin(), used.begin() + probe.prefix_arity);
+  for (const auto& [l, r] : probe.equi_keys) {
+    (void)r;
+    needed[static_cast<size_t>(l)] = true;
+  }
+
+  FusedStageSpec spec = BuildFusedSpec(join_op + 1, lower, scan, &needed);
+  spec.first_op = first_op;
+  const LogicalNode& top = upper.empty() ? join : *upper.front();
+  spec.output_schema = top.schema;
+  spec.out_rowtime_index = top.rowtime_index;
+  spec.probe = std::move(probe);
+  spec.label = StageLabel(spec.first_op, spec.last_op);
   return spec;
 }
 
@@ -387,15 +480,26 @@ void WalkForFusion(const LogicalNode& node, bool at_root, int& next_id,
   const int id = next_id++;
   if (at_root) {
     std::vector<const LogicalNode*> chain;
-    const LogicalNode* cur = &node;
-    while (cur->kind == LogicalKind::kFilter || cur->kind == LogicalKind::kProject) {
-      chain.push_back(cur);
-      cur = cur->inputs[0].get();
-    }
+    const LogicalNode* cur = CollectChain(&node, chain);
     if (cur->kind == LogicalKind::kScan) {
       specs.push_back(BuildFusedSpec(id, chain, *cur));
-      next_id = id + static_cast<int>(chain.size()) + 1;  // consume the scan id
       return;
+    }
+    if (cur->kind == LogicalKind::kJoin &&
+        cur->join_type == JoinType::kStreamRelation) {
+      std::vector<const LogicalNode*> lower;
+      const LogicalNode* scan = CollectChain(cur->inputs[0].get(), lower);
+      std::vector<const LogicalNode*> relation_chain;
+      const LogicalNode* relation =
+          CollectChain(cur->inputs[1].get(), relation_chain);
+      // The stream input must be a real stream, and a topic feeding both
+      // sides (self-join) keeps the interpreted per-message fan-out order.
+      if (scan->kind == LogicalKind::kScan && scan->source.is_stream() &&
+          relation->kind == LogicalKind::kScan &&
+          relation->source.topic != scan->source.topic) {
+        specs.push_back(BuildProbeSpec(id, chain, *cur, lower, *scan));
+        return;
+      }
     }
   }
   for (const auto& input : node.inputs) {

@@ -560,7 +560,7 @@ TEST_F(OpsTest, RouterFusesTerminalFilterProjectChain) {
   EXPECT_EQ(collector_.sent.size(), 1u);
 }
 
-TEST_F(OpsTest, RouterKeepsJoinPlansInterpretedUnderFusion) {
+TEST_F(OpsTest, RouterFusesStreamRelationJoinAndBuildsOnlyTheRelationSide) {
   auto catalog = sql::testutil::PaperCatalog();
   sql::QueryPlanner planner(catalog);
   auto stmt = sql::ParseStatement(
@@ -571,11 +571,54 @@ TEST_F(OpsTest, RouterKeepsJoinPlansInterpretedUnderFusion) {
   RouterConfig config;
   config.output_topic = "out";
   config.output_serde = std::make_shared<AvroRowSerde>(plan->schema);
+
+  // sql.fusion=off keeps the whole interpreted DAG.
+  config.fusion = false;
+  auto interpreted = MessageRouter::Build(*plan, config);
+  ASSERT_TRUE(interpreted.ok());
+  EXPECT_EQ(interpreted.value()->fused_stage(), nullptr);
+  EXPECT_EQ(interpreted.value()->num_operators(), 5u);  // project, join, 2 scans, insert
+
+  config.fusion = true;
   auto router = MessageRouter::Build(*plan, config);
-  ASSERT_TRUE(router.ok());
-  // Chains under a join stay interpreted: no fused stage, >1 operators.
-  EXPECT_EQ(router.value()->fused_stage(), nullptr);
-  EXPECT_GT(router.value()->num_operators(), 1u);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  // Project op0, join op1 and the Orders scan op2 are one stage; only the
+  // Products scan (op3) and the join's relation upsert stay operators.
+  ASSERT_NE(router.value()->fused_stage(), nullptr);
+  EXPECT_EQ(router.value()->fused_stage()->label(), "fused<op0..op2>");
+  EXPECT_EQ(router.value()->num_operators(), 3u);
+  EXPECT_EQ(router.value()->InputTopics(),
+            (std::vector<std::string>{"orders", "products"}));
+  EXPECT_EQ(router.value()->BootstrapTopics(), std::vector<std::string>{"products"});
+
+  auto ctx = Ctx();
+  ASSERT_TRUE(router.value()->Init(ctx).ok());
+  AvroRowSerde orders(catalog->GetSource("Orders").value().schema);
+  AvroRowSerde products(catalog->GetSource("Products").value().schema);
+  IncomingMessage rel;
+  rel.origin = {"products", 0};
+  rel.message.value = products.SerializeToBytes(
+      {Value(int32_t{2}), Value("widget"), Value(int32_t{9})});
+  ASSERT_TRUE(router.value()->Route(rel, ctx).ok());
+  IncomingMessage hit;
+  hit.origin = {"orders", 0};
+  hit.message.value = orders.SerializeToBytes(
+      {Value(int64_t{1}), Value(int32_t{2}), Value(int64_t{3}), Value(int32_t{50}),
+       Value("p")});
+  IncomingMessage miss = hit;
+  miss.message.value = orders.SerializeToBytes(
+      {Value(int64_t{2}), Value(int32_t{4}), Value(int64_t{5}), Value(int32_t{50}),
+       Value("p")});
+  const IncomingMessage run[] = {hit, miss};
+  size_t consumed = 0;
+  ASSERT_TRUE(router.value()->RouteBatch(run, 2, ctx, &consumed).ok());
+  EXPECT_EQ(consumed, 2u);
+  ASSERT_EQ(collector_.sent.size(), 1u);  // the miss is an inner-join drop
+  EXPECT_EQ(collector_.sent[0].topic, "out");
+  AvroRowSerde out(plan->schema);
+  auto row = out.DeserializeBytes(collector_.sent[0].value);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ(row.value(), (Row{Value(int64_t{3}), Value(int32_t{9})}));
 }
 
 TEST_F(OpsTest, RouterStoreNamesMatchBetweenPasses) {

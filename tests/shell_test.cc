@@ -184,6 +184,27 @@ TEST_F(TracedShellTest, ExplainAnalyzeAnnotatesPlanWithSpanStats) {
   EXPECT_DOUBLE_EQ(Tracer::Instance().sample_rate(), 0.0);
 }
 
+TEST_F(TracedShellTest, ExplainNamesTheFusedJoinStageByItsOperatorRange) {
+  ASSERT_TRUE(workload::ProduceProducts(*env_, 100).ok());
+  const std::string query =
+      "SELECT STREAM Orders.rowtime, Orders.orderId, Orders.productId, "
+      "Orders.units, Products.supplierId FROM Orders JOIN Products ON "
+      "Orders.productId = Products.productId;";
+  // Project op0, join op1 and the Orders scan op2 are one stage that probes
+  // the join's store; the Products scan (op3) stays an operator.
+  std::string out = Feed("EXPLAIN " + query);
+  EXPECT_NE(out.find("stage fused<op0..op2>: plan lines 0..2 + insert, probes "
+                     "op1-table"),
+            std::string::npos)
+      << out;
+  out = Feed("EXPLAIN ANALYZE " + query);
+  EXPECT_NE(out.find("fused<op0..op2> count="), std::string::npos) << out;
+  EXPECT_NE(out.find("op3-scan count="), std::string::npos) << out;
+  // The join line carries the stage and the relation-side upsert operator.
+  EXPECT_NE(out.find("op1-stream-table-join count="), std::string::npos) << out;
+  EXPECT_EQ(out.find("[no sampled spans]"), std::string::npos) << out;
+}
+
 TEST_F(TracedShellTest, ExplainAnalyzeInterpretedWhenFusionOff) {
   Config defaults;
   defaults.SetInt(cfg::kContainerCount, 1);
