@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "common/json_escape.h"
 #include "common/logging.h"
 
 namespace sqs {
@@ -17,20 +18,6 @@ std::string Trim(const std::string& s) {
   if (start == std::string::npos) return "";
   size_t end = s.find_last_not_of(" \t\r\n");
   return s.substr(start, end - start + 1);
-}
-
-// Does `name` refer to the selected metric? Either the whole dotted name,
-// a dotted suffix, or — for the "consumer_lag" aggregate — any
-// per-partition lag gauge (`<scope>.lag.<topic>.<partition>`).
-bool Matches(const std::string& selector, const std::string& name) {
-  if (selector == "consumer_lag") return name.find(".lag.") != std::string::npos;
-  if (name == selector) return true;
-  if (name.size() > selector.size() + 1 &&
-      name.compare(name.size() - selector.size() - 1, 1, ".") == 0 &&
-      name.compare(name.size() - selector.size(), selector.size(), selector) == 0) {
-    return true;
-  }
-  return false;
 }
 
 bool Compare(double value, const std::string& op, double threshold) {
@@ -60,6 +47,75 @@ std::string FormatValue(double v) {
   return buf;
 }
 
+// Is `a` further into breach than `b`? Larger for '>' rules, smaller for
+// '<' rules, so one breaching series is enough to trip the alert.
+bool Worse(const AlertRule& rule, double a, double b) {
+  return rule.op[0] == '>' ? a > b : a < b;
+}
+
+// The subject a matching series belongs to: "" for an ungrouped rule,
+// otherwise the `<job>.container<N>` scope of `<job>.container<N>.<leaf>`
+// or its `<job>`.
+std::string SubjectKey(AlertGroup group, const std::string& name) {
+  if (group == AlertGroup::kRule) return "";
+  std::string scope = name.substr(0, name.rfind('.'));
+  return group == AlertGroup::kContainer ? scope : scope.substr(0, scope.rfind('.'));
+}
+
+// The worst matching series of a rule, per subject. A selector that
+// matches nothing never trips (otherwise every '<' rule would fire on jobs
+// that have not minted the metric yet).
+struct Reading {
+  bool found = false;
+  double value = 0;
+  std::string name;
+};
+
+std::map<std::string, Reading> ReadRule(const AlertRule& rule,
+                                        const MetricsSnapshot& snapshot,
+                                        const MetricsHistory* history) {
+  std::map<std::string, Reading> readings;
+  auto consider = [&](const std::string& name, double v) {
+    Reading& r = readings[SubjectKey(rule.group, name)];
+    if (!r.found || Worse(rule, v, r.value)) r = Reading{true, v, name};
+  };
+  if (rule.rate) {
+    if (history == nullptr) return readings;
+    for (const auto& [name, v] : snapshot.counters) {
+      (void)v;
+      if (AlertSelectorMatches(rule.selector, name)) {
+        consider(name, history->RatePerSec(name));
+      }
+    }
+    return readings;
+  }
+  for (const auto& [name, v] : snapshot.gauges) {
+    if (AlertSelectorMatches(rule.selector, name)) consider(name, static_cast<double>(v));
+  }
+  for (const auto& [name, v] : snapshot.counters) {
+    if (AlertSelectorMatches(rule.selector, name)) consider(name, static_cast<double>(v));
+  }
+  return readings;
+}
+
+// The one place a transition is reported: a structured log line, the rule's
+// counter and one flight-recorder event with (a, b) = (value, threshold).
+void Report(const AlertRule& rule, const std::string& subject, double value,
+            bool firing, int64_t held_ms) {
+  FlightRecorder::Record(firing ? rule.fire_event : rule.resolve_event, subject,
+                         rule.text, static_cast<int64_t>(value),
+                         static_cast<int64_t>(rule.threshold));
+  if (!firing) {
+    SQS_INFOC("alerts", "alert resolved", {"rule", rule.text},
+              {"value", FormatValue(value)}, {"subject", subject});
+    return;
+  }
+  if (rule.fired_counter != nullptr) rule.fired_counter->Inc();
+  SQS_WARNC("alerts", "alert firing", {"rule", rule.text},
+            {"value", FormatValue(value)}, {"subject", subject},
+            {"held_ms", std::to_string(held_ms)});
+}
+
 }  // namespace
 
 const char* AlertStateName(AlertState state) {
@@ -71,12 +127,22 @@ const char* AlertStateName(AlertState state) {
   return "?";
 }
 
-AlertEngine::AlertEngine(std::vector<AlertRule> rules)
-    : rules_(std::move(rules)) {
-  entries_.reserve(rules_.size());
-  for (const AlertRule& rule : rules_) {
+bool AlertSelectorMatches(const std::string& selector, const std::string& name) {
+  // Lag gauges are `<scope>.lag.<topic>.<partition>`.
+  if (selector == "consumer_lag") return name.find(".lag.") != std::string::npos;
+  if (name == selector) return true;
+  return name.size() > selector.size() + 1 &&
+         name.compare(name.size() - selector.size() - 1, 1, ".") == 0 &&
+         name.compare(name.size() - selector.size(), selector.size(), selector) == 0;
+}
+
+AlertEngine::AlertEngine(std::vector<AlertRule> rules) {
+  entries_.reserve(rules.size());
+  for (AlertRule& rule : rules) {
     Entry entry;
-    entry.rule = rule;
+    entry.rule = std::move(rule);
+    // An ungrouped rule has its one row before the first evaluation.
+    if (entry.rule.group == AlertGroup::kRule) entry.tracks[""];
     entries_.push_back(std::move(entry));
   }
 }
@@ -146,83 +212,59 @@ Result<std::vector<AlertRule>> AlertEngine::ParseRules(const std::string& spec) 
   return rules;
 }
 
-bool AlertEngine::Condition(const Entry& entry, const MetricsSnapshot& snapshot,
-                            const MetricsHistory* history, double* value,
-                            std::string* subject) const {
+void AlertEngine::Step(Entry& entry, Track& track, bool holds, int64_t now_ms,
+                       std::vector<const AlertRule*>* fired) {
   const AlertRule& rule = entry.rule;
-  bool found = false;
-  double worst = 0;
-  std::string worst_name;
-  // "Worst" = the value most likely to breach: max for '>' rules, min
-  // for '<' rules, so one breaching series is enough to trip the alert.
-  const bool want_max = rule.op[0] == '>';
-  auto consider = [&](const std::string& name, double v) {
-    if (!Matches(rule.selector, name)) return;
-    if (!found || (want_max ? v > worst : v < worst)) {
-      worst = v;
-      worst_name = name;
+  if (!holds) {
+    if (track.state == AlertState::kFiring) {
+      Report(rule, track.subject, track.value, false, 0);
     }
-    found = true;
-  };
-  if (rule.rate) {
-    if (history != nullptr) {
-      for (const auto& [name, v] : snapshot.counters) {
-        (void)v;
-        if (Matches(rule.selector, name)) {
-          double r = history->RatePerSec(name);
-          if (!found || (want_max ? r > worst : r < worst)) {
-            worst = r;
-            worst_name = name;
-          }
-          found = true;
-        }
-      }
-    }
-  } else {
-    for (const auto& [name, v] : snapshot.gauges) consider(name, static_cast<double>(v));
-    for (const auto& [name, v] : snapshot.counters) consider(name, static_cast<double>(v));
+    track.state = AlertState::kInactive;
+    track.since_ms = 0;
+    return;
   }
-  *value = found ? worst : 0;
-  *subject = worst_name;
-  // A selector that matches nothing never trips (otherwise every '<' rule
-  // would fire on jobs that have not minted the metric yet).
-  return found && Compare(worst, rule.op, rule.threshold);
+  if (track.state == AlertState::kInactive) {
+    track.state = AlertState::kPending;
+    track.since_ms = now_ms;
+    SQS_DEBUGC("alerts", "alert pending", {"rule", rule.text},
+               {"value", FormatValue(track.value)}, {"subject", track.subject});
+  }
+  if (track.state == AlertState::kPending &&
+      now_ms - track.since_ms >= rule.for_ms) {
+    track.state = AlertState::kFiring;
+    ++entry.fired_count;
+    Report(rule, track.subject, track.value, true, now_ms - track.since_ms);
+    if (rule.on_fire) fired->push_back(&rule);
+  }
 }
 
 void AlertEngine::Evaluate(int64_t now_ms, const MetricsSnapshot& snapshot,
                            const MetricsHistory* history) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Entry& entry : entries_) {
-    double value = 0;
-    std::string subject;
-    bool holds = Condition(entry, snapshot, history, &value, &subject);
-    entry.value = value;
-    if (!subject.empty()) entry.subject = subject;
-
-    if (!holds) {
-      if (entry.state == AlertState::kFiring) {
-        SQS_INFOC("alerts", "alert resolved", {"rule", entry.rule.text},
-                  {"value", FormatValue(value)}, {"subject", entry.subject});
+  std::vector<const AlertRule*> fired;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Entry& entry : entries_) {
+      std::map<std::string, Reading> readings =
+          ReadRule(entry.rule, snapshot, history);
+      // A subject none of whose series matched this time reads as clear.
+      for (const auto& [key, track] : entry.tracks) {
+        (void)track;
+        readings.try_emplace(key);
       }
-      entry.state = AlertState::kInactive;
-      entry.since_ms = 0;
-      continue;
-    }
-    if (entry.state == AlertState::kInactive) {
-      entry.state = AlertState::kPending;
-      entry.since_ms = now_ms;
-      SQS_DEBUGC("alerts", "alert pending", {"rule", entry.rule.text},
-                 {"value", FormatValue(value)}, {"subject", entry.subject});
-    }
-    if (entry.state == AlertState::kPending &&
-        now_ms - entry.since_ms >= entry.rule.for_ms) {
-      entry.state = AlertState::kFiring;
-      ++entry.fired_count;
-      SQS_WARNC("alerts", "alert firing", {"rule", entry.rule.text},
-                {"value", FormatValue(value)}, {"subject", entry.subject},
-                {"held_ms", std::to_string(now_ms - entry.since_ms)});
+      for (const auto& [key, reading] : readings) {
+        Track& track = entry.tracks[key];
+        track.value = reading.value;
+        if (reading.found) {
+          track.subject = entry.rule.group == AlertGroup::kRule ? reading.name : key;
+        }
+        const bool holds = reading.found &&
+                           Compare(reading.value, entry.rule.op, entry.rule.threshold);
+        Step(entry, track, holds, now_ms, &fired);
+      }
     }
   }
+  // Rules are never added after construction, so the pointers stay valid.
+  for (const AlertRule* rule : fired) rule->on_fire();
 }
 
 std::vector<AlertStatus> AlertEngine::Statuses() const {
@@ -232,11 +274,22 @@ std::vector<AlertStatus> AlertEngine::Statuses() const {
   for (const Entry& entry : entries_) {
     AlertStatus status;
     status.rule = entry.rule;
-    status.state = entry.state;
-    status.since_ms = entry.since_ms;
-    status.value = entry.value;
-    status.subject = entry.subject;
     status.fired_count = entry.fired_count;
+    const Track* lead = nullptr;
+    for (const auto& [key, track] : entry.tracks) {
+      (void)key;
+      if (track.state == AlertState::kFiring) status.firing.push_back(track.subject);
+      if (lead == nullptr || track.state > lead->state ||
+          (track.state == lead->state && Worse(entry.rule, track.value, lead->value))) {
+        lead = &track;
+      }
+    }
+    if (lead != nullptr) {
+      status.state = lead->state;
+      status.since_ms = lead->since_ms;
+      status.value = lead->value;
+      status.subject = lead->subject;
+    }
     out.push_back(std::move(status));
   }
   return out;
@@ -246,7 +299,9 @@ int64_t AlertEngine::FiringCount() const {
   std::lock_guard<std::mutex> lock(mu_);
   int64_t n = 0;
   for (const Entry& entry : entries_) {
-    if (entry.state == AlertState::kFiring) ++n;
+    n += std::any_of(entry.tracks.begin(), entry.tracks.end(), [](const auto& kv) {
+      return kv.second.state == AlertState::kFiring;
+    });
   }
   return n;
 }
@@ -259,9 +314,10 @@ std::string AlertEngine::ToJson(int64_t now_ms) const {
   for (size_t i = 0; i < statuses.size(); ++i) {
     const AlertStatus& s = statuses[i];
     if (i) os << ",";
-    os << "{\"rule\":\"" << s.rule.text << "\",\"state\":\""
+    os << "{\"rule\":\"" << JsonEscape(s.rule.text) << "\",\"state\":\""
        << AlertStateName(s.state) << "\",\"value\":" << FormatValue(s.value)
-       << ",\"subject\":\"" << s.subject << "\",\"since_ms\":" << s.since_ms
+       << ",\"subject\":\"" << JsonEscape(s.subject)
+       << "\",\"since_ms\":" << s.since_ms
        << ",\"fired_count\":" << s.fired_count << "}";
   }
   os << "]}";

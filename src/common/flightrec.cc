@@ -16,6 +16,7 @@
 #include <type_traits>
 
 #include "common/clock.h"
+#include "common/json_escape.h"
 #include "common/logging.h"
 
 namespace sqs {
@@ -117,23 +118,6 @@ void CopyTruncated(char* dst, size_t dst_size, std::string_view src) {
   dst[n] = '\0';
 }
 
-void AppendJsonEscaped(std::ostringstream& os, const char* s) {
-  for (; *s; ++s) {
-    char c = *s;
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
 // snprintf one event as a JSON line into `buf`. Returns chars written (no
 // allocation; used by the async-signal dump path).
 int FormatEventLine(const FlightEvent& ev, char* buf, size_t buf_size) {
@@ -177,6 +161,8 @@ const char* FlightEventTypeName(FlightEventType type) {
     case FlightEventType::kSegmentRoll: return "segment_roll";
     case FlightEventType::kFsync: return "fsync";
     case FlightEventType::kRecoveryTruncation: return "recovery_truncation";
+    case FlightEventType::kAlertFiring: return "alert_firing";
+    case FlightEventType::kAlertResolved: return "alert_resolved";
   }
   return "unknown";
 }
@@ -255,9 +241,9 @@ std::string FlightRecorder::DumpJsonLines(std::string_view scope_prefix) const {
        << ",\"mono_ns\":" << ev.mono_ns << ",\"type\":\""
        << FlightEventTypeName(ev.type) << "\",\"thread\":" << ev.thread
        << ",\"scope\":\"";
-    AppendJsonEscaped(os, ev.scope);
+    os << JsonEscape(ev.scope);
     os << "\",\"detail\":\"";
-    AppendJsonEscaped(os, ev.detail);
+    os << JsonEscape(ev.detail);
     os << "\",\"a\":" << ev.a << ",\"b\":" << ev.b << "}\n";
   }
   return os.str();

@@ -47,6 +47,8 @@ enum class FlightEventType : uint8_t {
   kSegmentRoll,
   kFsync,
   kRecoveryTruncation,
+  kAlertFiring,
+  kAlertResolved,
 };
 
 // Stable lowercase identifier ("commit", "batch_run", ...), used in dumps.

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json_escape.h"
+
 namespace sqs {
 
 MetricsHistory::MetricsHistory(size_t max_samples_per_key)
@@ -87,7 +89,7 @@ std::string MetricsHistory::ToJson(const std::string& key_prefix) const {
     first = false;
     char rate[32];
     std::snprintf(rate, sizeof(rate), "%.6g", RateOf(points));
-    os << "{\"name\":\"" << key << "\",\"rate_per_s\":" << rate
+    os << "{\"name\":\"" << JsonEscape(key) << "\",\"rate_per_s\":" << rate
        << ",\"points\":[";
     for (size_t i = 0; i < points.size(); ++i) {
       if (i) os << ",";

@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "common/config.h"
+#include "common/json_escape.h"
 
 namespace sqs {
 
@@ -33,23 +34,6 @@ std::string FormatTimestamp(int64_t epoch_ms) {
   return buf;
 }
 
-void AppendJsonEscaped(std::ostream& os, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 void Logger::Log(LogLevel level, std::string_view component,
@@ -61,15 +45,15 @@ void Logger::Log(LogLevel level, std::string_view component,
   if (format_ == LogFormat::kJson) {
     os << "{\"ts_ms\":" << now_ms << ",\"level\":\"" << LevelName(level)
        << "\",\"component\":\"";
-    AppendJsonEscaped(os, component);
+    os << JsonEscape(component);
     os << "\",\"msg\":\"";
-    AppendJsonEscaped(os, msg);
+    os << JsonEscape(msg);
     os << "\"";
     for (const auto& [key, value] : fields) {
       os << ",\"";
-      AppendJsonEscaped(os, key);
+      os << JsonEscape(key);
       os << "\":\"";
-      AppendJsonEscaped(os, value);
+      os << JsonEscape(value);
       os << "\"";
     }
     os << "}\n";

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/flightrec.h"
+#include "common/json_escape.h"
 
 namespace sqs {
 
@@ -13,33 +14,6 @@ namespace {
 
 void CrashFlushReporter(void* arg) {
   static_cast<MetricsReporter*>(arg)->ReportNow();
-}
-
-}  // namespace
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/clock.h"
+#include "common/json_escape.h"
 #include "common/profiler.h"
 
 namespace sqs {
@@ -12,23 +13,6 @@ namespace sqs {
 namespace {
 
 thread_local TraceContext g_current_context;
-
-void AppendJsonEscaped(std::ostringstream& os, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << ' ';
-        } else {
-          os << c;
-        }
-    }
-  }
-}
 
 }  // namespace
 
@@ -211,7 +195,7 @@ std::string SpansToChromeTraceJson(const std::vector<Span>& spans) {
     first = false;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
        << ",\"args\":{\"name\":\"";
-    AppendJsonEscaped(os, scope);
+    os << JsonEscape(scope);
     os << "\"}}";
   }
   os.setf(std::ios::fixed);
@@ -220,9 +204,9 @@ std::string SpansToChromeTraceJson(const std::vector<Span>& spans) {
     if (!first) os << ",";
     first = false;
     os << "{\"name\":\"";
-    AppendJsonEscaped(os, s.name);
+    os << JsonEscape(s.name);
     os << "\",\"cat\":\"";
-    AppendJsonEscaped(os, s.scope);
+    os << JsonEscape(s.scope);
     os << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << tids[s.scope]
        << ",\"ts\":" << static_cast<double>(s.start_ns) / 1000.0
        << ",\"dur\":" << static_cast<double>(s.duration_ns) / 1000.0

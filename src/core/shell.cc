@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/flightrec.h"
+#include "common/json_escape.h"
 #include "common/logging.h"
 #include "common/metrics_reporter.h"
 #include "common/profiler.h"
@@ -19,33 +20,6 @@
 #include "task/container.h"
 
 namespace sqs::core {
-
-namespace {
-
-std::string DlqJsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 Shell::Shell(EnvironmentPtr env, Config job_defaults)
     : env_(env), executor_(std::make_unique<QueryExecutor>(env, std::move(job_defaults))) {}
@@ -347,16 +321,16 @@ void Shell::ExecuteBuffered(std::ostream& out) {
           last = std::move(decoded).value();
         }
         if (w3 == "JSON") {
-          out << "{\"topic\":\"" << DlqJsonEscape(topic) << "\",\"job\":\""
-              << DlqJsonEscape(job_name) << "\",\"records\":" << size.value();
+          out << "{\"topic\":\"" << JsonEscape(topic) << "\",\"job\":\""
+              << JsonEscape(job_name) << "\",\"records\":" << size.value();
           if (have_last) {
             char trace_hex[32];
             std::snprintf(trace_hex, sizeof(trace_hex), "%016llx",
                           static_cast<unsigned long long>(last.trace.trace_id));
-            out << ",\"last\":{\"task\":\"" << DlqJsonEscape(last.task_name)
-                << "\",\"origin\":\"" << DlqJsonEscape(last.origin.ToString())
+            out << ",\"last\":{\"task\":\"" << JsonEscape(last.task_name)
+                << "\",\"origin\":\"" << JsonEscape(last.origin.ToString())
                 << "\",\"offset\":" << last.offset << ",\"error\":\""
-                << DlqJsonEscape(last.error) << "\",\"trace_id\":\""
+                << JsonEscape(last.error) << "\",\"trace_id\":\""
                 << trace_hex << "\",\"sampled\":"
                 << (last.trace.sampled ? "true" : "false") << "}";
           }
@@ -398,7 +372,7 @@ void Shell::ExecuteBuffered(std::ostream& out) {
         for (const auto& [label, samples] : attribution) {
           if (!first) out << ",";
           first = false;
-          out << "{\"label\":\"" << DlqJsonEscape(label)
+          out << "{\"label\":\"" << JsonEscape(label)
               << "\",\"samples\":" << samples << "}";
         }
         out << "]}\n";

@@ -84,7 +84,7 @@ Status SamzaSqlTask::Process(const IncomingMessage& message,
   ops::OperatorContext op_context;
   op_context.task = context_;
   op_context.collector = &collector;
-  return router_->Route(message, op_context);
+  return router_->RouteBatch(&message, 1, op_context, nullptr);
 }
 
 Status SamzaSqlTask::ProcessBatch(const IncomingMessage* msgs, size_t count,

@@ -7,6 +7,7 @@
 
 #include "common/buildinfo.h"
 #include "common/flightrec.h"
+#include "common/json_escape.h"
 #include "common/logging.h"
 #include "common/metrics_reporter.h"
 #include "common/profiler.h"
@@ -18,25 +19,13 @@ namespace sqs {
 namespace {
 
 constexpr int64_t kDefaultHistoryIntervalMs = 1000;
+// Sampling rate of a profile burst: /debug/profile's default and the stall's.
+constexpr double kProfileBurstHz = 97;
 
 // Leaf segment of a dotted metric name.
 std::string Leaf(const std::string& name) {
   size_t dot = name.rfind('.');
   return dot == std::string::npos ? name : name.substr(dot + 1);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 // Value of `key` in an (unescaped) query string like "job=q0&n=3".
@@ -62,6 +51,15 @@ size_t CountDots(const std::string& name) {
   size_t n = 0;
   for (char c : name) n += c == '.';
   return n;
+}
+
+// The row of the built-in rule that records `fire_event` (a row with
+// nothing firing when that rule is off).
+AlertStatus BuiltinStatus(const AlertEngine& alerts, FlightEventType fire_event) {
+  for (AlertStatus& status : alerts.Statuses()) {
+    if (status.rule.fire_event == fire_event) return std::move(status);
+  }
+  return AlertStatus{};
 }
 
 }  // namespace
@@ -114,18 +112,13 @@ MonitorServer::MonitorServer(const Config& config, MonitorJobsProvider provider,
           config.GetInt(cfg::kMetricsHistoryIntervalMs, kDefaultHistoryIntervalMs)),
       max_consumer_lag_(config.GetInt(cfg::kMonitorReadyMaxConsumerLag, -1)),
       max_watermark_lag_ms_(config.GetInt(cfg::kMonitorReadyMaxWatermarkLagMs, -1)),
+      slo_ms_(config.GetInt(cfg::kLatencySloMs, 0)),
       history_(static_cast<size_t>(config.GetInt(
           cfg::kMetricsHistorySamples, MetricsHistory::kDefaultSamples))),
-      self_metrics_(std::make_shared<MetricsRegistry>()) {
+      self_metrics_(std::make_shared<MetricsRegistry>()),
+      watchdog_stall_ms_(config.GetInt(cfg::kWatchdogStallMs, 0)),
+      watchdog_profile_ms_(config.GetInt(cfg::kWatchdogProfileMs, 250)) {
   if (history_interval_ms_ <= 0) history_interval_ms_ = kDefaultHistoryIntervalMs;
-  watchdog_stall_ms_ = config.GetInt(cfg::kWatchdogStallMs, 0);
-  watchdog_poll_ms_ = config.GetInt(
-      cfg::kWatchdogPollMs, std::max<int64_t>(25, watchdog_stall_ms_ / 4));
-  if (watchdog_poll_ms_ <= 0) watchdog_poll_ms_ = 25;
-  watchdog_profile_ms_ = config.GetInt(cfg::kWatchdogProfileMs, 250);
-  watchdog_profile_hz_ =
-      static_cast<double>(config.GetInt(cfg::kWatchdogProfileHz, 97));
-  slo_ms_ = config.GetInt(cfg::kLatencySloMs, 0);
   std::vector<AlertRule> rules;
   Result<std::vector<AlertRule>> parsed =
       AlertEngine::ParseRules(config.Get(cfg::kAlertRules));
@@ -136,19 +129,46 @@ MonitorServer::MonitorServer(const Config& config, MonitorJobsProvider provider,
     SQS_WARNC("monitor", "alert rules disabled",
               {"error", rules_status_.message()});
   }
-  if (slo_ms_ > 0) {
-    // Implicit SLO alert rule: fires while any job's freshness lag exceeds
-    // the configured SLO, alongside the flight-recorder breach events.
-    Result<std::vector<AlertRule>> slo_rule = AlertEngine::ParseRules(
-        "freshness_lag_ms > " + std::to_string(slo_ms_));
-    if (slo_rule.ok()) {
-      for (AlertRule& r : slo_rule.value()) rules.push_back(std::move(r));
-    }
-  }
+  AddBuiltinRules(&rules);
   alerts_ = std::make_unique<AlertEngine>(std::move(rules));
 }
 
 MonitorServer::~MonitorServer() { Stop(); }
+
+void MonitorServer::AddBuiltinRules(std::vector<AlertRule>* rules) {
+  auto add = [&](const char* selector, int64_t threshold, AlertGroup group,
+                 FlightEventType fire, FlightEventType resolve,
+                 const char* counter) -> AlertRule& {
+    AlertRule rule;
+    rule.selector = selector;
+    rule.threshold = static_cast<double>(threshold);
+    rule.text = std::string(selector) + ">" + std::to_string(threshold);
+    rule.group = group;
+    rule.fire_event = fire;
+    rule.resolve_event = resolve;
+    rule.fired_counter = &self_metrics_->GetCounter(counter);
+    rules->push_back(std::move(rule));
+    return rules->back();
+  };
+  if (slo_ms_ > 0) {
+    add("freshness_lag_ms", slo_ms_, AlertGroup::kJob, FlightEventType::kSloBreach,
+        FlightEventType::kSloCleared, "monitor.slo_breaches");
+  }
+  if (watchdog_stall_ms_ <= 0) return;
+  AlertRule& stall = add("heartbeat_age_ms", watchdog_stall_ms_,
+                         AlertGroup::kContainer, FlightEventType::kStall,
+                         FlightEventType::kStallCleared, "monitor.watchdog_stalls");
+  // One-shot forensics: a short profile burst (skipped when a background
+  // sampler is already collecting) then a ring snapshot, so the dump shows
+  // what every thread was doing while wedged.
+  stall.on_fire = [this] {
+    if (watchdog_profile_ms_ > 0 && !Profiler::Instance().sampling()) {
+      (void)Profiler::Instance().SampleFor(watchdog_profile_ms_, kProfileBurstHz);
+    }
+    std::string dump_path = config_.Get(cfg::kFlightRecDumpPath);
+    if (!dump_path.empty()) (void)FlightRecorder::Instance().DumpToPath(dump_path);
+  };
+}
 
 Status MonitorServer::Start() {
   // The watchdog works without the HTTP endpoint: start it before the
@@ -195,10 +215,11 @@ void MonitorServer::StopWatchdog() {
 }
 
 void MonitorServer::WatchdogLoop() {
+  const auto poll = std::chrono::milliseconds(
+      std::max<int64_t>(25, watchdog_stall_ms_ / 4));
   std::unique_lock<std::mutex> lock(watchdog_mu_);
   while (!watchdog_stop_.load()) {
-    watchdog_cv_.wait_for(lock, std::chrono::milliseconds(watchdog_poll_ms_),
-                          [this] { return watchdog_stop_.load(); });
+    watchdog_cv_.wait_for(lock, poll, [this] { return watchdog_stop_.load(); });
     if (watchdog_stop_.load()) break;
     lock.unlock();
     RunWatchdogCheck();
@@ -206,56 +227,10 @@ void MonitorServer::WatchdogLoop() {
   }
 }
 
-void MonitorServer::RunWatchdogCheck() {
-  if (watchdog_stall_ms_ <= 0) return;
-  std::vector<MonitorJobView> views =
-      provider_ ? provider_() : std::vector<MonitorJobView>{};
-  for (const MonitorJobView& view : views) {
-    for (const MonitorContainerStatus& cs : view.containers) {
-      const std::string scope =
-          view.name + ".container" + std::to_string(cs.id);
-      self_metrics_->GetGauge(scope + ".heartbeat_age_ms")
-          .Set(cs.heartbeat_age_ms);
-      const bool stalled_now =
-          cs.running && cs.busy && cs.heartbeat_age_ms > watchdog_stall_ms_;
-      bool was_stalled;
-      {
-        std::lock_guard<std::mutex> lock(stalled_mu_);
-        was_stalled = stalled_.count(scope) > 0;
-        if (stalled_now && !was_stalled) stalled_.insert(scope);
-        if (!stalled_now && was_stalled) stalled_.erase(scope);
-      }
-      if (stalled_now && !was_stalled) {
-        FlightRecorder::Record(FlightEventType::kStall, scope,
-                               "heartbeat stale while busy",
-                               cs.heartbeat_age_ms, watchdog_stall_ms_);
-        SQS_ERRORC("watchdog", "container stalled", {"container", scope},
-                   {"heartbeat_age_ms", std::to_string(cs.heartbeat_age_ms)},
-                   {"stall_ms", std::to_string(watchdog_stall_ms_)});
-        self_metrics_->GetCounter("monitor.watchdog_stalls").Inc();
-        // One-shot forensics: a short profile burst (skipped when a
-        // background sampler is already collecting) then a ring snapshot,
-        // so the dump shows what every thread was doing while wedged.
-        if (watchdog_profile_ms_ > 0 && !Profiler::Instance().sampling()) {
-          (void)Profiler::Instance().SampleFor(watchdog_profile_ms_,
-                                               watchdog_profile_hz_);
-        }
-        std::string dump_path = config_.Get(cfg::kFlightRecDumpPath);
-        if (!dump_path.empty()) {
-          (void)FlightRecorder::Instance().DumpToPath(dump_path);
-        }
-      } else if (!stalled_now && was_stalled) {
-        FlightRecorder::Record(FlightEventType::kStallCleared, scope, "",
-                               cs.heartbeat_age_ms);
-        SQS_INFOC("watchdog", "container stall cleared", {"container", scope});
-      }
-    }
-  }
-}
+void MonitorServer::RunWatchdogCheck() { EvaluatePass(false); }
 
 std::vector<std::string> MonitorServer::StalledContainers() const {
-  std::lock_guard<std::mutex> lock(stalled_mu_);
-  return std::vector<std::string>(stalled_.begin(), stalled_.end());
+  return BuiltinStatus(*alerts_, FlightEventType::kStall).firing;
 }
 
 void MonitorServer::Tick() {
@@ -271,201 +246,160 @@ void MonitorServer::Tick() {
 }
 
 void MonitorServer::ForceTick() {
-  int64_t now = clock_->NowMillis();
   // Count the tick before sampling so the very first history sample already
   // carries the monitor's own instruments.
   self_metrics_->GetCounter("monitor.ticks").Inc();
-  std::vector<MonitorJobView> views;
-  MetricsSnapshot merged = MergedSnapshot(&views);
-  CheckSloTransitions(views);
-  history_.Record(now, merged);
-  alerts_->Evaluate(now, merged, &history_);
-  self_metrics_->GetGauge("monitor.alerts_firing").Set(alerts_->FiringCount());
-  {
-    std::lock_guard<std::mutex> lock(tick_mu_);
-    last_tick_ms_ = now;
-  }
+  const int64_t now = EvaluatePass(true);
+  std::lock_guard<std::mutex> lock(tick_mu_);
+  last_tick_ms_ = now;
 }
 
-void MonitorServer::CheckSloTransitions(
-    const std::vector<MonitorJobView>& views) {
-  if (slo_ms_ <= 0) return;
-  for (const MonitorJobView& view : views) {
-    // The job's freshness lag is the worst container rollup gauge.
-    int64_t freshness = 0;
-    for (const auto& [name, value] : view.snapshot.gauges) {
-      if (Leaf(name) == "freshness_lag_ms") {
-        freshness = std::max(freshness, value);
+int64_t MonitorServer::EvaluatePass(bool record_history) {
+  std::lock_guard<std::mutex> lock(pass_mu_);
+  const int64_t now_ms = clock_->NowMillis();
+  std::vector<MonitorJobView> views = Views();
+  if (watchdog_stall_ms_ > 0) {
+    for (const MonitorJobView& view : views) {
+      for (const MonitorContainerStatus& cs : view.containers) {
+        // An idle or unallocated container cannot stall: its age reads 0.
+        self_metrics_
+            ->GetGauge(view.name + ".container" + std::to_string(cs.id) +
+                       ".heartbeat_age_ms")
+            .Set(cs.running && cs.busy ? cs.heartbeat_age_ms : 0);
       }
     }
-    const bool over = freshness > slo_ms_;
-    bool was_over;
-    {
-      std::lock_guard<std::mutex> lock(slo_mu_);
-      was_over = slo_breached_.count(view.name) > 0;
-      if (over && !was_over) slo_breached_.insert(view.name);
-      if (!over && was_over) slo_breached_.erase(view.name);
-    }
-    if (over && !was_over) {
-      FlightRecorder::Record(FlightEventType::kSloBreach, view.name,
-                             "freshness lag over latency.slo.ms", freshness,
-                             slo_ms_);
-      SQS_WARNC("monitor", "latency SLO breached", {"job", view.name},
-                {"freshness_lag_ms", std::to_string(freshness)},
-                {"slo_ms", std::to_string(slo_ms_)});
-      self_metrics_->GetCounter("monitor.slo_breaches").Inc();
-    } else if (!over && was_over) {
-      FlightRecorder::Record(FlightEventType::kSloCleared, view.name, "",
-                             freshness, slo_ms_);
-      SQS_INFOC("monitor", "latency SLO cleared", {"job", view.name},
-                {"freshness_lag_ms", std::to_string(freshness)});
-    }
   }
-  int64_t breached;
-  {
-    std::lock_guard<std::mutex> lock(slo_mu_);
-    breached = static_cast<int64_t>(slo_breached_.size());
-  }
-  self_metrics_->GetGauge("monitor.slo_breached").Set(breached);
+  MetricsSnapshot merged = MergedSnapshot(views);
+  if (record_history) history_.Record(now_ms, merged);
+  alerts_->Evaluate(now_ms, merged, &history_);
+  self_metrics_->GetGauge("monitor.alerts_firing").Set(alerts_->FiringCount());
+  return now_ms;
+}
+
+std::vector<MonitorJobView> MonitorServer::Views() const {
+  return provider_ ? provider_() : std::vector<MonitorJobView>{};
 }
 
 MetricsSnapshot MonitorServer::MergedSnapshot(
-    std::vector<MonitorJobView>* views_out) const {
-  std::vector<MonitorJobView> views = provider_ ? provider_() : std::vector<MonitorJobView>{};
+    const std::vector<MonitorJobView>& views) const {
   std::vector<MetricsSnapshot> snapshots;
   snapshots.reserve(views.size() + 1);
-  for (MonitorJobView& view : views) {
-    // Callers that want the views back (ledger rendering, SLO transitions)
-    // still need each view's own snapshot — copy instead of moving.
-    if (views_out != nullptr) {
-      snapshots.push_back(view.snapshot);
-    } else {
-      snapshots.push_back(std::move(view.snapshot));
-    }
-  }
+  for (const MonitorJobView& view : views) snapshots.push_back(view.snapshot);
   snapshots.push_back(self_metrics_->Snapshot());
-  if (views_out != nullptr) *views_out = std::move(views);
   return MergeSnapshots(snapshots);
 }
 
 MonitorServer::Readiness MonitorServer::CheckReadiness() const {
   Readiness readiness;
-  std::vector<MonitorJobView> views =
-      provider_ ? provider_() : std::vector<MonitorJobView>{};
+  auto fail = [&readiness](std::string reason) {
+    readiness.ready = false;
+    readiness.reason = std::move(reason);
+    return readiness;
+  };
+  std::vector<MonitorJobView> views = Views();
   for (const MonitorJobView& view : views) {
     if (view.containers_running < view.containers_total) {
-      readiness.ready = false;
-      readiness.reason = "job " + view.name + ": " +
-                         std::to_string(view.containers_running) + "/" +
-                         std::to_string(view.containers_total) +
-                         " containers running";
+      std::string reason = "job " + view.name + ": " +
+                           std::to_string(view.containers_running) + "/" +
+                           std::to_string(view.containers_total) +
+                           " containers running";
       if (view.restarts > 0) {
-        readiness.reason +=
-            " (" + std::to_string(view.restarts) + " supervisor restarts)";
+        reason += " (" + std::to_string(view.restarts) + " supervisor restarts)";
       }
-      return readiness;
+      return fail(std::move(reason));
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(stalled_mu_);
-    if (!stalled_.empty()) {
-      readiness.ready = false;
-      readiness.reason = "container " + *stalled_.begin() +
-                         " stalled (heartbeat older than " +
-                         std::to_string(watchdog_stall_ms_) + "ms)";
-      return readiness;
-    }
+  std::vector<std::string> stalled = StalledContainers();
+  if (!stalled.empty()) {
+    return fail("container " + stalled[0] + " stalled (heartbeat older than " +
+                std::to_string(watchdog_stall_ms_) + "ms)");
   }
-  if (max_consumer_lag_ < 0 && max_watermark_lag_ms_ < 0 && slo_ms_ <= 0) {
-    return readiness;
-  }
+  // The lag thresholds are level checks on the gauges as they read now.
+  const struct {
+    const char* selector;
+    int64_t max;
+    const char* what;
+    const char* unit;
+  } levels[] = {{"consumer_lag", max_consumer_lag_, "consumer lag", ""},
+                {"watermark_lag_ms", max_watermark_lag_ms_, "watermark lag", "ms"}};
   for (const MonitorJobView& view : views) {
     for (const auto& [name, value] : view.snapshot.gauges) {
-      if (max_consumer_lag_ >= 0 && name.find(".lag.") != std::string::npos &&
-          value > max_consumer_lag_) {
-        readiness.ready = false;
-        readiness.reason = "consumer lag " + std::to_string(value) + " > " +
-                           std::to_string(max_consumer_lag_) + " (" + name + ")";
-        return readiness;
-      }
-      if (max_watermark_lag_ms_ >= 0 && Leaf(name) == "watermark_lag_ms" &&
-          value > max_watermark_lag_ms_) {
-        readiness.ready = false;
-        readiness.reason = "watermark lag " + std::to_string(value) + "ms > " +
-                           std::to_string(max_watermark_lag_ms_) + "ms (" + name +
-                           ")";
-        return readiness;
-      }
-      if (slo_ms_ > 0 && Leaf(name) == "freshness_lag_ms" && value > slo_ms_) {
-        readiness.ready = false;
-        readiness.reason = "freshness lag " + std::to_string(value) +
-                           "ms over latency SLO " + std::to_string(slo_ms_) +
-                           "ms (" + name + ")";
-        return readiness;
+      for (const auto& level : levels) {
+        if (level.max >= 0 && value > level.max &&
+            AlertSelectorMatches(level.selector, name)) {
+          return fail(std::string(level.what) + " " + std::to_string(value) +
+                      level.unit + " > " + std::to_string(level.max) +
+                      level.unit + " (" + name + ")");
+        }
       }
     }
+  }
+  AlertStatus slo = BuiltinStatus(*alerts_, FlightEventType::kSloBreach);
+  if (!slo.firing.empty()) {
+    return fail("job " + slo.subject + ": freshness lag " +
+                std::to_string(static_cast<int64_t>(slo.value)) +
+                "ms over latency SLO " + std::to_string(slo_ms_) + "ms");
   }
   return readiness;
 }
 
 namespace {
 
-// Per-job resource-ledger families: one `samzasql_job_<field>` family per
-// ledger field, every job one sample with a `job` label; the e2e latency
-// distribution renders as a quantile-labeled summary. Appended after the
-// generic per-scope families so quota/chargeback dashboards can consume the
-// ledger without reassembling it from container scopes.
+// The resource-ledger fields, one table for both views of the ledger: /jobs
+// (and SHOW JOBS JSON) renders each as a `key` per job, /metrics as a
+// `samzasql_job_<key>` family (`_total` for counters) with one sample per
+// job. Appended after the generic per-scope families so quota/chargeback
+// dashboards can consume the ledger without reassembling it from container
+// scopes.
+struct LedgerField {
+  const char* key;
+  const char* type;
+  const char* help;
+  int64_t ResourceLedger::* member;
+};
+constexpr LedgerField kLedgerFields[] = {
+    {"cpu_busy_ns", "counter",
+     "Cumulative CPU busy nanoseconds across the job's containers",
+     &ResourceLedger::cpu_busy_ns},
+    {"rows_in", "counter", "Input messages processed by the job",
+     &ResourceLedger::rows_in},
+    {"rows_out", "counter", "Messages emitted by the job", &ResourceLedger::rows_out},
+    {"bytes_in", "counter", "Input payload bytes fetched by the job",
+     &ResourceLedger::bytes_in},
+    {"bytes_out", "counter", "Payload bytes emitted by the job",
+     &ResourceLedger::bytes_out},
+    {"state_bytes", "gauge", "Resident task-local state bytes",
+     &ResourceLedger::state_bytes},
+    {"state_bytes_hwm", "gauge", "High-water mark of resident state bytes",
+     &ResourceLedger::state_bytes_hwm},
+    {"dlq_drops", "counter", "Messages skipped or dead-lettered by error policy",
+     &ResourceLedger::dlq_drops},
+    {"freshness_lag_ms", "gauge", "Age of the oldest unfetched input message",
+     &ResourceLedger::freshness_lag_ms},
+    {"backlog_bytes", "gauge", "Unfetched input payload bytes",
+     &ResourceLedger::backlog_bytes},
+    {"restarts", "counter", "Supervisor container restarts",
+     &ResourceLedger::restarts},
+    {"uptime_ms", "gauge", "Wall-clock ms since job start", &ResourceLedger::uptime_ms},
+};
+
+// The e2e latency distribution renders as a quantile-labeled summary.
 std::string RenderJobLedgers(const std::vector<MonitorJobView>& views) {
   if (views.empty()) return "";
   std::ostringstream os;
-  struct Field {
-    const char* name;
-    const char* type;
-    const char* help;
-    int64_t ResourceLedger::* member;
-  };
-  static const Field kFields[] = {
-      {"samzasql_job_cpu_busy_ns_total", "counter",
-       "Cumulative CPU busy nanoseconds across the job's containers",
-       &ResourceLedger::cpu_busy_ns},
-      {"samzasql_job_rows_in_total", "counter",
-       "Input messages processed by the job", &ResourceLedger::rows_in},
-      {"samzasql_job_rows_out_total", "counter",
-       "Messages emitted by the job", &ResourceLedger::rows_out},
-      {"samzasql_job_bytes_in_total", "counter",
-       "Input payload bytes fetched by the job", &ResourceLedger::bytes_in},
-      {"samzasql_job_bytes_out_total", "counter",
-       "Payload bytes emitted by the job", &ResourceLedger::bytes_out},
-      {"samzasql_job_state_bytes", "gauge",
-       "Resident task-local state bytes", &ResourceLedger::state_bytes},
-      {"samzasql_job_state_bytes_hwm", "gauge",
-       "High-water mark of resident state bytes",
-       &ResourceLedger::state_bytes_hwm},
-      {"samzasql_job_dlq_drops_total", "counter",
-       "Messages skipped or dead-lettered by error policy",
-       &ResourceLedger::dlq_drops},
-      {"samzasql_job_freshness_lag_ms", "gauge",
-       "Age of the oldest unfetched input message",
-       &ResourceLedger::freshness_lag_ms},
-      {"samzasql_job_backlog_bytes", "gauge",
-       "Unfetched input payload bytes", &ResourceLedger::backlog_bytes},
-      {"samzasql_job_restarts_total", "counter",
-       "Supervisor container restarts", &ResourceLedger::restarts},
-      {"samzasql_job_uptime_ms", "gauge", "Wall-clock ms since job start",
-       &ResourceLedger::uptime_ms},
-  };
   std::vector<std::pair<std::string, ResourceLedger>> ledgers;
   ledgers.reserve(views.size());
   for (const MonitorJobView& view : views) {
     ledgers.emplace_back(PrometheusLabelValue(view.name),
                          ComputeResourceLedger(view));
   }
-  for (const Field& field : kFields) {
-    os << "# HELP " << field.name << " " << field.help << "\n";
-    os << "# TYPE " << field.name << " " << field.type << "\n";
+  for (const LedgerField& field : kLedgerFields) {
+    const std::string family = std::string("samzasql_job_") + field.key +
+                               (field.type[0] == 'c' ? "_total" : "");
+    os << "# HELP " << family << " " << field.help << "\n";
+    os << "# TYPE " << family << " " << field.type << "\n";
     for (const auto& [job, ledger] : ledgers) {
-      os << field.name << "{job=\"" << job << "\"} " << ledger.*field.member
-         << "\n";
+      os << family << "{job=\"" << job << "\"} " << ledger.*field.member << "\n";
     }
   }
   os << "# HELP samzasql_job_e2e_latency_us "
@@ -489,15 +423,13 @@ std::string RenderJobLedgers(const std::vector<MonitorJobView>& views) {
 }  // namespace
 
 std::string MonitorServer::RenderPrometheusText() const {
-  std::vector<MonitorJobView> views;
-  MetricsSnapshot merged = MergedSnapshot(&views);
-  return RenderPrometheus(merged) + RenderJobLedgers(views) +
+  std::vector<MonitorJobView> views = Views();
+  return RenderPrometheus(MergedSnapshot(views)) + RenderJobLedgers(views) +
          RenderBuildInfoPrometheus();
 }
 
 std::string MonitorServer::RenderJobsJson() const {
-  std::vector<MonitorJobView> views =
-      provider_ ? provider_() : std::vector<MonitorJobView>{};
+  std::vector<MonitorJobView> views = Views();
   std::ostringstream os;
   os << "{\"ts_ms\":" << clock_->NowMillis() << ",\"jobs\":[";
   for (size_t i = 0; i < views.size(); ++i) {
@@ -507,20 +439,11 @@ std::string MonitorServer::RenderJobsJson() const {
     os << "{\"name\":\"" << JsonEscape(view.name)
        << "\",\"containers_total\":" << view.containers_total
        << ",\"containers_running\":" << view.containers_running
-       << ",\"processed\":" << view.processed
-       << ",\"restarts\":" << view.restarts
-       << ",\"uptime_ms\":" << view.uptime_ms
-       << ",\"rows_in\":" << ledger.rows_in
-       << ",\"rows_out\":" << ledger.rows_out
-       << ",\"bytes_in\":" << ledger.bytes_in
-       << ",\"bytes_out\":" << ledger.bytes_out
-       << ",\"cpu_busy_ns\":" << ledger.cpu_busy_ns
-       << ",\"state_bytes\":" << ledger.state_bytes
-       << ",\"state_bytes_hwm\":" << ledger.state_bytes_hwm
-       << ",\"dlq_drops\":" << ledger.dlq_drops
-       << ",\"freshness_lag_ms\":" << ledger.freshness_lag_ms
-       << ",\"backlog_bytes\":" << ledger.backlog_bytes
-       << ",\"e2e_latency_us\":{\"count\":" << ledger.e2e.count
+       << ",\"processed\":" << view.processed;
+    for (const LedgerField& field : kLedgerFields) {
+      os << ",\"" << field.key << "\":" << ledger.*field.member;
+    }
+    os << ",\"e2e_latency_us\":{\"count\":" << ledger.e2e.count
        << ",\"p50\":" << ledger.e2e.p50 << ",\"p95\":" << ledger.e2e.p95
        << ",\"p99\":" << ledger.e2e.p99 << ",\"max\":" << ledger.e2e.max
        << "}}";
@@ -541,6 +464,8 @@ HttpResponse MonitorServer::Handle(const HttpRequest& request) {
   } else if (request.path == "/healthz") {
     res.body = "ok\n";
   } else if (request.path == "/readyz") {
+    // Answer from the state at request time, not the last tick's.
+    EvaluatePass(false);
     Readiness readiness = CheckReadiness();
     if (readiness.ready) {
       res.body = "ready\n";
@@ -566,7 +491,7 @@ HttpResponse MonitorServer::Handle(const HttpRequest& request) {
     if (seconds <= 0) seconds = 1;
     seconds = std::min<int64_t>(seconds, 30);
     double hz = std::atof(QueryParam(request.query, "hz").c_str());
-    if (hz <= 0) hz = 97;
+    if (hz <= 0) hz = kProfileBurstHz;
     Profiler& prof = Profiler::Instance();
     if (!prof.sampling()) {
       prof.ClearSamples();

@@ -14,7 +14,10 @@
 // Behind the endpoints sit a MetricsHistory ring and an AlertEngine, both
 // advanced by Tick() on the same injected clock the MetricsReporter uses, so
 // history retention and alert firing/resolution are deterministic under a
-// manual clock in tests. The HTTP server itself is optional
+// manual clock in tests. The engine is the monitor's only breach/clear state
+// machine: beside the `alert.rules` rules it carries the latency SLO
+// (`latency.slo.ms`, per job) and the stall watchdog (`watchdog.stall.ms`,
+// per container) as built-in rules. The HTTP server itself is optional
 // (`monitor.enable`); SHOW HISTORY / SHOW ALERTS in the shell read the same
 // MonitorServer without it.
 #pragma once
@@ -23,7 +26,6 @@
 #include <condition_variable>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -133,13 +135,11 @@ class MonitorServer {
   };
   Readiness CheckReadiness() const;
 
-  // One watchdog pass over the provider's container statuses: declares
-  // containers whose heartbeat is older than watchdog.stall.ms (while busy)
-  // stalled — firing a one-shot profile burst + flight-recorder dump — and
-  // clears recovered ones. Runs on the watchdog thread every
-  // watchdog.poll.ms; exposed so tests can drive it deterministically.
+  // One evaluation pass without a history sample: the watchdog thread runs
+  // it every max(25, watchdog.stall.ms / 4) ms of wall time; exposed so tests
+  // can drive the stall rule deterministically.
   void RunWatchdogCheck();
-  // Containers currently considered stalled (`<job>.container<id>`).
+  // Containers the stall rule reports firing (`<job>.container<id>`).
   std::vector<std::string> StalledContainers() const;
 
   // Rendering entry points, independent of HTTP (used by shell and tests).
@@ -154,10 +154,20 @@ class MonitorServer {
   const Status& rules_status() const { return rules_status_; }
 
  private:
-  MetricsSnapshot MergedSnapshot(std::vector<MonitorJobView>* views_out) const;
-  // Per-job SLO breach/clear transitions against `latency.slo.ms`, recorded
-  // into the flight recorder and the monitor's self-metrics.
-  void CheckSloTransitions(const std::vector<MonitorJobView>& views);
+  std::vector<MonitorJobView> Views() const;
+  // Every job's snapshot merged with the monitor's own instruments.
+  MetricsSnapshot MergedSnapshot(const std::vector<MonitorJobView>& views) const;
+  // The one evaluation pass behind ForceTick, the watchdog thread and
+  // /readyz: refresh the heartbeat gauges (watchdog on), merge the
+  // snapshots, optionally record them into the history ring, and run the
+  // alert engine over them. Returns the clock reading it evaluated at.
+  int64_t EvaluatePass(bool record_history);
+  // Passes run one at a time, so the engine sees snapshots in the order
+  // they were taken: a stale snapshot applied after a fresh one would
+  // report a transition twice.
+  std::mutex pass_mu_;
+  // Built-in rules: the latency SLO and the stall watchdog.
+  void AddBuiltinRules(std::vector<AlertRule>* rules);
   void StartWatchdog();
   void StopWatchdog();
   void WatchdogLoop();
@@ -168,12 +178,9 @@ class MonitorServer {
   int64_t history_interval_ms_;
   int64_t max_consumer_lag_;
   int64_t max_watermark_lag_ms_;
-  // Freshness-lag SLO (`latency.slo.ms`, 0 = off): ForceTick records
-  // slo_breach / slo_cleared transitions per job, /readyz fails while any
-  // job is over the threshold (docs/LATENCY.md).
+  // Freshness-lag SLO (`latency.slo.ms`, 0 = off), a built-in rule grouped
+  // per job (docs/LATENCY.md).
   int64_t slo_ms_ = 0;
-  mutable std::mutex slo_mu_;
-  std::set<std::string> slo_breached_;  // job names currently over the SLO
   MetricsHistory history_;
   std::unique_ptr<AlertEngine> alerts_;
   Status rules_status_;
@@ -183,19 +190,16 @@ class MonitorServer {
   std::mutex tick_mu_;
   int64_t last_tick_ms_ = INT64_MIN;
 
-  // Stall watchdog (watchdog.stall.ms > 0 enables it; see docs/PROFILING.md).
-  // The thread polls on real wall time; heartbeat ages themselves come from
-  // the provider, which computes them on the injectable clock.
+  // Stall watchdog (watchdog.stall.ms > 0 enables it; see docs/PROFILING.md),
+  // a built-in rule grouped per container. The thread polls on real wall
+  // time; heartbeat ages themselves come from the provider, which computes
+  // them on the injectable clock.
   int64_t watchdog_stall_ms_ = 0;
-  int64_t watchdog_poll_ms_ = 0;
   int64_t watchdog_profile_ms_ = 0;
-  double watchdog_profile_hz_ = 0;
   std::thread watchdog_thread_;
   std::atomic<bool> watchdog_stop_{false};
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;
-  mutable std::mutex stalled_mu_;
-  std::set<std::string> stalled_;
 };
 
 }  // namespace sqs

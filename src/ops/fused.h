@@ -56,8 +56,7 @@ class FusedStageOperator : public Operator, public SourceOperator {
   // stage, the probe's expressions, and opens the relation store.
   Status Init(OperatorContext& ctx) override;
 
-  // Solo path: one message, one stage span (used for traced messages so
-  // span chains stay per-message).
+  // One message: a run of one through ProcessMessages.
   Status ProcessMessage(const IncomingMessage& message,
                         OperatorContext& ctx) override;
 

@@ -26,9 +26,8 @@ namespace {
 // store prefixes (operator ids are preorder positions).
 class Builder {
  public:
-  Builder(const RouterConfig* config, MessageRouter* router,
-          std::vector<std::string>* stores_out)
-      : config_(config), router_(router), stores_out_(stores_out) {}
+  Builder(const RouterConfig* config, std::vector<std::string>* stores_out)
+      : config_(config), stores_out_(stores_out) {}
 
   Result<OperatorPtr> BuildNode(const sql::LogicalNode& node);
 
@@ -56,7 +55,6 @@ class Builder {
 
  private:
   const RouterConfig* config_;   // null during RequiredStores traversal
-  MessageRouter* router_;        // unused; kept for future bindings
   std::vector<std::string>* stores_out_;
   int next_id_ = 0;
 };
@@ -242,7 +240,7 @@ Result<std::unique_ptr<MessageRouter>> MessageRouter::Build(
     }
   }
 
-  Builder builder(&config, router.get(), nullptr);
+  Builder builder(&config, nullptr);
   SQS_ASSIGN_OR_RETURN(root, builder.BuildNode(plan));
 
   auto insert = std::make_shared<InsertOperator>(config.output_topic,
@@ -269,7 +267,7 @@ Status MessageRouter::BuildFused(sql::FusedStageSpec spec, const RouterConfig& c
   // A probe stage reads the relation store its join fills: only the
   // relation side is built as operators, numbered after the stage's range,
   // and its scan feeds the side-1 upsert of the join operator.
-  Builder builder(&config, this, nullptr);
+  Builder builder(&config, nullptr);
   RowSerdePtr relation_serde;
   if (spec.probe) {
     const sql::FusedProbeSpec& probe = *spec.probe;
@@ -313,7 +311,7 @@ void MessageRouter::BindScans(
 Result<std::vector<std::string>> MessageRouter::RequiredStores(
     const sql::LogicalNode& plan) {
   std::vector<std::string> stores;
-  Builder builder(nullptr, nullptr, &stores);
+  Builder builder(nullptr, &stores);
   SQS_RETURN_IF_ERROR(builder.BuildNode(plan).status());
   return stores;
 }
@@ -321,17 +319,6 @@ Result<std::vector<std::string>> MessageRouter::RequiredStores(
 Status MessageRouter::Init(OperatorContext& ctx) {
   for (auto& op : operators_) {
     SQS_RETURN_IF_ERROR(op->Init(ctx));
-  }
-  return Status::Ok();
-}
-
-Status MessageRouter::Route(const IncomingMessage& message, OperatorContext& ctx) {
-  auto it = by_topic_.find(message.origin.topic);
-  if (it == by_topic_.end()) {
-    return Status::Internal("no scan for topic " + message.origin.topic);
-  }
-  for (SourceOperator* source : it->second) {
-    SQS_RETURN_IF_ERROR(source->ProcessMessage(message, ctx));
   }
   return Status::Ok();
 }

@@ -52,9 +52,6 @@ class MessageRouter {
 
   Status Init(OperatorContext& ctx);
 
-  // Dispatch one raw input message to the source(s) reading its topic.
-  Status Route(const IncomingMessage& message, OperatorContext& ctx);
-
   // Dispatch a contiguous run of messages, grouping same-topic runs into
   // one SourceOperator::ProcessMessages call (the fused batch path). On
   // error `consumed` is the index of the failing message; everything before

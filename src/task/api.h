@@ -177,10 +177,10 @@ inline constexpr const char* kMonitorPort = "monitor.port";
 inline constexpr const char* kMonitorReadyMaxConsumerLag = "monitor.ready.max.consumer.lag";
 inline constexpr const char* kMonitorReadyMaxWatermarkLagMs = "monitor.ready.max.watermark.lag.ms";
 // --- end-to-end latency SLOs (docs/LATENCY.md) ---
-// Freshness-lag SLO in ms: while any job's oldest unfetched input message is
-// older than this, /readyz reports 503, an implicit alert rule fires, and
-// slo_breach / slo_cleared events land in the flight recorder (0 / unset =
-// SLO checking off).
+// Freshness-lag SLO in ms: the monitor's built-in alert rule
+// `freshness_lag_ms > latency.slo.ms`, tracked per job. While a job's oldest
+// unfetched input message is older than this the rule fires (slo_breach /
+// slo_cleared flight events) and /readyz reports 503 (0 / unset = off).
 inline constexpr const char* kLatencySloMs = "latency.slo.ms";
 // Process-global toggle for ingest/append timestamp stamping and the e2e /
 // dwell histograms (default on; the bench_latency overhead arm turns it off).
@@ -238,14 +238,14 @@ inline constexpr const char* kFlightRecRingEvents = "flightrec.ring.events";
 // signal / terminate handlers, on supervisor-observed container death, and
 // on watchdog stalls. Empty = no automatic dump file.
 inline constexpr const char* kFlightRecDumpPath = "flightrec.dump.path";
-// Stall watchdog: a container whose heartbeat is older than this while it
-// is actively driving input is declared stalled (0 / unset = watchdog off).
+// Stall watchdog: the monitor's built-in alert rule
+// `heartbeat_age_ms > watchdog.stall.ms`, tracked per container. A container
+// whose heartbeat is older than this while it is actively driving input is
+// stalled (0 / unset = watchdog off). The watchdog thread evaluates every
+// max(25, stall.ms / 4) ms of wall time.
 inline constexpr const char* kWatchdogStallMs = "watchdog.stall.ms";
-// Watchdog poll cadence (wall clock); default max(25, stall.ms / 4).
-inline constexpr const char* kWatchdogPollMs = "watchdog.poll.ms";
-// One-shot profile burst fired when a stall is detected.
+// Length of the one-shot 97 Hz profile burst fired when a stall is detected.
 inline constexpr const char* kWatchdogProfileMs = "watchdog.profile.ms";
-inline constexpr const char* kWatchdogProfileHz = "watchdog.profile.hz";
 // `retry.*` keys live in common/retry.h, `fault.*` keys in log/fault_broker.h.
 }  // namespace cfg
 

@@ -552,39 +552,6 @@ Producer& Container::TaskProducer(TaskInstance& task) {
   return task.producer ? *task.producer : *producer_;
 }
 
-Status Container::ProcessOne(TaskInstance& task, const IncomingMessage& msg) {
-  ProducerCollector collector(TaskProducer(task), m_rows_out_, m_bytes_out_,
-                              m_e2e_us_);
-  // Sends issued by Process (including a dead-letter route) inherit the
-  // input's ingest stamp.
-  IngestScope ingest(msg.message.ingest_us);
-  // Per-message span. A message stamped by a producer continues its
-  // trace; an untraced message (pre-existing log data) is a
-  // head-sampling point, so ingest-rooted traces work on topics written
-  // before tracing was on.
-  TraceContext parent = msg.message.trace;
-  if (!parent.valid()) parent = Tracer::Instance().MaybeStartTrace();
-  TraceSpan span(parent, "process", task.trace_scope, msg.origin.partition);
-  int64_t t0 = MonotonicNanos();
-  Status process_st = task.task->Process(msg, collector, task);
-  if (!process_st.ok()) {
-    // Transient broker trouble must crash-and-recover, never be dropped:
-    // the message itself is fine and replay will succeed. The same goes
-    // for a fenced send — a newer incarnation of this task owns the
-    // output now, and this container must die without checkpointing.
-    // Only data errors are poison, so only they go through the policy.
-    if (process_st.code() == ErrorCode::kUnavailable ||
-        process_st.code() == ErrorCode::kFenced) {
-      return process_st;
-    }
-    SQS_RETURN_IF_ERROR(HandleProcessError(task, msg, process_st));
-  }
-  if (m_process_latency_ns_ != nullptr) {
-    m_process_latency_ns_->Record(MonotonicNanos() - t0);
-  }
-  return Status::Ok();
-}
-
 Result<int64_t> Container::ProcessBatch(const std::vector<IncomingMessage>& batch) {
   // Fetch-side ledger pass: input payload bytes, and — for stamped
   // messages — broker-queue dwell (now minus this hop's append time).
@@ -618,46 +585,46 @@ Result<int64_t> Container::ProcessBatch(const std::vector<IncomingMessage>& batc
     // matches its CRC32C never reaches Process. Under the fail policy the
     // container crashes and the replay refetches (transient corruption
     // heals); under dead-letter the record is preserved with provenance.
+    Status st;  // the data error of batch[b] after the run, if any
+    TaskErrorPolicy policy = error_policy_;
     if (!MessageCrcValid(first.message)) {
       if (m_corrupt_ != nullptr) m_corrupt_->Inc();
-      Status bad = Status::DataLoss("crc mismatch on " + first.origin.ToString() +
-                                    "@" + std::to_string(first.offset));
-      if (corrupt_policy_ == TaskCorruptPolicy::kFail) return bad;
-      SQS_RETURN_IF_ERROR(
-          ApplyErrorPolicy(TaskErrorPolicy::kDeadLetter, task, first, bad));
-    } else if (first.message.trace.valid()) {
-      // Producer-traced messages keep the legacy per-message span chain
-      // (produce -> process -> operator spans) at message granularity.
-      SQS_RETURN_IF_ERROR(ProcessOne(task, first));
+      st = Status::DataLoss("crc mismatch on " + first.origin.ToString() + "@" +
+                            std::to_string(first.offset));
+      if (corrupt_policy_ == TaskCorruptPolicy::kFail) return st;
+      policy = TaskErrorPolicy::kDeadLetter;
     } else {
-      // Batch path: slice off the longest contiguous run of CRC-valid,
-      // untraced messages owned by this task, capped by
-      // task.batch.max.messages and by the commit cadence (so
+      // A producer-traced message is a run of one that continues its own
+      // trace (produce -> process -> operator spans). Otherwise slice off the
+      // longest contiguous run of CRC-valid, untraced messages owned by this
+      // task, capped by task.batch.max.messages and by the commit cadence (so
       // task.commit.max.messages boundaries land exactly where the
       // per-message loop would put them).
-      size_t limit = static_cast<size_t>(batch_max_);
-      if (commit_every_ > 0) {
-        int64_t room = commit_every_ - task.since_commit;
-        if (room < 1) room = 1;
-        if (static_cast<size_t>(room) < limit) limit = static_cast<size_t>(room);
-      }
+      TraceContext parent = first.message.trace;
       size_t end = b + 1;
-      while (end < batch.size() && end - b < limit) {
-        const IncomingMessage& m = batch[end];
-        if (m.message.trace.valid() || !MessageCrcValid(m.message)) break;
-        auto it2 = dispatch_.find(m.origin);
-        if (it2 == dispatch_.end() || it2->second != &task) break;
-        ++end;
+      if (!parent.valid()) {
+        size_t limit = static_cast<size_t>(batch_max_);
+        if (commit_every_ > 0) {
+          int64_t room = commit_every_ - task.since_commit;
+          if (room < 1) room = 1;
+          if (static_cast<size_t>(room) < limit) limit = static_cast<size_t>(room);
+        }
+        while (end < batch.size() && end - b < limit) {
+          const IncomingMessage& m = batch[end];
+          if (m.message.trace.valid() || !MessageCrcValid(m.message)) break;
+          auto it2 = dispatch_.find(m.origin);
+          if (it2 == dispatch_.end() || it2->second != &task) break;
+          ++end;
+        }
+        // One "process" span per run: head-sampling moves to batch
+        // granularity for untraced traffic (see docs/EXECUTION.md).
+        parent = Tracer::Instance().MaybeStartTrace();
       }
       const size_t len = end - b;
 
       ProducerCollector collector(TaskProducer(task), m_rows_out_,
                                   m_bytes_out_, m_e2e_us_);
-      // One "process" span per run: head-sampling moves to batch
-      // granularity for untraced traffic (see docs/EXECUTION.md).
-      TraceContext parent = Tracer::Instance().MaybeStartTrace();
       size_t consumed = 0;
-      Status st;
       int64_t t0 = MonotonicNanos();
       {
         TraceSpan span(parent, "process", task.trace_scope,
@@ -684,38 +651,29 @@ Result<int64_t> Container::ProcessBatch(const std::vector<IncomingMessage>& batc
       task.since_commit += static_cast<int64_t>(consumed);
       processed += static_cast<int64_t>(consumed);
       b += consumed;
-      if (!st.ok()) {
-        if (st.code() == ErrorCode::kUnavailable ||
-            st.code() == ErrorCode::kFenced) {
-          return st;
-        }
-        // `consumed` names the failing message; everything before it was
-        // fully processed (sends issued), so the error policy applies to
-        // exactly one record and the loop resumes right after it.
-        const IncomingMessage& failing = batch[b];
-        SQS_RETURN_IF_ERROR(HandleProcessError(task, failing, st));
-        task.processed_positions[failing.origin] = failing.offset + 1;
-        task.since_commit++;
-        ++processed;
-        ++b;
+      // Transient broker trouble must crash-and-recover, never be dropped:
+      // the message itself is fine and replay will succeed. The same goes
+      // for a fenced send — a newer incarnation of this task owns the
+      // output now, and this container must die without checkpointing.
+      if (st.code() == ErrorCode::kUnavailable || st.code() == ErrorCode::kFenced) {
+        return st;
       }
-      // A killed container stops mid-batch without its cadence commit:
-      // in-memory progress past the last checkpoint is lost, exactly like a
-      // process kill between commits.
-      if (KillRequested()) break;
-      if (task.commit_requested ||
-          (commit_every_ > 0 && task.since_commit >= commit_every_)) {
-        SQS_RETURN_IF_ERROR(CommitTask(task));
-      }
-      if (shutdown_requested_) break;
-      continue;
     }
-
-    // Solo (CRC-handled or traced) message bookkeeping.
-    task.processed_positions[first.origin] = first.offset + 1;
-    task.since_commit++;
-    ++processed;
-    ++b;
+    if (!st.ok()) {
+      // Only data errors are poison, so only they go through the policy.
+      // `consumed` named the failing message; everything before it was
+      // fully processed (sends issued), so the policy applies to exactly
+      // one record and the loop resumes right after it.
+      const IncomingMessage& failing = batch[b];
+      SQS_RETURN_IF_ERROR(ApplyErrorPolicy(policy, task, failing, st));
+      task.processed_positions[failing.origin] = failing.offset + 1;
+      task.since_commit++;
+      ++processed;
+      ++b;
+    }
+    // A killed container stops mid-batch without its cadence commit:
+    // in-memory progress past the last checkpoint is lost, exactly like a
+    // process kill between commits.
     if (KillRequested()) break;
     if (task.commit_requested ||
         (commit_every_ > 0 && task.since_commit >= commit_every_)) {
@@ -736,11 +694,6 @@ Result<int64_t> Container::ProcessBatch(const std::vector<IncomingMessage>& batc
     }
   }
   return processed;
-}
-
-Status Container::HandleProcessError(TaskInstance& task, const IncomingMessage& msg,
-                                     const Status& error) {
-  return ApplyErrorPolicy(error_policy_, task, msg, error);
 }
 
 Status Container::ApplyErrorPolicy(TaskErrorPolicy policy, TaskInstance& task,

@@ -160,16 +160,10 @@ class Container {
 
   Status InitTask(TaskInstance& task);
   Result<int64_t> ProcessBatch(const std::vector<IncomingMessage>& batch);
-  // Legacy per-message dispatch with a per-message "process" span. Used for
-  // producer-traced messages (keeps span chains intact at message
-  // granularity) while untraced runs go through StreamTask::ProcessBatch.
-  Status ProcessOne(TaskInstance& task, const IncomingMessage& msg);
-  // Apply task.error.policy to a failed message. Ok = handled (skipped or
-  // dead-lettered), error = the container must stop with that status.
-  Status HandleProcessError(TaskInstance& task, const IncomingMessage& msg,
-                            const Status& error);
-  // Policy-parameterized core of HandleProcessError; the corrupt-input path
-  // reuses it with its own (fail|dead-letter) policy.
+  // Apply an error policy to a failed message: task.error.policy for a
+  // data error, dead-letter for a corrupt input under that corrupt policy.
+  // Ok = handled (skipped or dead-lettered), error = the container must stop
+  // with that status.
   Status ApplyErrorPolicy(TaskErrorPolicy policy, TaskInstance& task,
                           const IncomingMessage& msg, const Status& error);
   // The producer a task's sends go through: its own idempotent producer in

@@ -5,12 +5,15 @@
 // /readyz 200 -> 503 -> 200 flip as consumer lag crosses the threshold.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/alerts.h"
@@ -23,6 +26,7 @@
 #include "core/shell.h"
 #include "http/http_server.h"
 #include "http/monitor.h"
+#include "serde/json.h"
 #include "workload/generators.h"
 
 namespace sqs::core {
@@ -660,6 +664,236 @@ TEST(MonitorServerTest, BadAlertRulesDisableAlertingNotConstruction) {
   EXPECT_FALSE(monitor.rules_status().ok());
   EXPECT_TRUE(monitor.alerts().empty());
   monitor.ForceTick();  // must not crash with no provider and no rules
+}
+
+// A rule, a job and a metric whose names carry '"' and a tab still render
+// as parseable JSON with no raw control characters, and the names survive
+// the round trip.
+TEST(MonitorServerTest, JsonBodiesEscapeQuotesAndTabsInNames) {
+  const std::string job = "we\"ird\tjob";
+  const std::string metric = job + ".container0.a\"b";
+  MetricsRegistry registry;
+  registry.GetGauge(metric).Set(5);
+  Config config;
+  config.Set(cfg::kAlertRules, "a\"b>1");
+  MonitorServer monitor(
+      config,
+      [&] {
+        MonitorJobView view;
+        view.name = job;
+        view.snapshot = registry.Snapshot();
+        return std::vector<MonitorJobView>{view};
+      },
+      std::make_shared<ManualClock>(1000));
+  monitor.ForceTick();
+  for (const char* path : {"/alerts", "/history", "/jobs"}) {
+    HttpRequest request;
+    request.path = path;
+    const std::string body = monitor.Handle(request).body;
+    EXPECT_TRUE(ParseJson(body).ok()) << path << ": " << body;
+    for (char c : body) {
+      ASSERT_GE(static_cast<unsigned char>(c), 0x20) << path << ": " << body;
+    }
+  }
+  HttpRequest request;
+  request.path = "/alerts";
+  Value alerts = ParseJson(monitor.Handle(request).body).value();
+  const ValueMap& row = alerts.as_map().at("alerts").as_array().at(0).as_map();
+  EXPECT_EQ(row.at("rule").as_string(), "a\"b>1");
+  EXPECT_EQ(row.at("subject").as_string(), metric);
+  EXPECT_EQ(row.at("state").as_string(), "firing");
+  request.path = "/history";
+  Value history = ParseJson(monitor.Handle(request).body).value();
+  bool found = false;
+  for (const Value& series : history.as_map().at("series").as_array()) {
+    found |= series.as_map().at("name").as_string() == metric;
+  }
+  EXPECT_TRUE(found) << metric;
+}
+
+// One engine, one event stream: a user rule, the latency SLO (grouped per
+// job) and the stall watchdog (grouped per container) each fire and resolve
+// exactly once through one MonitorServer, every transition lands in the
+// flight recorder as exactly one event in the documented scope with
+// (a, b) = (value, threshold), and /alerts lists every rule.
+TEST(MonitorEventStreamTest, UserRuleSloAndStallTransitionOnceEachIntoOneRing) {
+  FlightRecorder::Instance().SetEnabled(true);
+  FlightRecorder::Instance().Clear();
+  auto clock = std::make_shared<ManualClock>(50'000);
+  MetricsRegistry registry;
+  Gauge& depth = registry.GetGauge("ev-job.container0.queue_depth");
+  Gauge& fresh0 = registry.GetGauge("ev-job.container0.freshness_lag_ms");
+  Gauge& fresh1 = registry.GetGauge("ev-job.container1.freshness_lag_ms");
+  std::vector<MonitorContainerStatus> containers = {{0, true, false, 0},
+                                                    {1, true, false, 0}};
+  Config config;
+  config.Set(cfg::kAlertRules, "queue_depth>10");
+  config.SetInt(cfg::kLatencySloMs, 1000);
+  config.SetInt(cfg::kWatchdogStallMs, 100);
+  config.SetInt(cfg::kWatchdogProfileMs, 0);
+  MonitorServer monitor(
+      config,
+      [&] {
+        MonitorJobView view;
+        view.name = "ev-job";
+        view.containers_total = 2;
+        view.containers_running = 2;
+        view.containers = containers;
+        view.snapshot = registry.Snapshot();
+        return std::vector<MonitorJobView>{view};
+      },
+      clock);
+
+  struct Ev {
+    FlightEventType type;
+    std::string scope;
+    int64_t a, b;
+    bool operator==(const Ev& o) const {
+      return type == o.type && scope == o.scope && a == o.a && b == o.b;
+    }
+  };
+  auto events = [] {
+    std::vector<Ev> out;
+    for (const FlightEvent& ev : FlightRecorder::Instance().Snapshot("ev-job")) {
+      out.push_back({ev.type, ev.scope, ev.a, ev.b});
+    }
+    return out;
+  };
+  auto print = [](const std::vector<Ev>& evs) {
+    std::string s;
+    for (const Ev& ev : evs) {
+      s += std::string(FlightEventTypeName(ev.type)) + " " + ev.scope + " " +
+           std::to_string(ev.a) + " " + std::to_string(ev.b) + "\n";
+    }
+    return s;
+  };
+
+  // Healthy: no transitions.
+  monitor.ForceTick();
+  EXPECT_TRUE(events().empty()) << print(events());
+  EXPECT_TRUE(monitor.CheckReadiness().ready);
+
+  // Every condition breaks at once: one event per rule and subject.
+  depth.Set(50);
+  fresh0.Set(4500);
+  fresh1.Set(3000);
+  containers[0] = {0, true, true, 500};
+  containers[1] = {1, true, true, 700};
+  clock->Advance(100);
+  monitor.ForceTick();
+  const std::vector<Ev> fired = {
+      {FlightEventType::kAlertFiring, "ev-job.container0.queue_depth", 50, 10},
+      {FlightEventType::kSloBreach, "ev-job", 4500, 1000},
+      {FlightEventType::kStall, "ev-job.container0", 500, 100},
+      {FlightEventType::kStall, "ev-job.container1", 700, 100},
+  };
+  EXPECT_EQ(events(), fired) << print(events());
+  EXPECT_EQ(monitor.StalledContainers(),
+            (std::vector<std::string>{"ev-job.container0", "ev-job.container1"}));
+  EXPECT_FALSE(monitor.CheckReadiness().ready);
+
+  // Still breached, evaluated from the watchdog's entry point: no new events.
+  clock->Advance(100);
+  monitor.RunWatchdogCheck();
+  EXPECT_EQ(events(), fired) << print(events());
+
+  // Everything clears: one resolve event per firing subject.
+  depth.Set(0);
+  fresh0.Set(0);
+  fresh1.Set(0);
+  containers[0] = {0, true, false, 0};
+  containers[1] = {1, true, false, 0};
+  clock->Advance(100);
+  monitor.ForceTick();
+  std::vector<Ev> all = fired;
+  all.push_back({FlightEventType::kAlertResolved, "ev-job.container0.queue_depth", 0, 10});
+  all.push_back({FlightEventType::kSloCleared, "ev-job", 0, 1000});
+  all.push_back({FlightEventType::kStallCleared, "ev-job.container0", 0, 100});
+  all.push_back({FlightEventType::kStallCleared, "ev-job.container1", 0, 100});
+  EXPECT_EQ(events(), all) << print(events());
+  EXPECT_TRUE(monitor.CheckReadiness().ready);
+  EXPECT_TRUE(monitor.StalledContainers().empty());
+
+  // Each rule fired exactly once; /alerts has one row per rule.
+  std::vector<AlertStatus> statuses = monitor.alerts().Statuses();
+  ASSERT_EQ(statuses.size(), 3u);
+  for (const AlertStatus& status : statuses) {
+    EXPECT_EQ(status.state, AlertState::kInactive) << status.rule.text;
+  }
+  EXPECT_EQ(statuses[0].fired_count, 1);
+  EXPECT_EQ(statuses[1].fired_count, 1);   // one job
+  EXPECT_EQ(statuses[2].fired_count, 2);   // two containers
+  MetricsSnapshot self = monitor.self_metrics().Snapshot();
+  EXPECT_EQ(self.counters.at("monitor.slo_breaches"), 1);
+  EXPECT_EQ(self.counters.at("monitor.watchdog_stalls"), 2);
+  HttpRequest request;
+  request.path = "/alerts";
+  const std::string body = monitor.Handle(request).body;
+  for (const char* rule : {"\"rule\":\"queue_depth>10\"",
+                           "\"rule\":\"freshness_lag_ms>1000\"",
+                           "\"rule\":\"heartbeat_age_ms>100\""}) {
+    EXPECT_NE(body.find(rule), std::string::npos) << rule << " in " << body;
+  }
+}
+
+// The watchdog thread, the HTTP worker (/readyz) and the driving thread
+// (ForceTick) evaluate one engine at once; every stall and every clear is
+// still reported exactly once.
+TEST(MonitorEventStreamTest, ConcurrentEvaluatorsReportEachTransitionOnce) {
+  FlightRecorder::Instance().SetEnabled(true);
+  FlightRecorder::Instance().Clear();
+  std::atomic<int64_t> age{0};
+  Config config;
+  config.SetBool(cfg::kMonitorEnable, true);
+  config.SetInt(cfg::kMonitorPort, 0);
+  config.SetInt(cfg::kWatchdogStallMs, 100);  // the watchdog polls every 25 ms
+  config.SetInt(cfg::kWatchdogProfileMs, 0);
+  const std::thread::id ticking = std::this_thread::get_id();
+  MonitorServer monitor(config, [&age, ticking] {
+    MonitorJobView view;
+    view.name = "cc-job";
+    view.containers_total = 1;
+    view.containers_running = 1;
+    const int64_t a = age.load();
+    view.containers = {{0, true, a > 0, a}};
+    // Passes off the ticking thread take longer between snapshot and
+    // evaluation, so a watchdog pass that read the old age is still in
+    // flight when ForceTick's pass reads the new one.
+    if (std::this_thread::get_id() != ticking) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return std::vector<MonitorJobView>{view};
+  });
+  ASSERT_TRUE(monitor.Start().ok());
+  ASSERT_GT(monitor.port(), 0);
+  auto evaluate_from_all_threads = [&] {
+    std::thread scraper([&] {
+      for (int i = 0; i < 10; ++i) {
+        EXPECT_TRUE(HttpGet("127.0.0.1", monitor.port(), "/readyz").ok());
+      }
+    });
+    for (int i = 0; i < 10; ++i) monitor.ForceTick();
+    scraper.join();
+  };
+  constexpr int kRounds = 6;
+  for (int round = 0; round < kRounds; ++round) {
+    age.store(5000);
+    evaluate_from_all_threads();
+    EXPECT_EQ(monitor.StalledContainers().size(), 1u);
+    age.store(0);
+    evaluate_from_all_threads();
+    EXPECT_TRUE(monitor.StalledContainers().empty());
+  }
+  monitor.Stop();
+  int stalls = 0, cleared = 0;
+  for (const FlightEvent& ev : FlightRecorder::Instance().Snapshot("cc-job")) {
+    stalls += ev.type == FlightEventType::kStall;
+    cleared += ev.type == FlightEventType::kStallCleared;
+  }
+  EXPECT_EQ(stalls, kRounds);
+  EXPECT_EQ(cleared, kRounds);
+  EXPECT_EQ(monitor.self_metrics().Snapshot().counters.at("monitor.watchdog_stalls"),
+            kRounds);
 }
 
 // ---------------------------------------------------------------------------

@@ -509,13 +509,13 @@ TEST_F(OpsTest, RouterBuildsPlanAndRoutes) {
   msg.message.value = in_serde.SerializeToBytes(
       {Value(int64_t{1}), Value(int32_t{2}), Value(int64_t{3}), Value(int32_t{50}),
        Value("p")});
-  ASSERT_TRUE(router.value()->Route(msg, ctx).ok());
+  ASSERT_TRUE(router.value()->RouteBatch(&msg, 1, ctx, nullptr).ok());
   ASSERT_EQ(collector_.sent.size(), 1u);
   EXPECT_EQ(collector_.sent[0].topic, "out");
 
   // Unknown topic is an error.
   msg.origin = {"nope", 0};
-  EXPECT_FALSE(router.value()->Route(msg, ctx).ok());
+  EXPECT_FALSE(router.value()->RouteBatch(&msg, 1, ctx, nullptr).ok());
 }
 
 TEST_F(OpsTest, RouterFusesTerminalFilterProjectChain) {
@@ -548,7 +548,7 @@ TEST_F(OpsTest, RouterFusesTerminalFilterProjectChain) {
   msg.message.value = in_serde.SerializeToBytes(
       {Value(int64_t{1}), Value(int32_t{2}), Value(int64_t{3}), Value(int32_t{50}),
        Value("p")});
-  ASSERT_TRUE(router.value()->Route(msg, ctx).ok());
+  ASSERT_TRUE(router.value()->RouteBatch(&msg, 1, ctx, nullptr).ok());
   ASSERT_EQ(collector_.sent.size(), 1u);
   EXPECT_EQ(collector_.sent[0].topic, "out");
 
@@ -556,7 +556,7 @@ TEST_F(OpsTest, RouterFusesTerminalFilterProjectChain) {
   msg.message.value = in_serde.SerializeToBytes(
       {Value(int64_t{2}), Value(int32_t{2}), Value(int64_t{4}), Value(int32_t{5}),
        Value("p")});
-  ASSERT_TRUE(router.value()->Route(msg, ctx).ok());
+  ASSERT_TRUE(router.value()->RouteBatch(&msg, 1, ctx, nullptr).ok());
   EXPECT_EQ(collector_.sent.size(), 1u);
 }
 
@@ -599,7 +599,7 @@ TEST_F(OpsTest, RouterFusesStreamRelationJoinAndBuildsOnlyTheRelationSide) {
   rel.origin = {"products", 0};
   rel.message.value = products.SerializeToBytes(
       {Value(int32_t{2}), Value("widget"), Value(int32_t{9})});
-  ASSERT_TRUE(router.value()->Route(rel, ctx).ok());
+  ASSERT_TRUE(router.value()->RouteBatch(&rel, 1, ctx, nullptr).ok());
   IncomingMessage hit;
   hit.origin = {"orders", 0};
   hit.message.value = orders.SerializeToBytes(
