@@ -132,6 +132,7 @@ MetricsReporter::MetricsReporter(std::shared_ptr<MetricsRegistry> registry,
 MetricsReporter::~MetricsReporter() { UnregisterCrashFlush(this); }
 
 void MetricsReporter::Emit(const std::string& payload) {
+  std::lock_guard<std::recursive_mutex> lock(emit_mu_);
   if (out_ != nullptr) {
     *out_ << payload;
     out_->flush();
@@ -151,15 +152,18 @@ void MetricsReporter::Emit(const std::string& payload) {
 
 bool MetricsReporter::MaybeReport() {
   int64_t now = clock_->NowMillis();
-  if (now - last_report_ms_ < interval_ms_) return false;
-  last_report_ms_ = now;
+  int64_t last = last_report_ms_.load(std::memory_order_relaxed);
+  if (now - last < interval_ms_) return false;
+  // Claim the interval: of the callers that saw it due, only the one whose
+  // exchange lands emits.
+  if (!last_report_ms_.compare_exchange_strong(last, now)) return false;
   Emit(SnapshotToJsonLines(registry_->Snapshot(), now));
   return true;
 }
 
 void MetricsReporter::ReportNow() {
   int64_t now = clock_->NowMillis();
-  last_report_ms_ = now;
+  last_report_ms_.store(now);
   Emit(SnapshotToJsonLines(registry_->Snapshot(), now));
 }
 

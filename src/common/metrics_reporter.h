@@ -5,9 +5,11 @@
 // formatting path so the shell, the reporter, and tests render identically.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -53,7 +55,9 @@ class MetricsReporter {
   ~MetricsReporter();
 
   // Emits if at least interval_ms elapsed since the last report. Returns
-  // true when a report was written.
+  // true when a report was written. Safe to call from several threads: each
+  // due interval is claimed by one compare-exchange, so exactly one caller
+  // emits it.
   bool MaybeReport();
 
   // Unconditional snapshot + emit (also the flush-on-shutdown path).
@@ -71,7 +75,11 @@ class MetricsReporter {
   std::ostream* out_;
   int64_t interval_ms_;
   std::shared_ptr<Clock> clock_;
-  int64_t last_report_ms_;
+  std::atomic<int64_t> last_report_ms_;
+  // Serializes writers (the interval's claimant, ReportNow). Recursive so a
+  // crash flush raised inside Emit on the same thread re-enters instead of
+  // deadlocking.
+  std::recursive_mutex emit_mu_;
   // File-backed mode.
   std::string path_;
   int64_t max_bytes_ = 0;

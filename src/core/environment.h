@@ -44,7 +44,6 @@ inline constexpr const char* kOutputFormat = "samzasql.output.format";
 inline constexpr const char* kOutputKeyIndex = "samzasql.output.key.index";
 inline constexpr const char* kStateSerde = "samzasql.state.serde";
 inline constexpr const char* kGraceMs = "samzasql.window.grace.ms";
-inline constexpr const char* kFuseConversions = "samzasql.fuse.conversions";
 // Fused execution of the root filter/project chain, over a scan or a
 // stream-relation join: "on" (default) or "off" ("false"/"0" also accepted)
 // — the escape hatch back to the fully interpreted operator DAG. See

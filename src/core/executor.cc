@@ -323,25 +323,13 @@ QueryExecutor::QueryExecutor(EnvironmentPtr env, Config job_defaults)
   TaskFactoryRegistry::Instance().Register(factory_name_, [captured] {
     return std::make_unique<SamzaSqlTask>(captured);
   });
-  // Crash forensics are process-wide, so the executor applies them once from
-  // the defaults (containers re-apply the same settings idempotently).
-  if (defaults_.Has(cfg::kFlightRecEnable)) {
-    FlightRecorder::Instance().SetEnabled(
-        defaults_.GetBool(cfg::kFlightRecEnable, true));
-  }
-  if (defaults_.Has(cfg::kFlightRecRingEvents)) {
-    FlightRecorder::Instance().SetRingCapacity(static_cast<size_t>(
-        defaults_.GetInt(cfg::kFlightRecRingEvents,
-                         FlightRecorder::kDefaultRingEvents)));
-  }
-  std::string dump_path = defaults_.Get(cfg::kFlightRecDumpPath);
-  if (!dump_path.empty()) {
-    SetCrashDumpPath(dump_path);
-    InstallCrashHandlers();
-  }
-  double profile_hz = static_cast<double>(defaults_.GetInt(cfg::kProfileHz, 0));
-  if (profile_hz > 0 && !Profiler::Instance().sampling()) {
-    (void)Profiler::Instance().StartSampling(profile_hz);
+  // Process-wide settings from the defaults, before durable recovery below
+  // so the crash handlers are in place for it; each job applies its own
+  // config again at JobRunner::Start.
+  Status applied = ApplyProcessSettings(defaults_);
+  if (!applied.ok()) {
+    SQS_WARNC("executor", "process settings not applied",
+              {"error", applied.message()});
   }
   // Crash points (io/crashpoint.h) arm process-wide; the kill-restart-verify
   // harness passes `crash.point=<name>` to die at an exact write boundary.

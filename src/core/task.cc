@@ -62,7 +62,6 @@ Status SamzaSqlTask::Init(TaskContext& context) {
   router_config.output_serde = out_serde;
   router_config.state_serde = config.Get(sqlcfg::kStateSerde, "reflective");
   router_config.grace_ms = config.GetInt(sqlcfg::kGraceMs, 0);
-  router_config.fuse_conversions = config.GetBool(sqlcfg::kFuseConversions, false);
   router_config.out_key_index =
       static_cast<int>(config.GetInt(sqlcfg::kOutputKeyIndex, -1));
   router_config.fusion = sqlcfg::FusionEnabled(config);

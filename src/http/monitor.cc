@@ -233,28 +233,30 @@ std::vector<std::string> MonitorServer::StalledContainers() const {
   return BuiltinStatus(*alerts_, FlightEventType::kStall).firing;
 }
 
-void MonitorServer::Tick() {
+bool MonitorServer::Tick(std::vector<MonitorJobView>* views) {
   int64_t now = clock_->NowMillis();
   {
     std::lock_guard<std::mutex> lock(tick_mu_);
     if (last_tick_ms_ != INT64_MIN && now - last_tick_ms_ < history_interval_ms_) {
-      return;
+      return false;
     }
     last_tick_ms_ = now;
   }
-  ForceTick();
+  ForceTick(views);
+  return true;
 }
 
-void MonitorServer::ForceTick() {
+void MonitorServer::ForceTick(std::vector<MonitorJobView>* views) {
   // Count the tick before sampling so the very first history sample already
   // carries the monitor's own instruments.
   self_metrics_->GetCounter("monitor.ticks").Inc();
-  const int64_t now = EvaluatePass(true);
+  const int64_t now = EvaluatePass(true, views);
   std::lock_guard<std::mutex> lock(tick_mu_);
   last_tick_ms_ = now;
 }
 
-int64_t MonitorServer::EvaluatePass(bool record_history) {
+int64_t MonitorServer::EvaluatePass(bool record_history,
+                                    std::vector<MonitorJobView>* views_out) {
   std::lock_guard<std::mutex> lock(pass_mu_);
   const int64_t now_ms = clock_->NowMillis();
   std::vector<MonitorJobView> views = Views();
@@ -273,6 +275,7 @@ int64_t MonitorServer::EvaluatePass(bool record_history) {
   if (record_history) history_.Record(now_ms, merged);
   alerts_->Evaluate(now_ms, merged, &history_);
   self_metrics_->GetGauge("monitor.alerts_firing").Set(alerts_->FiringCount());
+  if (views_out != nullptr) *views_out = std::move(views);
   return now_ms;
 }
 
@@ -290,13 +293,17 @@ MetricsSnapshot MonitorServer::MergedSnapshot(
 }
 
 MonitorServer::Readiness MonitorServer::CheckReadiness() const {
+  return CheckReadiness(Views());
+}
+
+MonitorServer::Readiness MonitorServer::CheckReadiness(
+    const std::vector<MonitorJobView>& views) const {
   Readiness readiness;
   auto fail = [&readiness](std::string reason) {
     readiness.ready = false;
     readiness.reason = std::move(reason);
     return readiness;
   };
-  std::vector<MonitorJobView> views = Views();
   for (const MonitorJobView& view : views) {
     if (view.containers_running < view.containers_total) {
       std::string reason = "job " + view.name + ": " +
@@ -455,7 +462,8 @@ std::string MonitorServer::RenderJobsJson() const {
 HttpResponse MonitorServer::Handle(const HttpRequest& request) {
   // Keep history/alerts fresh even when nothing is driving jobs (an idle
   // executor scraped by Prometheus still advances on wall-clock ticks).
-  Tick();
+  std::vector<MonitorJobView> views;
+  const bool ticked = Tick(&views);
   HttpResponse res;
   if (request.path == "/metrics") {
     self_metrics_->GetCounter("monitor.scrapes").Inc();
@@ -464,9 +472,10 @@ HttpResponse MonitorServer::Handle(const HttpRequest& request) {
   } else if (request.path == "/healthz") {
     res.body = "ok\n";
   } else if (request.path == "/readyz") {
-    // Answer from the state at request time, not the last tick's.
-    EvaluatePass(false);
-    Readiness readiness = CheckReadiness();
+    // Answer from the state at request time, with one evaluation pass: the
+    // tick's when one just ran, else a pass of its own.
+    if (!ticked) EvaluatePass(false, &views);
+    Readiness readiness = CheckReadiness(views);
     if (readiness.ready) {
       res.body = "ready\n";
     } else {

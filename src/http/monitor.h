@@ -115,9 +115,11 @@ class MonitorServer {
 
   // Sample history + evaluate alerts if `metrics.history.interval.ms` has
   // elapsed since the last tick; called after every job-driving round and
-  // before every HTTP request. ForceTick() samples unconditionally.
-  void Tick();
-  void ForceTick();
+  // before every HTTP request. Returns whether the tick ran; when it did and
+  // `views` is set, the job views its pass evaluated land there.
+  // ForceTick() samples unconditionally.
+  bool Tick(std::vector<MonitorJobView>* views = nullptr);
+  void ForceTick(std::vector<MonitorJobView>* views = nullptr);
 
   bool http_running() const { return http_ && http_->running(); }
   // Bound port of the HTTP endpoint (0 when not running).
@@ -160,8 +162,12 @@ class MonitorServer {
   // The one evaluation pass behind ForceTick, the watchdog thread and
   // /readyz: refresh the heartbeat gauges (watchdog on), merge the
   // snapshots, optionally record them into the history ring, and run the
-  // alert engine over them. Returns the clock reading it evaluated at.
-  int64_t EvaluatePass(bool record_history);
+  // alert engine over them. Returns the clock reading it evaluated at; the
+  // job views it read land in `views` when set.
+  int64_t EvaluatePass(bool record_history,
+                       std::vector<MonitorJobView>* views = nullptr);
+  // Readiness over views already read (one provider call per /readyz).
+  Readiness CheckReadiness(const std::vector<MonitorJobView>& views) const;
   // Passes run one at a time, so the engine sees snapshots in the order
   // they were taken: a stale snapshot applied after a fresh one would
   // report a transition twice.

@@ -60,13 +60,9 @@ class ChangelogBackedStore : public KeyValueStore {
 
   const StreamPartition& changelog_partition() const { return sp_; }
 
-  // Transient (Unavailable) changelog append/fetch failures are retried
-  // under this policy; default is no retry.
-  void SetRetryPolicy(RetryPolicy policy) { retrier_.SetPolicy(policy); }
-  void BindRetryMetrics(Counter* retries, Counter* giveups,
-                        Counter* giveup_deadline = nullptr) {
-    retrier_.BindMetrics(retries, giveups, giveup_deadline);
-  }
+  // Transient (Unavailable) changelog append/fetch failures are retried by
+  // this retrier (policy and counters); default is no retry.
+  void SetRetrier(Retrier retrier) { retrier_ = std::move(retrier); }
 
   // Attach write-volume instruments (scoped `changelog_writes` /
   // `changelog_bytes` counters). Optional; writes are uncounted until bound.

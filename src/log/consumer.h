@@ -25,14 +25,11 @@ class Consumer {
   explicit Consumer(BrokerPtr broker, int32_t max_poll_messages = 256)
       : broker_(std::move(broker)), max_poll_messages_(max_poll_messages) {}
 
-  // Transient (Unavailable) fetch failures inside Poll() are retried under
-  // this policy; default is no retry. Metadata reads (CaughtUp/Lag) are not
-  // retried — they are cheap and their callers tolerate an error round.
-  void SetRetryPolicy(RetryPolicy policy) { retrier_.SetPolicy(policy); }
-  void BindRetryMetrics(Counter* retries, Counter* giveups,
-                        Counter* giveup_deadline = nullptr) {
-    retrier_.BindMetrics(retries, giveups, giveup_deadline);
-  }
+  // Transient (Unavailable) fetch failures inside Poll() are retried by
+  // this retrier (policy and counters); default is no retry. Metadata reads
+  // (CaughtUp/Lag) are not retried — they are cheap and their callers
+  // tolerate an error round.
+  void SetRetrier(Retrier retrier) { retrier_ = std::move(retrier); }
 
   // Cap messages returned per partition per poll (Kafka's
   // max.partition.fetch.bytes analogue). With this set, a container

@@ -27,13 +27,9 @@ class Producer {
  public:
   explicit Producer(BrokerPtr broker, std::shared_ptr<Clock> clock = nullptr);
 
-  // Transient (Unavailable) append failures are retried under this policy;
-  // default is no retry. Counters are optional (see Retrier::BindMetrics).
-  void SetRetryPolicy(RetryPolicy policy) { retrier_.SetPolicy(policy); }
-  void BindRetryMetrics(Counter* retries, Counter* giveups,
-                        Counter* giveup_deadline = nullptr) {
-    retrier_.BindMetrics(retries, giveups, giveup_deadline);
-  }
+  // Transient (Unavailable) append failures are retried by this retrier
+  // (policy and counters); default is no retry.
+  void SetRetrier(Retrier retrier) { retrier_ = std::move(retrier); }
 
   // Acquire an idempotent identity from the broker under `name`. A producer
   // for the same name registered later (a restarted container) fences this

@@ -32,18 +32,14 @@ Status ScanOperator::DecodeAndEmit(const IncomingMessage& message,
   event.rowtime = rowtime_index_ >= 0
                       ? record[static_cast<size_t>(rowtime_index_)].ToInt64()
                       : message.message.timestamp;
-  if (fuse_conversions_) {
-    event.row = std::move(record);
-  } else {
-    // RecordToArray (Figure 4): the decoded record is validated against the
-    // declared schema (SamzaSQL "requires all the messages in a topic to be
-    // in the same message format with the same schema", §3.1) and copied
-    // field-by-field into the array representation the generated
-    // expressions run over. Native tasks skip both steps.
-    SQS_RETURN_IF_ERROR(schema_->Validate(record));
-    event.row.reserve(record.size());
-    for (const Value& field : record) event.row.push_back(field);
-  }
+  // RecordToArray (Figure 4): the decoded record is validated against the
+  // declared schema (SamzaSQL "requires all the messages in a topic to be in
+  // the same message format with the same schema", §3.1) and copied
+  // field-by-field into the array representation the generated expressions
+  // run over. Native tasks skip both steps.
+  SQS_RETURN_IF_ERROR(schema_->Validate(record));
+  event.row.reserve(record.size());
+  for (const Value& field : record) event.row.push_back(field);
   event.partition = message.origin.partition;
   event.offset = message.offset;
   return EmitNext(std::move(event), ctx);
@@ -88,16 +84,12 @@ Status ProjectOperator::DoProcess(const TupleEvent& event, OperatorContext& ctx)
 
 Status InsertOperator::DoProcess(const TupleEvent& event, OperatorContext& ctx) {
   BytesWriter writer(64);
-  if (fuse_conversions_) {
-    SQS_RETURN_IF_ERROR(serde_->Serialize(event.row, writer));
-  } else {
-    // ArrayToRecord (Figure 4): rebuild the output record from the array
-    // before serializing — the second conversion the paper profiles.
-    Row record;
-    record.reserve(event.row.size());
-    for (const Value& field : event.row) record.push_back(field);
-    SQS_RETURN_IF_ERROR(serde_->Serialize(record, writer));
-  }
+  // ArrayToRecord (Figure 4): rebuild the output record from the array
+  // before serializing — the second conversion the paper profiles.
+  Row record;
+  record.reserve(event.row.size());
+  for (const Value& field : event.row) record.push_back(field);
+  SQS_RETURN_IF_ERROR(serde_->Serialize(record, writer));
   ++emitted_;
   if (key_index_ >= 0) {
     Bytes key = EncodeOrderedKey(event.row[static_cast<size_t>(key_index_)]);

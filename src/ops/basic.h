@@ -8,20 +8,17 @@
 
 namespace sqs::ops {
 
-// Leaf operator: deserializes an incoming message into a record and, unless
-// `fuse_conversions` is set, copies it into the tuple-as-array working
-// representation — the explicit "AvroToArray" step of Figure 4 that the
-// paper's CPU profiling identified as the main SQL overhead. Hand-written
-// native tasks skip this copy (they work on the decoded record directly);
-// fuse_conversions = the paper's §7 item 5 future-work optimization.
+// Leaf operator: deserializes an incoming message into a record and copies
+// it into the tuple-as-array working representation — the explicit
+// "AvroToArray" step of Figure 4 that the paper's CPU profiling identified
+// as the main SQL overhead. Hand-written native tasks skip this copy (they
+// work on the decoded record directly).
 class ScanOperator : public Operator, public SourceOperator {
  public:
-  ScanOperator(RowSerdePtr serde, SchemaPtr schema, int rowtime_index,
-               bool fuse_conversions = false)
+  ScanOperator(RowSerdePtr serde, SchemaPtr schema, int rowtime_index)
       : serde_(std::move(serde)),
         schema_(std::move(schema)),
-        rowtime_index_(rowtime_index),
-        fuse_conversions_(fuse_conversions) {}
+        rowtime_index_(rowtime_index) {}
 
   std::string name() const override { return "scan"; }
   Status Init(OperatorContext&) override { return Status::Ok(); }
@@ -43,7 +40,6 @@ class ScanOperator : public Operator, public SourceOperator {
   RowSerdePtr serde_;
   SchemaPtr schema_;
   int rowtime_index_;
-  bool fuse_conversions_;
 };
 
 class FilterOperator : public Operator {
@@ -84,12 +80,10 @@ class ProjectOperator : public Operator {
 // pipeline; set a key index to hash-partition by a column instead.
 class InsertOperator : public Operator {
  public:
-  InsertOperator(std::string output_topic, RowSerdePtr serde, int key_index = -1,
-                 bool fuse_conversions = false)
+  InsertOperator(std::string output_topic, RowSerdePtr serde, int key_index = -1)
       : topic_(std::move(output_topic)),
         serde_(std::move(serde)),
-        key_index_(key_index),
-        fuse_conversions_(fuse_conversions) {}
+        key_index_(key_index) {}
 
   std::string name() const override { return "insert"; }
   Status Init(OperatorContext&) override { return Status::Ok(); }
@@ -103,7 +97,6 @@ class InsertOperator : public Operator {
   std::string topic_;
   RowSerdePtr serde_;
   int key_index_;
-  bool fuse_conversions_;
   int64_t emitted_ = 0;
 };
 

@@ -75,8 +75,7 @@ Result<OperatorPtr> Builder::BuildNode(const sql::LogicalNode& node) {
           auto idx = node.source.schema->FieldIndex(node.source.rowtime_column);
           if (idx) rowtime = static_cast<int>(*idx);
         }
-        auto scan = std::make_shared<ScanOperator>(serde, node.source.schema, rowtime,
-                                                   config_->fuse_conversions);
+        auto scan = std::make_shared<ScanOperator>(serde, node.source.schema, rowtime);
         scan_ops_.push_back(scan);
         scan_topics_.emplace_back(node.source.topic, !node.source.is_stream());
         op = scan;
@@ -243,10 +242,8 @@ Result<std::unique_ptr<MessageRouter>> MessageRouter::Build(
   Builder builder(&config, nullptr);
   SQS_ASSIGN_OR_RETURN(root, builder.BuildNode(plan));
 
-  auto insert = std::make_shared<InsertOperator>(config.output_topic,
-                                                 config.output_serde,
-                                                 config.out_key_index,
-                                                 config.fuse_conversions);
+  auto insert = std::make_shared<InsertOperator>(
+      config.output_topic, config.output_serde, config.out_key_index);
   root->SetNext(insert, 0);
   builder.Register("op" + std::to_string(builder.next_id()), insert);
 

@@ -27,9 +27,6 @@ struct RouterConfig {
   // ReflectiveRowSerde factory to reproduce, AvroRowSerde for the ablation.
   std::string state_serde = "reflective";  // "reflective" | "avro"
   int64_t grace_ms = 0;
-  // Skip the RecordToArray / ArrayToRecord copies of Figure 4 (the paper's
-  // §7 item 5 planned optimization; ablation A1 in DESIGN.md).
-  bool fuse_conversions = false;
   // Hash-partition output by this column instead of preserving the input
   // partition (-1 = preserve).
   int out_key_index = -1;

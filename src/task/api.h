@@ -159,7 +159,8 @@ inline constexpr const char* kExecutorMode = "executor.mode";
 inline constexpr const char* kExecutorThreads = "executor.threads";
 // Simulated per-access latency of task-local stores (RocksDB model).
 inline constexpr const char* kStoreAccessLatencyNanos = "stores.access.latency.nanos";
-// Periodic JSON-lines metrics reporting (0 = disabled).
+// Periodic JSON-lines metrics reporting by the job's one reporter
+// (0 = disabled).
 inline constexpr const char* kMetricsReporterIntervalMs = "metrics.reporter.interval.ms";
 // Where the reporter appends JSON lines; empty = stderr.
 inline constexpr const char* kMetricsReporterPath = "metrics.reporter.path";
@@ -196,7 +197,7 @@ inline constexpr const char* kStoresPrefix = "stores.";
 inline constexpr const char* kTracingSampleRate = "tracing.sample.rate";
 // Span ring-buffer capacity (default Tracer::kDefaultCapacity).
 inline constexpr const char* kTracingBufferSpans = "tracing.buffer.spans";
-// If set, the container writes a Chrome-trace-format JSON file here on Stop().
+// If set, JobRunner::Stop writes a Chrome-trace-format JSON file here.
 inline constexpr const char* kTracingExportPath = "tracing.export.path";
 // Structured logging: minimum level (debug|info|warn|error|off) and record
 // format (plain|json) — see common/logging.h.
@@ -248,5 +249,14 @@ inline constexpr const char* kWatchdogStallMs = "watchdog.stall.ms";
 inline constexpr const char* kWatchdogProfileMs = "watchdog.profile.ms";
 // `retry.*` keys live in common/retry.h, `fault.*` keys in log/fault_broker.h.
 }  // namespace cfg
+
+// Applies the process-wide settings a config carries: log level and format,
+// the flight recorder (toggle, ring size, crash-dump path + handlers), the
+// background profiler (profile.hz), latency stamping and the tracer. These
+// are process-global (traces and stamps cross job boundaries), so a key the
+// config does not carry is left as it is: a job without one does not reset
+// what another job or the shell set. Called once per job by JobRunner::Start
+// and once for the job defaults by the QueryExecutor constructor.
+Status ApplyProcessSettings(const Config& config);
 
 }  // namespace sqs

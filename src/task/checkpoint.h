@@ -67,12 +67,8 @@ class CheckpointManager {
   static Result<TaskCheckpoint> DecodeTaskCheckpoint(const Bytes& bytes);
 
   // Transient (Unavailable) append/fetch failures on the checkpoint topic
-  // are retried under this policy; default is no retry.
-  void SetRetryPolicy(RetryPolicy policy) { retrier_.SetPolicy(policy); }
-  void BindRetryMetrics(Counter* retries, Counter* giveups,
-                        Counter* giveup_deadline = nullptr) {
-    retrier_.BindMetrics(retries, giveups, giveup_deadline);
-  }
+  // are retried by this retrier (policy and counters); default is no retry.
+  void SetRetrier(Retrier retrier) { retrier_ = std::move(retrier); }
 
   // Attach write instruments (scoped `checkpoint_writes` /
   // `checkpoint_bytes` counters). Optional; writes are uncounted until bound.

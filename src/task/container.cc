@@ -1,11 +1,8 @@
 #include "task/container.h"
 
-#include <iostream>
-
 #include "common/flightrec.h"
 #include "common/latency.h"
 #include "common/logging.h"
-#include "common/profiler.h"
 #include "common/tracing.h"
 
 namespace sqs {
@@ -188,9 +185,7 @@ Status Container::InitTask(TaskInstance& task) {
 
   if (delivery_ == DeliveryMode::kExactlyOnce) {
     task.producer = std::make_unique<Producer>(broker_, clock_);
-    task.producer->SetRetryPolicy(retry_policy_);
-    task.producer->BindRetryMetrics(m_send_retries_, m_send_giveups_,
-                                    m_send_giveup_deadline_);
+    task.producer->SetRetrier(send_retrier_);
     task.producer->BindFencingMetric(m_fenced_);
     // Registering under the task name bumps the epoch past any pre-crash
     // incarnation of this task: its in-flight appends are fenced from here.
@@ -236,9 +231,7 @@ Status Container::InitTask(TaskInstance& task) {
             .Sub(store_name);
     store->BindMetrics(&store_scope.counter("changelog_writes"),
                        &store_scope.counter("changelog_bytes"));
-    store->SetRetryPolicy(retry_policy_);
-    store->BindRetryMetrics(m_changelog_retries_, m_changelog_giveups_,
-                            m_changelog_giveup_deadline_);
+    store->SetRetrier(changelog_retrier_);
     // Exactly-once truncates the replay at the checkpointed high-watermark:
     // changelog records appended after the last commit belong to input the
     // restart will reprocess, so replaying them would double-apply state.
@@ -284,45 +277,8 @@ Status Container::InitTask(TaskInstance& task) {
 Status Container::Start() {
   if (started_) return Status::StateError("container already started");
 
-  ApplyLogConfig(config_);
-  // Forensics config: flight-recorder toggle/ring size, crash-dump path +
-  // handlers, optional always-on sampling profiler. Process-global like the
-  // tracer, so only touch what this job's config actually sets.
-  if (config_.Has(cfg::kFlightRecEnable)) {
-    FlightRecorder::Instance().SetEnabled(
-        config_.GetBool(cfg::kFlightRecEnable, true));
-  }
-  if (config_.Has(cfg::kFlightRecRingEvents)) {
-    FlightRecorder::Instance().SetRingCapacity(static_cast<size_t>(
-        config_.GetInt(cfg::kFlightRecRingEvents,
-                       static_cast<int64_t>(FlightRecorder::kDefaultRingEvents))));
-  }
-  std::string dump_path = config_.Get(cfg::kFlightRecDumpPath);
-  if (!dump_path.empty()) {
-    SetCrashDumpPath(dump_path);
-    InstallCrashHandlers();
-  }
-  double profile_hz = config_.GetDouble(cfg::kProfileHz, 0.0);
-  if (profile_hz > 0 && !Profiler::Instance().sampling()) {
-    SQS_RETURN_IF_ERROR(Profiler::Instance().StartSampling(profile_hz));
-  }
   flight_scope_ = config_.Get(cfg::kJobName, "job") + ".container" +
                   std::to_string(model_.container_id);
-  // Latency stamping is process-global like the tracer (stamps cross job
-  // boundaries); only touch it when this job's config carries the key.
-  if (config_.Has(cfg::kLatencyStampingEnable)) {
-    SetLatencyStampingEnabled(config_.GetBool(cfg::kLatencyStampingEnable, true));
-  }
-  // The tracer is process-global (traces cross job boundaries); only touch
-  // it when this job's config actually carries a tracing key, so a job
-  // without one does not reset a rate the shell (EXPLAIN ANALYZE) enabled.
-  if (config_.Has(cfg::kTracingSampleRate)) {
-    Tracer::Instance().Configure(
-        config_.GetDouble(cfg::kTracingSampleRate, 0.0),
-        static_cast<size_t>(config_.GetInt(
-            cfg::kTracingBufferSpans,
-            static_cast<int64_t>(Tracer::kDefaultCapacity))));
-  }
 
   producer_ = std::make_unique<Producer>(broker_, clock_);
   int32_t max_poll =
@@ -386,58 +342,32 @@ Status Container::Start() {
   m_e2e_us_ = &jscope.histogram("e2e_latency_us");
   m_dwell_us_ = &jscope.histogram("dwell_queue_us");
 
-  // One retry budget for every broker data path this container owns:
-  // produce, poll, changelog mirror/restore, checkpoint read/write. Retry
-  // pressure is counted per operation under
-  // `<job>.container<ID>.retry.<op>.{retries,giveups}` — /metrics renders
-  // these as one samzasql_retries_total/samzasql_giveups_total family with
-  // an `op` label (docs/FAULT_TOLERANCE.md).
-  retry_policy_ = RetryPolicy::FromConfig(config_);
-  ScopedMetrics rscope = cscope.Sub("retry");
-  ScopedMetrics send_scope = rscope.Sub("send");
-  m_send_retries_ = &send_scope.counter("retries");
-  m_send_giveups_ = &send_scope.counter("giveups");
-  m_send_giveup_deadline_ = &send_scope.counter("giveup_deadline");
-  ScopedMetrics fetch_scope = rscope.Sub("fetch");
-  m_fetch_retries_ = &fetch_scope.counter("retries");
-  m_fetch_giveups_ = &fetch_scope.counter("giveups");
-  m_fetch_giveup_deadline_ = &fetch_scope.counter("giveup_deadline");
-  ScopedMetrics changelog_scope = rscope.Sub("changelog");
-  m_changelog_retries_ = &changelog_scope.counter("retries");
-  m_changelog_giveups_ = &changelog_scope.counter("giveups");
-  m_changelog_giveup_deadline_ = &changelog_scope.counter("giveup_deadline");
-  ScopedMetrics checkpoint_scope = rscope.Sub("checkpoint");
-  m_checkpoint_retries_ = &checkpoint_scope.counter("retries");
-  m_checkpoint_giveups_ = &checkpoint_scope.counter("giveups");
-  m_checkpoint_giveup_deadline_ = &checkpoint_scope.counter("giveup_deadline");
   m_fenced_ = &cscope.counter("producer_fenced");
   m_corrupt_ = &cscope.counter("corrupt_records");
   m_dups_dropped_ = &cscope.gauge("broker_dups_dropped");
-  producer_->SetRetryPolicy(retry_policy_);
-  producer_->BindRetryMetrics(m_send_retries_, m_send_giveups_,
-                              m_send_giveup_deadline_);
-  producer_->BindFencingMetric(m_fenced_);
-  for (Consumer* c : {consumer_.get(), bootstrap_consumer_.get()}) {
-    c->SetRetryPolicy(retry_policy_);
-    c->BindRetryMetrics(m_fetch_retries_, m_fetch_giveups_,
-                        m_fetch_giveup_deadline_);
-  }
-  checkpoints_->SetRetryPolicy(retry_policy_);
-  checkpoints_->BindRetryMetrics(m_checkpoint_retries_, m_checkpoint_giveups_,
-                                 m_checkpoint_giveup_deadline_);
 
-  int64_t report_interval = config_.GetInt(cfg::kMetricsReporterIntervalMs, 0);
-  if (report_interval > 0) {
-    std::string path = config_.Get(cfg::kMetricsReporterPath);
-    if (!path.empty()) {
-      reporter_ = std::make_unique<MetricsReporter>(
-          metrics_, path, report_interval,
-          config_.GetInt(cfg::kMetricsReporterMaxBytes, 0), clock_);
-    } else {
-      reporter_ = std::make_unique<MetricsReporter>(metrics_, &std::cerr,
-                                                    report_interval, clock_);
-    }
-  }
+  // One retrier per broker operation this container owns, all under the
+  // `retry.*` policy. Retry pressure is counted per operation under
+  // `<job>.container<ID>.retry.<op>.{retries,giveups,giveup_deadline}`;
+  // /metrics renders these as one samzasql_retries_total /
+  // samzasql_giveups_total family with an `op` label
+  // (docs/FAULT_TOLERANCE.md).
+  const RetryPolicy retry_policy = RetryPolicy::FromConfig(config_);
+  auto retrier = [&](const char* op) {
+    ScopedMetrics scope = cscope.Sub("retry").Sub(op);
+    Retrier r(retry_policy);
+    r.BindMetrics(&scope.counter("retries"), &scope.counter("giveups"),
+                  &scope.counter("giveup_deadline"));
+    return r;
+  };
+  send_retrier_ = retrier("send");
+  Retrier fetch_retrier = retrier("fetch");
+  changelog_retrier_ = retrier("changelog");
+  producer_->SetRetrier(send_retrier_);
+  producer_->BindFencingMetric(m_fenced_);
+  consumer_->SetRetrier(fetch_retrier);
+  bootstrap_consumer_->SetRetrier(fetch_retrier);
+  checkpoints_->SetRetrier(retrier("checkpoint"));
 
   commit_every_ = config_.GetInt(cfg::kCommitEveryMessages, 0);
   batch_max_ = config_.GetInt(cfg::kBatchMaxMessages, 256);
@@ -820,7 +750,6 @@ Result<Container::Turn> Container::RunTurn() {
     std::atomic<bool>* flag;
     ~BusyReset() { flag->store(false, std::memory_order_relaxed); }
   } busy_reset{&busy_};
-  if (reporter_) reporter_->MaybeReport();
 
   // Bootstrap phase: deliver only bootstrap partitions until drained
   // (Samza holds back all other inputs, §2 "Bootstrap Streams").
@@ -870,22 +799,6 @@ Status Container::Stop() {
   for (auto& task : tasks_) {
     SQS_RETURN_IF_ERROR(CommitTask(*task));
     SQS_RETURN_IF_ERROR(task->task->Close());
-  }
-  // Flush a final report so the tail of the run is never lost to the
-  // reporting interval.
-  if (reporter_) reporter_->ReportNow();
-  std::string trace_path = config_.Get(cfg::kTracingExportPath);
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (!out.good()) {
-      SQS_WARNC("container", "cannot write trace export",
-                {"path", trace_path});
-    } else {
-      std::vector<Span> spans = Tracer::Instance().Spans();
-      out << SpansToChromeTraceJson(spans);
-      SQS_INFOC("container", "trace export written", {"path", trace_path},
-                {"spans", std::to_string(spans.size())});
-    }
   }
   started_ = false;
   FlightRecorder::Record(FlightEventType::kContainerStop, flight_scope_, "",

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -26,7 +25,6 @@
 #include "common/clock.h"
 #include "common/config.h"
 #include "common/metrics.h"
-#include "common/metrics_reporter.h"
 #include "common/retry.h"
 #include "common/status.h"
 #include "kv/changelog.h"
@@ -193,7 +191,11 @@ class Container {
   DeliveryMode delivery_ = DeliveryMode::kAtLeastOnce;
   TaskCorruptPolicy corrupt_policy_ = TaskCorruptPolicy::kFail;
   std::string dlq_topic_;
-  RetryPolicy retry_policy_;
+  // Retriers for the operations that gain instances after Start(): each
+  // exactly-once task producer sends through a copy of `send_retrier_`,
+  // each managed store mirrors through a copy of `changelog_retrier_`.
+  Retrier send_retrier_;
+  Retrier changelog_retrier_;
   int64_t commit_every_ = 0;
   int64_t batch_max_ = 256;  // task.batch.max.messages
   int64_t window_ms_ = 0;
@@ -247,30 +249,10 @@ class Container {
   // stride keeps the distribution while shedding histogram writes from the
   // hot path. Not batch-aligned, so no bias toward batch heads.
   uint64_t dwell_sample_seq_ = 0;
-  // Per-operation retry pressure
-  // (`<scope>.retry.<op>.{retries,giveups,giveup_deadline}`,
-  // op = send|fetch|changelog|checkpoint) — labeled in /metrics.
-  Counter* m_send_retries_ = nullptr;
-  Counter* m_send_giveups_ = nullptr;
-  Counter* m_send_giveup_deadline_ = nullptr;
-  Counter* m_fetch_retries_ = nullptr;
-  Counter* m_fetch_giveups_ = nullptr;
-  Counter* m_fetch_giveup_deadline_ = nullptr;
-  Counter* m_changelog_retries_ = nullptr;
-  Counter* m_changelog_giveups_ = nullptr;
-  Counter* m_changelog_giveup_deadline_ = nullptr;
-  Counter* m_checkpoint_retries_ = nullptr;
-  Counter* m_checkpoint_giveups_ = nullptr;
-  Counter* m_checkpoint_giveup_deadline_ = nullptr;
   // Exactly-once + integrity instruments.
   Counter* m_fenced_ = nullptr;          // producer_fenced
   Counter* m_corrupt_ = nullptr;         // corrupt_records
   Gauge* m_dups_dropped_ = nullptr;      // broker_dups_dropped (broker-wide)
-
-  // Periodic JSON-lines reporter (metrics.reporter.interval.ms > 0); owns
-  // its file when metrics.reporter.path is set, rotating per
-  // metrics.reporter.max.bytes, and flushes a last report on Stop().
-  std::unique_ptr<MetricsReporter> reporter_;
 };
 
 }  // namespace sqs

@@ -2,12 +2,15 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <fstream>
+#include <iostream>
 #include <set>
 #include <thread>
 #include <tuple>
 
 #include "common/flightrec.h"
 #include "common/logging.h"
+#include "common/tracing.h"
 
 namespace sqs {
 
@@ -19,6 +22,7 @@ JobRunner::JobRunner(BrokerPtr broker, Config config, std::shared_ptr<Clock> clo
 
 Status JobRunner::Start() {
   if (started_) return Status::StateError("job already started");
+  SQS_RETURN_IF_ERROR(ApplyProcessSettings(config_));
   SQS_ASSIGN_OR_RETURN(model, JobCoordinator::BuildJobModel(config_, *broker_));
   model_ = std::move(model);
   containers_.clear();
@@ -40,6 +44,17 @@ Status JobRunner::Start() {
   m_restarts_ = &ScopedMetrics(metrics_.get(), model_.job_name)
                      .Sub("supervisor")
                      .counter("container_restarts");
+
+  int64_t report_interval = config_.GetInt(cfg::kMetricsReporterIntervalMs, 0);
+  if (report_interval > 0) {
+    std::string path = config_.Get(cfg::kMetricsReporterPath);
+    reporter_ = path.empty()
+                    ? std::make_unique<MetricsReporter>(metrics_, &std::cerr,
+                                                        report_interval, clock_)
+                    : std::make_unique<MetricsReporter>(
+                          metrics_, path, report_interval,
+                          config_.GetInt(cfg::kMetricsReporterMaxBytes, 0), clock_);
+  }
 
   started_ = true;
   start_ms_ = clock_->NowMillis();
@@ -204,6 +219,7 @@ struct JobRunner::PipelineRun {
       return Push(u);
     }
     Result<Container::Turn> r = c->RunTurn();
+    if (job->reporter_) job->reporter_->MaybeReport();
     const bool detached = !job->SlotHolds(unit.slot, c.get());
     if (r.ok() && !detached) {
       lock.lock();
@@ -290,7 +306,23 @@ Status JobRunner::Stop() {
   for (auto& container : containers_) {
     if (container) SQS_RETURN_IF_ERROR(container->Stop());
   }
+  if (!started_) return Status::Ok();
   started_ = false;
+  // Flush a final report so the tail of the run is never lost to the
+  // reporting interval.
+  if (reporter_) reporter_->ReportNow();
+  std::string trace_path = config_.Get(cfg::kTracingExportPath);
+  if (!trace_path.empty()) {
+    std::ofstream out(trace_path);
+    if (!out.good()) {
+      SQS_WARNC("runner", "cannot write trace export", {"path", trace_path});
+    } else {
+      std::vector<Span> spans = Tracer::Instance().Spans();
+      out << SpansToChromeTraceJson(spans);
+      SQS_INFOC("runner", "trace export written", {"path", trace_path},
+                {"spans", std::to_string(spans.size())});
+    }
+  }
   return Status::Ok();
 }
 

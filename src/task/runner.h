@@ -11,7 +11,10 @@
 //  - supervision: with container.restart.max > 0, a dead container is
 //    automatically restarted with capped exponential backoff, re-running
 //    the full recovery path; the restart budget bounds crash loops
-//    (docs/FAULT_TOLERANCE.md).
+//    (docs/FAULT_TOLERANCE.md);
+//  - job-wide work: the process settings of the job config are applied once
+//    at Start(), the job's one metrics reporter runs after each turn and
+//    flushes at Stop(), and Stop() writes the trace export.
 #pragma once
 
 #include <algorithm>
@@ -23,6 +26,7 @@
 
 #include "common/clock.h"
 #include "common/config.h"
+#include "common/metrics_reporter.h"
 #include "common/status.h"
 #include "log/broker.h"
 #include "task/container.h"
@@ -34,7 +38,8 @@ class JobRunner {
  public:
   JobRunner(BrokerPtr broker, Config config, std::shared_ptr<Clock> clock = nullptr);
 
-  // Build the job model and start all containers.
+  // Apply the config's process settings (ApplyProcessSettings), build the
+  // job model, start all containers and the metrics reporter.
   Status Start();
 
   // Run this job's containers until quiescent: RunPipeline({this},
@@ -42,6 +47,8 @@ class JobRunner {
   // processed by this call. threads = 0 means one worker per container.
   Result<int64_t> RunThreadedUntilQuiescent(int threads = 0);
 
+  // Stop every live container (final commits), then flush a final metrics
+  // report and write tracing.export.path, once for the job.
   Status Stop();
 
   // Failure injection.
@@ -153,6 +160,12 @@ class JobRunner {
   std::vector<std::shared_ptr<Container>> containers_;
   bool started_ = false;
   int64_t start_ms_ = 0;  // clock time at Start(), for UptimeMs()
+  // The job's periodic JSON-lines reporter (metrics.reporter.interval.ms >
+  // 0) over the job-wide registry: the pool worker that finishes a turn
+  // calls MaybeReport, which emits each interval exactly once; it owns its
+  // file when metrics.reporter.path is set (rotating per
+  // metrics.reporter.max.bytes) and flushes a last report at Stop().
+  std::unique_ptr<MetricsReporter> reporter_;
 
   // Supervisor config (container.restart.*), read at Start().
   int64_t restart_max_ = 0;  // 0 = supervision off

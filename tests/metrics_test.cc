@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -215,6 +216,36 @@ TEST(MetricsReporterTest, ReportsOnlyAfterIntervalElapses) {
   EXPECT_FALSE(reporter.MaybeReport());
   clock->Advance(100);
   EXPECT_TRUE(reporter.MaybeReport());
+}
+
+// The job's pool workers share one reporter: however their calls
+// interleave, each due interval is emitted by exactly one MaybeReport.
+TEST(MetricsReporterTest, ConcurrentCallersEmitEachIntervalOnce) {
+  auto registry = std::make_shared<MetricsRegistry>();
+  registry->GetCounter("job.c").Inc(1);
+  auto clock = std::make_shared<ManualClock>(1000);
+  std::ostringstream out;
+  MetricsReporter reporter(registry, &out, /*interval_ms=*/100, clock);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 200;
+  std::atomic<int> emitted{0};
+  for (int round = 0; round < kRounds; ++round) {
+    clock->Advance(100);
+    std::atomic<int> arrived{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        // Release every caller at once so the calls overlap.
+        arrived.fetch_add(1);
+        while (arrived.load() < kThreads) std::this_thread::yield();
+        if (reporter.MaybeReport()) emitted.fetch_add(1);
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  EXPECT_EQ(emitted.load(), kRounds);
+  const std::string text = out.str();
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), kRounds);
 }
 
 TEST(MetricsReporterTest, ReportNowIgnoresInterval) {

@@ -210,7 +210,7 @@ TEST(RetrierTest, ProducerSendSurvivesTransientAppendFailures) {
   ASSERT_TRUE(inner->CreateTopic("t", {.num_partitions = 1}).ok());
   auto fb = std::make_shared<FaultInjectingBroker>(inner, FaultPolicy{});
   Producer producer(fb);
-  producer.SetRetryPolicy(RetryPolicy{.max_attempts = 4, .backoff_ms = 1, .backoff_max_ms = 2});
+  producer.SetRetrier(Retrier(RetryPolicy{.max_attempts = 4, .backoff_ms = 1, .backoff_max_ms = 2}));
   fb->FailNextAppends(2);
   ASSERT_TRUE(producer.Send("t", ToBytes("k"), ToBytes("v")).ok());
   EXPECT_EQ(inner->EndOffset({"t", 0}).value(), 1);
@@ -258,7 +258,7 @@ TEST(ChangelogStickyErrorTest, RetryPolicyAbsorbsTransientAppendFailures) {
   ASSERT_TRUE(inner->CreateTopic("cl", {.num_partitions = 1}).ok());
   auto fb = std::make_shared<FaultInjectingBroker>(inner, FaultPolicy{});
   ChangelogBackedStore store(std::make_shared<InMemoryStore>(), fb, {"cl", 0});
-  store.SetRetryPolicy(RetryPolicy{.max_attempts = 4, .backoff_ms = 1, .backoff_max_ms = 2});
+  store.SetRetrier(Retrier(RetryPolicy{.max_attempts = 4, .backoff_ms = 1, .backoff_max_ms = 2}));
   fb->FailNextAppends(2);
   store.Put(ToBytes("a"), ToBytes("1"));
   EXPECT_TRUE(store.health().ok());
@@ -397,7 +397,7 @@ TEST(CorruptionTest, ChangelogRestoreRetriesPastCorruptFetch) {
   ASSERT_TRUE(inner->CreateTopic("cl", {.num_partitions = 1}).ok());
   auto fb = std::make_shared<FaultInjectingBroker>(inner, FaultPolicy{});
   ChangelogBackedStore store(std::make_shared<InMemoryStore>(), fb, {"cl", 0});
-  store.SetRetryPolicy(RetryPolicy{.max_attempts = 4, .backoff_ms = 1, .backoff_max_ms = 2});
+  store.SetRetrier(Retrier(RetryPolicy{.max_attempts = 4, .backoff_ms = 1, .backoff_max_ms = 2}));
   store.Put(ToBytes("a"), ToBytes("1"));
   store.Put(ToBytes("b"), ToBytes("2"));
   ASSERT_TRUE(store.health().ok());
@@ -642,13 +642,13 @@ TEST(CheckpointScanTest, WritesAndRestoreRetryTransientFailures) {
   auto inner = std::make_shared<Broker>();
   auto fb = std::make_shared<FaultInjectingBroker>(inner, FaultPolicy{});
   CheckpointManager mgr(fb, "__cp_retry");
-  mgr.SetRetryPolicy(RetryPolicy{.max_attempts = 4, .backoff_ms = 1, .backoff_max_ms = 2});
+  mgr.SetRetrier(Retrier(RetryPolicy{.max_attempts = 4, .backoff_ms = 1, .backoff_max_ms = 2}));
   ASSERT_TRUE(mgr.Start().ok());
   fb->FailNextAppends(2);
   ASSERT_TRUE(mgr.WriteCheckpoint("Partition 0", {{{"in", 0}, 7}}).ok());
 
   CheckpointManager reader(fb, "__cp_retry");
-  reader.SetRetryPolicy(RetryPolicy{.max_attempts = 4, .backoff_ms = 1, .backoff_max_ms = 2});
+  reader.SetRetrier(Retrier(RetryPolicy{.max_attempts = 4, .backoff_ms = 1, .backoff_max_ms = 2}));
   ASSERT_TRUE(reader.Start().ok());
   fb->FailNextFetches(2);
   auto cp = reader.ReadLastCheckpoint("Partition 0");

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -464,6 +465,91 @@ TEST_F(RunnerTest, ReporterEmitsJsonLinesOnInterval) {
             std::string::npos);
   EXPECT_NE(contents.str().find("\"type\":\"histogram\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+// One reporter per job: four containers share the job registry, so each
+// interval's snapshot is written once, not once per container, and Stop()
+// adds one final flush. Two workers drive the containers, so the interval
+// is claimed concurrently. The rotation arm rolls the file on every report:
+// `<path>` and `<path>.1` must hold whole reports, none written twice.
+TEST_F(RunnerTest, ReporterWritesEachMetricOncePerInterval) {
+  TaskFactoryRegistry::Instance().Register(
+      "metrics-reporter-once", [] { return std::make_unique<EchoTask>(); });
+  auto read_lines = [](const std::string& file) {
+    std::ifstream in(file);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+  };
+  auto ts_of = [](const std::string& line) {
+    const std::string key = "{\"ts_ms\":";
+    EXPECT_EQ(line.rfind(key, 0), 0u) << line;
+    return std::stoll(line.substr(key.size()));
+  };
+  // Runs the job through 3 intervals of 100ms and stops it 50ms after the
+  // last, so every report carries its own ts_ms. Returns the metric count
+  // of one report.
+  auto run_job = [&](const std::string& path, int64_t max_bytes,
+                     const std::string& checkpoint_topic) {
+    auto clock = std::make_shared<ManualClock>(1000);
+    Config c = BaseConfig("metrics-reporter-once");
+    c.SetInt(cfg::kContainerCount, 4);
+    c.Set(cfg::kCheckpointTopic, checkpoint_topic);
+    c.SetInt(cfg::kMetricsReporterIntervalMs, 100);
+    c.Set(cfg::kMetricsReporterPath, path);
+    c.SetInt(cfg::kMetricsReporterMaxBytes, max_bytes);
+    JobRunner runner(broker_, c, clock);
+    EXPECT_TRUE(runner.Start().ok());
+    for (int interval = 0; interval < 3; ++interval) {
+      clock->Advance(100);
+      Produce(8);
+      EXPECT_TRUE(runner.RunThreadedUntilQuiescent(2).ok());
+    }
+    clock->Advance(50);
+    EXPECT_TRUE(runner.Stop().ok());
+    MetricsSnapshot snap = runner.metrics_registry()->Snapshot();
+    return snap.counters.size() + snap.gauges.size() + snap.timers.size() +
+           snap.histograms.size();
+  };
+
+  const std::string path = "reporter_once_metrics.jsonl";
+  std::remove(path.c_str());
+  run_job(path, 0, "__checkpoint_reporter_once");
+  std::vector<std::string> lines = read_lines(path);
+  size_t processed_lines = 0;
+  std::set<int64_t> stamps;
+  for (const std::string& line : lines) {
+    if (line.find("\"name\":\"test-job.container0.processed\"") !=
+        std::string::npos) {
+      ++processed_lines;
+    }
+    stamps.insert(ts_of(line));
+  }
+  EXPECT_EQ(processed_lines, 4u);  // 3 intervals + the final flush
+  EXPECT_EQ(stamps, (std::set<int64_t>{1100, 1200, 1300, 1350}));
+  std::remove(path.c_str());
+
+  // Rotation arm: a cap below one report rolls the file before each one.
+  const std::string rolled = "reporter_once_rotating.jsonl";
+  std::remove(rolled.c_str());
+  std::remove((rolled + ".1").c_str());
+  const size_t per_report = run_job(rolled, 1024, "__checkpoint_reporter_rot");
+  std::map<int64_t, size_t> lines_per_ts;
+  for (const std::string& file : {rolled + ".1", rolled}) {
+    std::vector<std::string> file_lines = read_lines(file);
+    ASSERT_FALSE(file_lines.empty()) << file;
+    std::set<int64_t> file_stamps;
+    for (const std::string& line : file_lines) {
+      file_stamps.insert(ts_of(line));
+      ++lines_per_ts[ts_of(line)];
+    }
+    EXPECT_EQ(file_stamps.size(), 1u) << file << " holds more than one report";
+  }
+  // The last two reports, each whole and each written once.
+  EXPECT_EQ(lines_per_ts, (std::map<int64_t, size_t>{{1300, per_report},
+                                                     {1350, per_report}}));
+  std::remove(rolled.c_str());
+  std::remove((rolled + ".1").c_str());
 }
 
 TEST_F(RunnerTest, ThreadedRunProcessesEverything) {
