@@ -5,8 +5,8 @@
 //    aggregate throughput the way the paper does: "The average throughput
 //    across containers was multiplied by the container count";
 //  - the contended multicore bench (bench_multicore.cc) instead measures
-//    wall-clock throughput through the executor's scheduler, serial vs
-//    threaded (see EXPERIMENTS.md §methodology);
+//    wall-clock throughput through the executor's driver, one pool worker
+//    vs eight (see EXPERIMENTS.md §methodology);
 //  - the broker charges a fixed simulated round-trip per consumer poll and
 //    caps per-partition fetch size, so per-container read throughput drops
 //    as partitions-per-container shrink — the paper's stated cause of
@@ -136,19 +136,18 @@ inline ThroughputResult MeasureNativeJob(core::EnvironmentPtr env, Config config
   return result;
 }
 
-// Measured wall-clock result of one scheduler-driven run: unlike
+// Measured wall-clock result of one executor-driven run: unlike
 // ThroughputResult (average x count), `tput` here is messages divided by
-// the wall time RunJobsUntilQuiescent actually took, so serial and threaded
-// executor modes are compared on the same honest scale.
+// the wall time RunJobsUntilQuiescent actually took, so pool sizes are
+// compared on the same honest scale.
 struct WallClockResult {
   int64_t messages = 0;
   double wall_seconds = 0;
   double tput = 0;  // messages / wall-clock second
 };
 
-// Submit a query and drive it to quiescence through the executor's
-// scheduler (executor.mode / executor.threads in `config` pick the mode),
-// timing the run wall-clock.
+// Submit a query and drive it to quiescence through the executor's driver
+// (executor.threads in `config` sizes the pool), timing the run wall-clock.
 inline WallClockResult MeasureSqlQueryWallClock(core::EnvironmentPtr env,
                                                 const std::string& sql,
                                                 Config config) {

@@ -1,5 +1,5 @@
-// Contended multicore bench: 8 containers driven by the executor's
-// scheduler, serial vs threaded (8 pool workers), on the filter and
+// Contended multicore bench: 8 containers driven by the executor, serial
+// (executor.threads=1) vs threaded (8 pool workers), on the filter and
 // windowed-aggregation arms. Unlike the Figure 5/6 benches this reports
 // *measured wall-clock* throughput — messages divided by the time
 // RunJobsUntilQuiescent took — so the threaded speedup is real, not
@@ -35,12 +35,11 @@ int64_t MessageCount() {
   return 80'000;
 }
 
-Config MulticoreConfig(const char* mode) {
+Config MulticoreConfig(int threads) {
   Config config = BenchJobConfig(kContainers);
   config.SetInt(cfg::kPollLatencyNanos, kMulticorePollLatencyNanos);
   config.Set(cfg::kPollLatencyModel, "sleep");
-  config.Set(cfg::kExecutorMode, mode);
-  config.SetInt(cfg::kExecutorThreads, kThreads);
+  config.SetInt(cfg::kExecutorThreads, threads);
   return config;
 }
 
@@ -52,31 +51,32 @@ constexpr const char* kAggSql =
     "PRECEDING) AS unitsLastFiveMinutes FROM Orders";
 
 void RunArm(benchmark::State& state, const char* arm, const char* sql,
-            const char* mode) {
+            int threads) {
   for (auto _ : state) {
     auto env = MakeBenchEnv();
     workload::OrdersGenerator gen(*env, {});
     auto produced = gen.Produce(MessageCount());
     if (!produced.ok()) state.SkipWithError(produced.status().ToString().c_str());
-    auto r = MeasureSqlQueryWallClock(env, sql, MulticoreConfig(mode));
+    auto r = MeasureSqlQueryWallClock(env, sql, MulticoreConfig(threads));
     state.counters["measured_msgs_per_s"] = r.tput;
     state.counters["wall_seconds"] = r.wall_seconds;
-    std::string variant = std::string(arm) + "/" + mode;
+    std::string variant =
+        std::string(arm) + (threads == 1 ? "/serial" : "/threaded");
     ReportWallClock("Multicore", variant.c_str(), kContainers, r);
   }
 }
 
 void BM_Multicore_Filter_Serial(benchmark::State& state) {
-  RunArm(state, "filter", kFilterSql, "serial");
+  RunArm(state, "filter", kFilterSql, 1);
 }
 void BM_Multicore_Filter_Threaded(benchmark::State& state) {
-  RunArm(state, "filter", kFilterSql, "threaded");
+  RunArm(state, "filter", kFilterSql, kThreads);
 }
 void BM_Multicore_Agg_Serial(benchmark::State& state) {
-  RunArm(state, "agg", kAggSql, "serial");
+  RunArm(state, "agg", kAggSql, 1);
 }
 void BM_Multicore_Agg_Threaded(benchmark::State& state) {
-  RunArm(state, "agg", kAggSql, "threaded");
+  RunArm(state, "agg", kAggSql, kThreads);
 }
 
 BENCHMARK(BM_Multicore_Filter_Serial)->Iterations(1)

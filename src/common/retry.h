@@ -11,11 +11,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <string_view>
 #include <thread>
 
 #include "common/clock.h"
 #include "common/config.h"
 #include "common/flightrec.h"
+#include "common/hash.h"
 #include "common/metrics.h"
 #include "common/status.h"
 
@@ -66,6 +68,11 @@ class Retrier {
  public:
   Retrier() = default;
   explicit Retrier(RetryPolicy policy) : policy_(policy) {}
+  // Seeds the backoff jitter from `scope`, the retrier's metrics scope
+  // (`<job>.container<N>.retry.<op>`), so retriers of different containers
+  // draw different jitter sequences.
+  Retrier(RetryPolicy policy, std::string_view scope)
+      : policy_(policy), jitter_state_(Fnv1a64(scope)) {}
 
   void SetPolicy(RetryPolicy policy) { policy_ = policy; }
   const RetryPolicy& policy() const { return policy_; }
@@ -109,24 +116,24 @@ class Retrier {
         return st;
       }
       if (retries_ != nullptr) retries_->Inc();
-      SleepWithJitter(backoff);
+      if (backoff > 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(JitteredMs(backoff)));
+      }
       backoff = std::min(backoff * 2, policy_.backoff_max_ms);
     }
   }
 
- private:
-  // Full-jitter-lite: sleep a uniform duration in [backoff/2, backoff] so
-  // simultaneously-failing containers don't retry in lockstep.
-  void SleepWithJitter(int64_t backoff_ms) {
-    if (backoff_ms <= 0) return;
+  // Full-jitter-lite: the next backoff draw, uniform in [backoff/2, backoff],
+  // so simultaneously-failing containers don't retry in lockstep.
+  int64_t JitteredMs(int64_t backoff_ms) {
     jitter_state_ = jitter_state_ * 6364136223846793005ull + 1442695040888963407ull;
     int64_t half = backoff_ms / 2;
     int64_t span = backoff_ms - half + 1;
-    int64_t sleep_ms = half + static_cast<int64_t>((jitter_state_ >> 33) %
-                                                   static_cast<uint64_t>(span));
-    std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
+    return half + static_cast<int64_t>((jitter_state_ >> 33) %
+                                       static_cast<uint64_t>(span));
   }
 
+ private:
   RetryPolicy policy_;
   Counter* retries_ = nullptr;
   Counter* giveups_ = nullptr;

@@ -751,9 +751,10 @@ Result<QueryExecutor::ExecutionResult> QueryExecutor::SubmitStreamingJob(
 
 Result<int64_t> QueryExecutor::RunJobsUntilQuiescent() {
   SQS_RETURN_IF_ERROR(startup_error_);
-  if (!scheduler_) {
-    SQS_ASSIGN_OR_RETURN(scheduler, MakeScheduler(defaults_));
-    scheduler_ = std::move(scheduler);
+  const int threads = static_cast<int>(defaults_.GetInt(cfg::kExecutorThreads, 0));
+  if (threads < 0) {
+    return Status::InvalidArgument("executor.threads must be >= 0, got " +
+                                   std::to_string(threads));
   }
   std::vector<JobRunner*> raw;
   {
@@ -761,7 +762,7 @@ Result<int64_t> QueryExecutor::RunJobsUntilQuiescent() {
     raw.reserve(jobs_.size());
     for (auto& job : jobs_) raw.push_back(job.get());
   }
-  Result<int64_t> processed = scheduler_->RunUntilQuiescent(raw);
+  Result<int64_t> processed = JobRunner::RunPipeline(raw, threads);
   // Sample history / evaluate alerts on the driving clock so SHOW HISTORY,
   // SHOW ALERTS and /readyz reflect the state the run just produced.
   monitor_->Tick();

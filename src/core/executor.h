@@ -17,7 +17,6 @@
 
 #include "common/config.h"
 #include "core/environment.h"
-#include "core/scheduler.h"
 #include "http/monitor.h"
 #include "sql/batch_eval.h"
 #include "sql/planner.h"
@@ -51,11 +50,10 @@ class QueryExecutor {
   Result<std::vector<ExecutionResult>> ExecuteScript(const std::string& script);
 
   // Drive all submitted jobs until globally quiescent (handles query
-  // pipelines chained through intermediate topics). Scheduling is governed
-  // by executor.mode in the job defaults: "threaded" (default) runs
-  // containers of all jobs concurrently on a pool sized by
-  // executor.threads; "serial" runs them on one worker in FIFO order
-  // (deterministic interleaving). See core/scheduler.h.
+  // pipelines chained through intermediate topics): containers of all jobs
+  // run on one JobRunner::RunPipeline pool of executor.threads workers from
+  // the job defaults (0 = one per container). A negative count is this
+  // call's error.
   Result<int64_t> RunJobsUntilQuiescent();
 
   JobRunner* job(int index) {
@@ -111,9 +109,6 @@ class QueryExecutor {
   // worker, which calls CollectJobViews() concurrently.
   mutable std::mutex jobs_mu_;
   std::vector<std::unique_ptr<JobRunner>> jobs_;
-  // Built lazily from executor.mode / executor.threads on the first
-  // RunJobsUntilQuiescent (so a bad mode surfaces as that call's error).
-  std::unique_ptr<JobScheduler> scheduler_;
   std::unique_ptr<MonitorServer> monitor_;
   std::string views_script_;
   int query_counter_ = 0;

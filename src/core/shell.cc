@@ -102,7 +102,8 @@ void Shell::ExecuteBuffered(std::ostream& out) {
     // uptime (docs/LATENCY.md). JSON form is the monitor's /jobs payload.
     if (w1 == "SHOW" && w2 == "JOBS") {
       if (w3 == "JSON") {
-        out << executor_->monitor().RenderJobsJson() << "\n";
+        out << executor_->monitor().RenderJobsJson(executor_->CollectJobViews())
+            << "\n";
         return;
       }
       std::vector<MonitorJobView> views = executor_->CollectJobViews();

@@ -429,14 +429,14 @@ std::string RenderJobLedgers(const std::vector<MonitorJobView>& views) {
 
 }  // namespace
 
-std::string MonitorServer::RenderPrometheusText() const {
-  std::vector<MonitorJobView> views = Views();
+std::string MonitorServer::RenderPrometheusText(
+    const std::vector<MonitorJobView>& views) const {
   return RenderPrometheus(MergedSnapshot(views)) + RenderJobLedgers(views) +
          RenderBuildInfoPrometheus();
 }
 
-std::string MonitorServer::RenderJobsJson() const {
-  std::vector<MonitorJobView> views = Views();
+std::string MonitorServer::RenderJobsJson(
+    const std::vector<MonitorJobView>& views) const {
   std::ostringstream os;
   os << "{\"ts_ms\":" << clock_->NowMillis() << ",\"jobs\":[";
   for (size_t i = 0; i < views.size(); ++i) {
@@ -462,13 +462,15 @@ std::string MonitorServer::RenderJobsJson() const {
 HttpResponse MonitorServer::Handle(const HttpRequest& request) {
   // Keep history/alerts fresh even when nothing is driving jobs (an idle
   // executor scraped by Prometheus still advances on wall-clock ticks).
+  // Every request reads the provider once: the tick's views when it ran.
   std::vector<MonitorJobView> views;
   const bool ticked = Tick(&views);
   HttpResponse res;
   if (request.path == "/metrics") {
     self_metrics_->GetCounter("monitor.scrapes").Inc();
     res.content_type = kPrometheusContentType;
-    res.body = RenderPrometheusText();
+    if (!ticked) views = Views();
+    res.body = RenderPrometheusText(views);
   } else if (request.path == "/healthz") {
     res.body = "ok\n";
   } else if (request.path == "/readyz") {
@@ -484,7 +486,8 @@ HttpResponse MonitorServer::Handle(const HttpRequest& request) {
     }
   } else if (request.path == "/jobs") {
     res.content_type = "application/json";
-    res.body = RenderJobsJson();
+    if (!ticked) views = Views();
+    res.body = RenderJobsJson(views);
   } else if (request.path == "/history") {
     res.content_type = "application/json";
     res.body = history_.ToJson(QueryParam(request.query, "job"));

@@ -144,9 +144,10 @@ class MonitorServer {
   // Containers the stall rule reports firing (`<job>.container<id>`).
   std::vector<std::string> StalledContainers() const;
 
-  // Rendering entry points, independent of HTTP (used by shell and tests).
-  std::string RenderPrometheusText() const;
-  std::string RenderJobsJson() const;
+  // Rendering entry points, independent of HTTP (used by shell and tests),
+  // over job views the caller already read: one provider read per request.
+  std::string RenderPrometheusText(const std::vector<MonitorJobView>& views) const;
+  std::string RenderJobsJson(const std::vector<MonitorJobView>& views) const;
 
   // Full endpoint dispatch (exposed for handler tests).
   HttpResponse Handle(const HttpRequest& request);

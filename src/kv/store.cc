@@ -2,60 +2,6 @@
 
 #include "common/clock.h"
 
-#include <list>
-
-namespace sqs {
-
-std::optional<Bytes> CachedStore::Get(const Bytes& key) const {
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    Touch(key);
-    return it->second.first;
-  }
-  auto v = backing_->Get(key);
-  if (v) Insert(key, *v);
-  return v;
-}
-
-void CachedStore::Put(const Bytes& key, Bytes value) {
-  backing_->Put(key, value);
-  Insert(key, std::move(value));
-}
-
-void CachedStore::Delete(const Bytes& key) {
-  backing_->Delete(key);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    lru_.erase(it->second.second);
-    cache_.erase(it);
-  }
-}
-
-void CachedStore::Touch(const Bytes& key) const {
-  auto it = cache_.find(key);
-  if (it == cache_.end()) return;
-  lru_.erase(it->second.second);
-  lru_.push_front(key);
-  it->second.second = lru_.begin();
-}
-
-void CachedStore::Insert(const Bytes& key, Bytes value) const {
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    it->second.first = std::move(value);
-    Touch(key);
-    return;
-  }
-  lru_.push_front(key);
-  cache_[key] = {std::move(value), lru_.begin()};
-  while (cache_.size() > max_entries_ && !lru_.empty()) {
-    cache_.erase(lru_.back());
-    lru_.pop_back();
-  }
-}
-
-}  // namespace sqs
-
 namespace sqs {
 
 void LatencyStore::Spin(int64_t nanos) {

@@ -1,12 +1,11 @@
 // Local key-value state stores, mirroring Samza's managed task-local
 // storage (§2 "Fault-tolerant Local State"). Byte-oriented interface with
 // ordered iteration (needed by the sliding-window operator's time-indexed
-// message store) plus typed wrappers in typed_store.h.
+// message store).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -93,42 +92,6 @@ class InMemoryStore : public KeyValueStore {
  private:
   std::map<Bytes, Bytes> map_;
   int64_t bytes_ = 0;  // incremental Σ key+value sizes of live entries
-};
-
-// Write-through cache wrapper (Samza's CachedStore): bounds the number of
-// cached entries; reads hit the cache first. Invariant: cache is a subset
-// of the backing store's live entries.
-class CachedStore : public KeyValueStore {
- public:
-  CachedStore(KeyValueStorePtr backing, size_t max_entries)
-      : backing_(std::move(backing)), max_entries_(max_entries) {}
-
-  std::optional<Bytes> Get(const Bytes& key) const override;
-  void Put(const Bytes& key, Bytes value) override;
-  void Delete(const Bytes& key) override;
-  void Range(const Bytes& from, const Bytes& to, const RangeCallback& cb) const override {
-    backing_->Range(from, to, cb);
-  }
-  void All(const RangeCallback& cb) const override { backing_->All(cb); }
-  size_t Size() const override { return backing_->Size(); }
-  int64_t SizeBytes() const override { return backing_->SizeBytes(); }
-  void Clear() override {
-    cache_.clear();
-    lru_.clear();
-    backing_->Clear();
-  }
-
-  size_t CacheEntries() const { return cache_.size(); }
-
- private:
-  void Touch(const Bytes& key) const;
-  void Insert(const Bytes& key, Bytes value) const;
-
-  KeyValueStorePtr backing_;
-  size_t max_entries_;
-  // LRU bookkeeping; mutable because Get() updates recency.
-  mutable std::map<Bytes, std::pair<Bytes, std::list<Bytes>::iterator>> cache_;
-  mutable std::list<Bytes> lru_;  // front = most recent
 };
 
 // Models the access latency of a disk-backed store (the paper's task-local

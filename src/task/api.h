@@ -148,14 +148,10 @@ inline constexpr const char* kPollLatencyNanos = "task.poll.latency.nanos";
 // network I/O (the multicore bench model, docs/EXECUTION.md "Threaded
 // execution").
 inline constexpr const char* kPollLatencyModel = "task.poll.latency.model";
-// --- executor (core/scheduler.h, docs/EXECUTION.md "Threaded execution") ---
-// How QueryExecutor drives submitted jobs' containers: "threaded" (the
-// default — workers of a shared pool take containers of all jobs off a
-// ready queue in fetch-deadline order) or "serial" (the same driver with one
-// worker in FIFO order; deterministic interleaving).
-inline constexpr const char* kExecutorMode = "executor.mode";
-// Pool size for executor.mode=threaded; 0 (default) = one thread per
-// container, preserving per-container liveness under kill/stall tests.
+// --- executor (docs/EXECUTION.md "Threaded execution") ---
+// Workers of the pool that QueryExecutor drives submitted jobs' containers
+// on (JobRunner::RunPipeline); 0 (default) = one thread per container,
+// preserving per-container liveness under kill/stall tests.
 inline constexpr const char* kExecutorThreads = "executor.threads";
 // Simulated per-access latency of task-local stores (RocksDB model).
 inline constexpr const char* kStoreAccessLatencyNanos = "stores.access.latency.nanos";

@@ -34,8 +34,9 @@ void WriteOffsetMap(BytesWriter& w, const std::map<StreamPartition, int64_t>& ma
   }
 }
 
-Result<std::map<StreamPartition, int64_t>> ReadOffsetMap(BytesReader& r) {
-  SQS_ASSIGN_OR_RETURN(n, r.ReadVarint());
+// `n` is the entry count, already read off the front of the map.
+Result<std::map<StreamPartition, int64_t>> ReadOffsetMap(BytesReader& r,
+                                                         int64_t n) {
   if (n < 0) return Status::SerdeError("negative checkpoint size");
   std::map<StreamPartition, int64_t> map;
   for (int64_t i = 0; i < n; ++i) {
@@ -47,6 +48,11 @@ Result<std::map<StreamPartition, int64_t>> ReadOffsetMap(BytesReader& r) {
   return map;
 }
 
+Result<std::map<StreamPartition, int64_t>> ReadOffsetMap(BytesReader& r) {
+  SQS_ASSIGN_OR_RETURN(n, r.ReadVarint());
+  return ReadOffsetMap(r, n);
+}
+
 // v2 records lead with this marker where a legacy record has its
 // (non-negative) entry count, then a version varint.
 constexpr int64_t kVersionMarker = -1;
@@ -54,22 +60,13 @@ constexpr int64_t kVersionTransactional = 2;
 
 }  // namespace
 
-Bytes CheckpointManager::EncodeCheckpoint(const Checkpoint& checkpoint) {
-  BytesWriter w(64);
-  WriteOffsetMap(w, checkpoint);
-  return w.Take();
-}
-
-Result<Checkpoint> CheckpointManager::DecodeCheckpoint(const Bytes& bytes) {
-  SQS_ASSIGN_OR_RETURN(cp, DecodeTaskCheckpoint(bytes));
-  return cp.input_offsets;
-}
-
 Bytes CheckpointManager::EncodeTaskCheckpoint(const TaskCheckpoint& cp) {
   // Offsets-only checkpoints (the at-least-once default) keep the legacy
   // encoding, byte-for-byte: old readers and new readers agree on them.
   if (cp.changelog_offsets.empty() && cp.producer_sequences.empty()) {
-    return EncodeCheckpoint(cp.input_offsets);
+    BytesWriter w(64);
+    WriteOffsetMap(w, cp.input_offsets);
+    return w.Take();
   }
   BytesWriter w(128);
   w.WriteVarint(kVersionMarker);
@@ -86,13 +83,8 @@ Result<TaskCheckpoint> CheckpointManager::DecodeTaskCheckpoint(const Bytes& byte
   TaskCheckpoint cp;
   if (first != kVersionMarker) {
     // Legacy record: `first` is the entry count of the offsets map.
-    if (first < 0) return Status::SerdeError("negative checkpoint size");
-    for (int64_t i = 0; i < first; ++i) {
-      SQS_ASSIGN_OR_RETURN(topic, r.ReadString());
-      SQS_ASSIGN_OR_RETURN(partition, r.ReadVarint());
-      SQS_ASSIGN_OR_RETURN(offset, r.ReadVarint());
-      cp.input_offsets[{topic, static_cast<int32_t>(partition)}] = offset;
-    }
+    SQS_ASSIGN_OR_RETURN(inputs, ReadOffsetMap(r, first));
+    cp.input_offsets = std::move(inputs);
     return cp;
   }
   SQS_ASSIGN_OR_RETURN(version, r.ReadVarint());
@@ -106,13 +98,6 @@ Result<TaskCheckpoint> CheckpointManager::DecodeTaskCheckpoint(const Bytes& byte
   SQS_ASSIGN_OR_RETURN(sequences, ReadOffsetMap(r));
   cp.producer_sequences = std::move(sequences);
   return cp;
-}
-
-Status CheckpointManager::WriteCheckpoint(const std::string& task_name,
-                                          const Checkpoint& checkpoint) {
-  TaskCheckpoint cp;
-  cp.input_offsets = checkpoint;
-  return WriteTaskCheckpoint(task_name, cp);
 }
 
 Status CheckpointManager::WriteTaskCheckpoint(const std::string& task_name,
@@ -185,12 +170,6 @@ Status CheckpointManager::RefreshCacheLocked() const {
   }
   if (cache_end_ < end) cache_end_ = end;
   return Status::Ok();
-}
-
-Result<Checkpoint> CheckpointManager::ReadLastCheckpoint(
-    const std::string& task_name) const {
-  SQS_ASSIGN_OR_RETURN(cp, ReadLastTaskCheckpoint(task_name));
-  return cp.input_offsets;
 }
 
 Result<TaskCheckpoint> CheckpointManager::ReadLastTaskCheckpoint(

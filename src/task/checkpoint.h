@@ -44,7 +44,6 @@ class CheckpointManager {
   // Create the checkpoint topic if missing.
   Status Start();
 
-  Status WriteCheckpoint(const std::string& task_name, const Checkpoint& checkpoint);
   // One append = one atomic commit point; either every map is visible to a
   // restarted container or none is.
   Status WriteTaskCheckpoint(const std::string& task_name, const TaskCheckpoint& cp);
@@ -54,13 +53,10 @@ class CheckpointManager {
   // Reads are served from a task→latest cache built by scanning the topic
   // once per manager (i.e. once per container), then kept current
   // incrementally: each call fetches only [cache_end, end), and
-  // WriteCheckpoint updates the cache in place. A container restoring N
+  // WriteTaskCheckpoint updates the cache in place. A container restoring N
   // tasks therefore pays one pass over checkpoint history, not N.
-  Result<Checkpoint> ReadLastCheckpoint(const std::string& task_name) const;
   Result<TaskCheckpoint> ReadLastTaskCheckpoint(const std::string& task_name) const;
 
-  static Bytes EncodeCheckpoint(const Checkpoint& checkpoint);
-  static Result<Checkpoint> DecodeCheckpoint(const Bytes& bytes);
   // v2 wire format when state/sequence maps are present (marker varint -1 +
   // version), legacy offsets-only otherwise — old records decode unchanged.
   static Bytes EncodeTaskCheckpoint(const TaskCheckpoint& cp);

@@ -355,7 +355,7 @@ Status Container::Start() {
   const RetryPolicy retry_policy = RetryPolicy::FromConfig(config_);
   auto retrier = [&](const char* op) {
     ScopedMetrics scope = cscope.Sub("retry").Sub(op);
-    Retrier r(retry_policy);
+    Retrier r(retry_policy, scope.scope());
     r.BindMetrics(&scope.counter("retries"), &scope.counter("giveups"),
                   &scope.counter("giveup_deadline"));
     return r;
@@ -684,16 +684,17 @@ Status Container::CommitTask(TaskInstance& task) {
   }
   // Let the task persist replay-horizon state before the offsets commit.
   SQS_RETURN_IF_ERROR(task.task->OnCommit());
+  // At-least-once commits only the input positions. Exactly-once makes it a
+  // transactional commit: one checkpoint record atomically publishes the
+  // input positions, the changelog high-watermark per store (only this task
+  // writes its changelog partition, so EndOffset after OnCommit is exactly
+  // this task's state frontier), and the producer's sequence per output
+  // partition. A restart restores state to the watermark, re-seeks the
+  // inputs, and resumes the sequences — replayed sends dedup at the broker
+  // instead of re-emitting.
+  TaskCheckpoint cp;
+  cp.input_offsets = task.processed_positions;
   if (delivery_ == DeliveryMode::kExactlyOnce) {
-    // Transactional commit: one checkpoint record atomically publishes the
-    // input positions, the changelog high-watermark per store (only this
-    // task writes its changelog partition, so EndOffset after OnCommit is
-    // exactly this task's state frontier), and the producer's sequence per
-    // output partition. A restart restores state to the watermark, re-seeks
-    // the inputs, and resumes the sequences — replayed sends dedup at the
-    // broker instead of re-emitting.
-    TaskCheckpoint cp;
-    cp.input_offsets = task.processed_positions;
     for (const auto& [name, store] : task.stores) {
       (void)name;
       const StreamPartition& sp = store->changelog_partition();
@@ -701,12 +702,8 @@ Status Container::CommitTask(TaskInstance& task) {
       cp.changelog_offsets[sp] = end;
     }
     if (task.producer) cp.producer_sequences = task.producer->sequences();
-    SQS_RETURN_IF_ERROR(
-        checkpoints_->WriteTaskCheckpoint(task.model.task_name, cp));
-  } else {
-    SQS_RETURN_IF_ERROR(checkpoints_->WriteCheckpoint(task.model.task_name,
-                                                      task.processed_positions));
   }
+  SQS_RETURN_IF_ERROR(checkpoints_->WriteTaskCheckpoint(task.model.task_name, cp));
   FlightRecorder::Record(FlightEventType::kCommit, task.trace_scope,
                          delivery_ == DeliveryMode::kExactlyOnce
                              ? "transactional"

@@ -157,11 +157,10 @@ struct JobRunner::PipelineRun {
     uint64_t turn_epoch = 0;  // progress epoch when its current turn began
   };
   std::vector<Unit> units;
-  bool fifo = false;
 
   std::mutex mu;
   std::condition_variable cv;
-  // (deadline or 0 in FIFO mode, push sequence, unit index).
+  // (deadline, push sequence, unit index).
   std::set<std::tuple<int64_t, uint64_t, size_t>> ready;
   uint64_t pushes = 0;
   std::vector<size_t> idle;  // units whose turn found nothing at `epoch`
@@ -172,7 +171,7 @@ struct JobRunner::PipelineRun {
   Status first_error;  // the status the run returns on failure
   Status first_crash;  // the first real container error (crash provenance)
 
-  void Push(size_t u) { ready.emplace(fifo ? 0 : units[u].ready_at, pushes++, u); }
+  void Push(size_t u) { ready.emplace(units[u].ready_at, pushes++, u); }
 
   // Progress or a supervisor action: every idle unit is owed one more turn.
   void Bump() {
@@ -279,10 +278,8 @@ struct JobRunner::PipelineRun {
   }
 };
 
-Result<int64_t> JobRunner::RunPipeline(std::vector<JobRunner*> jobs, int threads,
-                                       bool fifo) {
+Result<int64_t> JobRunner::RunPipeline(std::vector<JobRunner*> jobs, int threads) {
   PipelineRun run;
-  run.fifo = fifo;
   for (JobRunner* job : jobs) {
     if (!job->started_) return Status::StateError("job not started");
     for (int32_t id = 0; id < static_cast<int32_t>(job->containers_.size());

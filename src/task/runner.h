@@ -3,8 +3,7 @@
 //  - one driver (RunPipeline): worker threads take containers off a ready
 //    queue ordered by fetch deadline and run one turn each, until every
 //    container of every chained job is idle — see docs/EXECUTION.md
-//    "Threaded execution"; one worker in FIFO order is the deterministic
-//    serial mode;
+//    "Threaded execution";
 //  - failure injection: KillContainer drops a container without clean
 //    shutdown; RestartContainer allocates a fresh one that restores state
 //    from changelogs and resumes from the last checkpoint (§2 Durability);
@@ -117,12 +116,12 @@ class JobRunner {
   // (any progress or supervisor action bumps it). The run ends when every
   // live container is idle at the current epoch and none is on a worker —
   // a downstream container cannot exit while an upstream job still
-  // produces. threads = 0 means one worker per container; fifo orders the
-  // queue by push order instead (executor.mode=serial is one FIFO worker).
-  // On failure the returned status is the first real container error
-  // (crash provenance survives supervision — see docs/EXECUTION.md).
+  // produces. threads = 0 means one worker per container. Containers with
+  // equal deadlines (every one under the default `spin` poll model) pop in
+  // push order. On failure the returned status is the first real container
+  // error (crash provenance survives supervision — see docs/EXECUTION.md).
   static Result<int64_t> RunPipeline(std::vector<JobRunner*> jobs,
-                                     int threads = 0, bool fifo = false);
+                                     int threads = 0);
 
  private:
   struct PipelineRun;  // one RunPipeline call's ready queue and idle set

@@ -25,20 +25,15 @@ Status ZooKeeperSim::ValidatePath(const std::string& path) {
 
 Status ZooKeeperSim::Create(const std::string& path, std::string data) {
   SQS_RETURN_IF_ERROR(ValidatePath(path));
-  std::vector<std::pair<Watcher, EventType>> pending;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (nodes_.count(path)) return Status::AlreadyExists("znode exists: " + path);
-    if (path != "/") {
-      std::string parent = ParentOf(path);
-      if (parent != "/" && !nodes_.count(parent)) {
-        return Status::NotFound("parent znode missing: " + parent);
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (nodes_.count(path)) return Status::AlreadyExists("znode exists: " + path);
+  if (path != "/") {
+    std::string parent = ParentOf(path);
+    if (parent != "/" && !nodes_.count(parent)) {
+      return Status::NotFound("parent znode missing: " + parent);
     }
-    nodes_[path] = std::move(data);
-    FireLocked(EventType::kCreated, path, pending);
   }
-  for (auto& [w, t] : pending) w(t, path);
+  nodes_[path] = std::move(data);
   return Status::Ok();
 }
 
@@ -70,15 +65,10 @@ Result<std::string> ZooKeeperSim::Get(const std::string& path) const {
 }
 
 Status ZooKeeperSim::Set(const std::string& path, std::string data) {
-  std::vector<std::pair<Watcher, EventType>> pending;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = nodes_.find(path);
-    if (it == nodes_.end()) return Status::NotFound("no znode: " + path);
-    it->second = std::move(data);
-    FireLocked(EventType::kChanged, path, pending);
-  }
-  for (auto& [w, t] : pending) w(t, path);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = nodes_.find(path);
+  if (it == nodes_.end()) return Status::NotFound("no znode: " + path);
+  it->second = std::move(data);
   return Status::Ok();
 }
 
@@ -88,20 +78,15 @@ Status ZooKeeperSim::Put(const std::string& path, std::string data) {
 }
 
 Status ZooKeeperSim::Delete(const std::string& path) {
-  std::vector<std::pair<Watcher, EventType>> pending;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = nodes_.find(path);
-    if (it == nodes_.end()) return Status::NotFound("no znode: " + path);
-    // Children check: any node with prefix path + "/".
-    auto next = std::next(it);
-    if (next != nodes_.end() && next->first.compare(0, path.size() + 1, path + "/") == 0) {
-      return Status::InvalidArgument("znode has children: " + path);
-    }
-    nodes_.erase(it);
-    FireLocked(EventType::kDeleted, path, pending);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = nodes_.find(path);
+  if (it == nodes_.end()) return Status::NotFound("no znode: " + path);
+  // Children check: any node with prefix path + "/".
+  auto next = std::next(it);
+  if (next != nodes_.end() && next->first.compare(0, path.size() + 1, path + "/") == 0) {
+    return Status::InvalidArgument("znode has children: " + path);
   }
-  for (auto& [w, t] : pending) w(t, path);
+  nodes_.erase(it);
   return Status::Ok();
 }
 
@@ -122,19 +107,6 @@ Result<std::vector<std::string>> ZooKeeperSim::List(const std::string& path) con
     if (rest.find('/') == std::string::npos) children.push_back(rest);
   }
   return children;
-}
-
-void ZooKeeperSim::Watch(const std::string& path, Watcher watcher) {
-  std::lock_guard<std::mutex> lock(mu_);
-  watchers_[path].push_back(std::move(watcher));
-}
-
-void ZooKeeperSim::FireLocked(
-    EventType type, const std::string& path,
-    std::vector<std::pair<Watcher, EventType>>& pending) {
-  auto it = watchers_.find(path);
-  if (it == watchers_.end()) return;
-  for (const Watcher& w : it->second) pending.emplace_back(w, type);
 }
 
 }  // namespace sqs

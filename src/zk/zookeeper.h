@@ -2,11 +2,11 @@
 // metadata rendezvous between shell-side query planning and task-side
 // re-planning: the SQL text, schema locations, and serde settings are stored
 // under znode paths referenced from the generated job configuration.
-// We preserve the semantics that matter: hierarchical paths, create/get/
-// set/delete/list, and watches fired on data changes.
+// We preserve the semantics that matter: hierarchical paths and
+// create/get/set/delete/list. There are no watches: as in the paper (§4.2),
+// a task reads its query's znodes once, when it starts, and never again.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -18,9 +18,6 @@ namespace sqs {
 
 class ZooKeeperSim {
  public:
-  enum class EventType { kCreated, kChanged, kDeleted };
-  using Watcher = std::function<void(EventType, const std::string& path)>;
-
   // Creates a znode. Parents must exist (like ZooKeeper). Fails with
   // AlreadyExists if present.
   Status Create(const std::string& path, std::string data);
@@ -44,19 +41,11 @@ class ZooKeeperSim {
   // Immediate children names (not full paths), sorted.
   Result<std::vector<std::string>> List(const std::string& path) const;
 
-  // Register a persistent watcher on a path (fires on create/change/delete
-  // of exactly that path).
-  void Watch(const std::string& path, Watcher watcher);
-
   static Status ValidatePath(const std::string& path);
 
  private:
-  void FireLocked(EventType type, const std::string& path,
-                  std::vector<std::pair<Watcher, EventType>>& pending);
-
   mutable std::mutex mu_;
   std::map<std::string, std::string> nodes_;
-  std::map<std::string, std::vector<Watcher>> watchers_;
 };
 
 }  // namespace sqs

@@ -4,7 +4,6 @@
 
 #include "kv/changelog.h"
 #include "kv/store.h"
-#include "kv/typed_store.h"
 #include "serde/serde.h"
 
 namespace sqs {
@@ -47,41 +46,24 @@ TEST(InMemoryStoreTest, RangeEarlyStop) {
   EXPECT_EQ(count, 2);
 }
 
-TEST(CachedStoreTest, ReadThroughAndBound) {
-  auto backing = std::make_shared<InMemoryStore>();
-  CachedStore cached(backing, 3);
-  for (int i = 0; i < 10; ++i) {
-    cached.Put(B("k" + std::to_string(i)), B("v" + std::to_string(i)));
+// The stateful operators' access pattern: order-preserving encoded keys,
+// serde-encoded rows, and a half-open range scan that yields key order.
+TEST(InMemoryStoreTest, OrderedKeyRangeScanYieldsValueOrder) {
+  auto schema = Schema::Make("T", {{"t", FieldType::Int64(), false}});
+  AvroRowSerde serde(schema);
+  InMemoryStore store;
+  for (int64_t t : {50, 10, 30, 20, 40}) {
+    store.Put(EncodeOrderedKey(Value(t)), serde.SerializeToBytes(Row{Value(t)}));
   }
-  EXPECT_LE(cached.CacheEntries(), 3u);
-  EXPECT_EQ(cached.Size(), 10u);  // backing has everything
-  // Reads are served correctly whether cached or not.
-  for (int i = 0; i < 10; ++i) {
-    auto v = cached.Get(B("k" + std::to_string(i)));
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(FromBytes(*v), "v" + std::to_string(i));
-  }
-}
-
-TEST(CachedStoreTest, LruEvictsColdEntries) {
-  auto backing = std::make_shared<InMemoryStore>();
-  CachedStore cached(backing, 2);
-  cached.Put(B("a"), B("1"));
-  cached.Put(B("b"), B("2"));
-  ASSERT_TRUE(cached.Get(B("a")).has_value());  // touch a: b is now LRU
-  cached.Put(B("c"), B("3"));                   // evicts b from cache
-  EXPECT_LE(cached.CacheEntries(), 2u);
-  // b still retrievable from backing.
-  EXPECT_EQ(FromBytes(*cached.Get(B("b"))), "2");
-}
-
-TEST(CachedStoreTest, DeleteRemovesEverywhere) {
-  auto backing = std::make_shared<InMemoryStore>();
-  CachedStore cached(backing, 4);
-  cached.Put(B("a"), B("1"));
-  cached.Delete(B("a"));
-  EXPECT_FALSE(cached.Get(B("a")).has_value());
-  EXPECT_FALSE(backing->Get(B("a")).has_value());
+  std::vector<int64_t> seen;
+  store.Range(EncodeOrderedKey(Value(int64_t{15})), EncodeOrderedKey(Value(int64_t{45})),
+              [&](const Bytes&, const Bytes& v) {
+                auto row = serde.DeserializeBytes(v);
+                EXPECT_TRUE(row.ok()) << row.status().ToString();
+                seen.push_back(row.value()[0].as_int64());
+                return true;
+              });
+  EXPECT_EQ(seen, (std::vector<int64_t>{20, 30, 40}));
 }
 
 class ChangelogTest : public ::testing::Test {
@@ -155,66 +137,6 @@ TEST_F(ChangelogTest, RestoreOnEmptyChangelogYieldsEmptyStore) {
   ChangelogBackedStore store(std::make_shared<InMemoryStore>(), broker_, {"cl", 1});
   ASSERT_TRUE(store.Restore().ok());
   EXPECT_EQ(store.Size(), 0u);
-}
-
-TEST(RowStoreTest, PutGetDeleteThroughSerde) {
-  auto schema = Schema::Make("T", {{"a", FieldType::Int64(), false},
-                                   {"s", FieldType::String(), false}});
-  RowStore store(std::make_shared<InMemoryStore>(),
-                 std::make_shared<AvroRowSerde>(schema));
-  Row row = {Value(int64_t{7}), Value("hello")};
-  store.Put(Value(int64_t{7}), row);
-  auto got = store.Get(Value(int64_t{7}));
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, row);
-  store.Delete(Value(int64_t{7}));
-  EXPECT_FALSE(store.Get(Value(int64_t{7})).has_value());
-}
-
-TEST(RowStoreTest, RangeScanInKeyOrder) {
-  auto schema = Schema::Make("T", {{"t", FieldType::Int64(), false}});
-  RowStore store(std::make_shared<InMemoryStore>(),
-                 std::make_shared<AvroRowSerde>(schema));
-  for (int64_t t : {50, 10, 30, 20, 40}) {
-    store.Put(Value(t), Row{Value(t)});
-  }
-  std::vector<int64_t> seen;
-  store.Range(Value(int64_t{15}), Value(int64_t{45}),
-              [&](const Row& r) {
-                seen.push_back(r[0].as_int64());
-                return true;
-              });
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen, (std::vector<int64_t>{20, 30, 40}));
-}
-
-TEST(RowStoreTest, CompositeKeys) {
-  auto schema = Schema::Make("T", {{"v", FieldType::Int64(), false}});
-  RowStore store(std::make_shared<InMemoryStore>(),
-                 std::make_shared<AvroRowSerde>(schema));
-  Row key1 = {Value(int64_t{100}), Value(int64_t{1})};
-  Row key2 = {Value(int64_t{100}), Value(int64_t{2})};
-  store.Put(key1, Row{Value(int64_t{11})});
-  store.Put(key2, Row{Value(int64_t{22})});
-  EXPECT_EQ((*store.Get(key1))[0].as_int64(), 11);
-  EXPECT_EQ((*store.Get(key2))[0].as_int64(), 22);
-}
-
-TEST(ScalarStoreTest, RoundTripsAllKinds) {
-  ScalarStore store(std::make_shared<InMemoryStore>());
-  store.Put("i", Value(int64_t{-5}));
-  store.Put("d", Value(2.5));
-  store.Put("s", Value("str"));
-  store.Put("b", Value(true));
-  store.Put("n", Value::Null());
-  EXPECT_EQ(*store.Get("i"), Value(int64_t{-5}));
-  EXPECT_EQ(*store.Get("d"), Value(2.5));
-  EXPECT_EQ(*store.Get("s"), Value("str"));
-  EXPECT_EQ(*store.Get("b"), Value(true));
-  EXPECT_TRUE(store.Get("n")->is_null());
-  EXPECT_FALSE(store.Get("missing").has_value());
-  store.Delete("i");
-  EXPECT_FALSE(store.Get("i").has_value());
 }
 
 }  // namespace

@@ -711,38 +711,42 @@ TEST(MonitorServerTest, JsonBodiesEscapeQuotesAndTabsInNames) {
   EXPECT_TRUE(found) << metric;
 }
 
-// One evaluation pass per /readyz: the pass that evaluates the rules also
-// answers readiness, whether the request's history tick ran it or it ran on
-// its own, so each probe reads the job provider exactly once.
+// One provider read per request: the pass that evaluates the rules also
+// answers readiness, and /metrics and /jobs render the views that pass read,
+// whether the request's history tick ran it or not, so each probe or scrape
+// reads the job provider exactly once.
 TEST(MonitorServerTest, ReadyzReadsTheProviderOncePerRequest) {
-  auto clock = std::make_shared<ManualClock>(1000);
-  Config config;
-  config.SetInt(cfg::kMetricsHistoryIntervalMs, 1000);
-  int calls = 0;
-  MonitorServer monitor(
-      config,
-      [&calls] {
-        ++calls;
-        MonitorJobView view;
-        view.name = "job";
-        view.containers_total = 1;
-        view.containers_running = 1;
-        return std::vector<MonitorJobView>{view};
-      },
-      clock);
-  HttpRequest request;
-  request.path = "/readyz";
-  Counter& ticks = monitor.self_metrics().GetCounter("monitor.ticks");
-  // The first request finds a tick due; the next one, 10ms later, does not;
-  // the third comes after a full history interval and ticks again.
-  for (int64_t advance_ms : {0, 10, 1000}) {
-    clock->Advance(advance_ms);
-    calls = 0;
-    HttpResponse res = monitor.Handle(request);
-    EXPECT_EQ(res.status, 200) << res.body;
-    EXPECT_EQ(calls, 1) << "after advancing " << advance_ms << "ms";
+  for (const char* path : {"/readyz", "/metrics", "/jobs"}) {
+    SCOPED_TRACE(path);
+    auto clock = std::make_shared<ManualClock>(1000);
+    Config config;
+    config.SetInt(cfg::kMetricsHistoryIntervalMs, 1000);
+    int calls = 0;
+    MonitorServer monitor(
+        config,
+        [&calls] {
+          ++calls;
+          MonitorJobView view;
+          view.name = "job";
+          view.containers_total = 1;
+          view.containers_running = 1;
+          return std::vector<MonitorJobView>{view};
+        },
+        clock);
+    HttpRequest request;
+    request.path = path;
+    Counter& ticks = monitor.self_metrics().GetCounter("monitor.ticks");
+    // The first request finds a tick due; the next one, 10ms later, does
+    // not; the third comes after a full history interval and ticks again.
+    for (int64_t advance_ms : {0, 10, 1000}) {
+      clock->Advance(advance_ms);
+      calls = 0;
+      HttpResponse res = monitor.Handle(request);
+      EXPECT_EQ(res.status, 200) << res.body;
+      EXPECT_EQ(calls, 1) << "after advancing " << advance_ms << "ms";
+    }
+    EXPECT_EQ(ticks.Get(), 2);
   }
-  EXPECT_EQ(ticks.Get(), 2);
 }
 
 // One engine, one event stream: a user rule, the latency SLO (grouped per

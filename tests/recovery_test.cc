@@ -205,6 +205,27 @@ TEST(RetrierTest, DeadlineBudgetStopsRetriesBeforeAttemptBudget) {
   EXPECT_EQ(RetryPolicy{}.deadline_ms, 0);
 }
 
+// Containers that fail together must not retry in lockstep: each
+// container's retrier is seeded from its own scope, so the same operation
+// in two containers draws different backoffs from the first retry on.
+TEST(RetrierTest, ContainersDrawDifferentFirstBackoffs) {
+  MetricsRegistry registry;
+  const RetryPolicy policy{.max_attempts = 3, .backoff_ms = 1000, .backoff_max_ms = 1000};
+  for (const char* op : {"send", "fetch", "changelog", "checkpoint"}) {
+    SCOPED_TRACE(op);
+    std::vector<int64_t> first;
+    for (const char* container : {"container0", "container1"}) {
+      ScopedMetrics scope =
+          ScopedMetrics(&registry, "job").Sub(container).Sub("retry").Sub(op);
+      Retrier retrier(policy, scope.scope());
+      first.push_back(retrier.JitteredMs(policy.backoff_ms));
+      EXPECT_GE(first.back(), policy.backoff_ms / 2);
+      EXPECT_LE(first.back(), policy.backoff_ms);
+    }
+    EXPECT_NE(first[0], first[1]);
+  }
+}
+
 TEST(RetrierTest, ProducerSendSurvivesTransientAppendFailures) {
   auto inner = std::make_shared<Broker>();
   ASSERT_TRUE(inner->CreateTopic("t", {.num_partitions = 1}).ok());
@@ -552,24 +573,22 @@ TEST(TaskCheckpointCodecTest, TransactionalRoundTripAndLegacyCompat) {
   EXPECT_EQ(dec.value().producer_sequences, cp.producer_sequences);
 
   // Offsets-only checkpoints keep the legacy encoding byte-for-byte, so an
-  // at-least-once job writes records an old reader still understands.
+  // at-least-once job writes records an old reader still understands:
+  // zigzag-varint entry count, then (topic string, partition, offset) per
+  // entry in key order.
+  const Bytes legacy_bytes = {0x04,                    // 2 entries
+                              0x04, 'i', 'n', 0x00, 0x0a,  // in/0 -> 5
+                              0x04, 'i', 'n', 0x02, 0x0e};  // in/1 -> 7
   TaskCheckpoint plain;
   plain.input_offsets = cp.input_offsets;
-  EXPECT_EQ(CheckpointManager::EncodeTaskCheckpoint(plain),
-            CheckpointManager::EncodeCheckpoint(cp.input_offsets));
+  EXPECT_EQ(CheckpointManager::EncodeTaskCheckpoint(plain), legacy_bytes);
 
   // Legacy bytes decode as a TaskCheckpoint with empty state/sequence maps.
-  auto legacy = CheckpointManager::DecodeTaskCheckpoint(
-      CheckpointManager::EncodeCheckpoint(cp.input_offsets));
+  auto legacy = CheckpointManager::DecodeTaskCheckpoint(legacy_bytes);
   ASSERT_TRUE(legacy.ok());
   EXPECT_EQ(legacy.value().input_offsets, cp.input_offsets);
   EXPECT_TRUE(legacy.value().changelog_offsets.empty());
   EXPECT_TRUE(legacy.value().producer_sequences.empty());
-
-  // The offsets-only view of a v2 record is its input-offsets map.
-  auto v1_view = CheckpointManager::DecodeCheckpoint(enc);
-  ASSERT_TRUE(v1_view.ok());
-  EXPECT_EQ(v1_view.value(), cp.input_offsets);
 }
 
 TEST(TaskCheckpointCodecTest, WriteAndRestoreTransactionalCheckpoint) {
@@ -601,6 +620,13 @@ TEST(TaskCheckpointCodecTest, WriteAndRestoreTransactionalCheckpoint) {
 // CheckpointManager: one scan per container, not per task
 // ---------------------------------------------------------------------------
 
+// An at-least-once checkpoint: input positions only.
+TaskCheckpoint OffsetsOnly(Checkpoint offsets) {
+  TaskCheckpoint cp;
+  cp.input_offsets = std::move(offsets);
+  return cp;
+}
+
 TEST(CheckpointScanTest, RestoreScansHistoryOncePerManagerNotPerTask) {
   auto inner = std::make_shared<Broker>();
   auto fb = std::make_shared<FaultInjectingBroker>(inner, FaultPolicy{});
@@ -610,8 +636,8 @@ TEST(CheckpointScanTest, RestoreScansHistoryOncePerManagerNotPerTask) {
   for (int round = 0; round < 6; ++round) {
     for (int t = 0; t < 8; ++t) {
       ASSERT_TRUE(writer
-                      .WriteCheckpoint("Partition " + std::to_string(t),
-                                       {{{"in", t}, round}})
+                      .WriteTaskCheckpoint("Partition " + std::to_string(t),
+                                           OffsetsOnly({{{"in", t}, round}}))
                       .ok());
     }
   }
@@ -621,20 +647,21 @@ TEST(CheckpointScanTest, RestoreScansHistoryOncePerManagerNotPerTask) {
   ASSERT_TRUE(reader.Start().ok());
   int64_t before = fb->FetchCount("__cp_scan");
   for (int t = 0; t < 8; ++t) {
-    auto cp = reader.ReadLastCheckpoint("Partition " + std::to_string(t));
+    auto cp = reader.ReadLastTaskCheckpoint("Partition " + std::to_string(t));
     ASSERT_TRUE(cp.ok());
-    EXPECT_EQ(cp.value().at({"in", t}), 5);  // latest round wins
+    EXPECT_EQ(cp.value().input_offsets.at({"in", t}), 5);  // latest round wins
   }
   // All 48 records fit one fetch batch: 8 task restores cost 1 fetch total.
   EXPECT_EQ(fb->FetchCount("__cp_scan") - before, 1);
 
   // Re-reads are cache hits; a manager's own write advances its frontier,
   // so reading it back refetches nothing.
-  ASSERT_TRUE(reader.ReadLastCheckpoint("Partition 3").ok());
-  ASSERT_TRUE(reader.WriteCheckpoint("Partition 0", {{{"in", 0}, 99}}).ok());
-  auto cp = reader.ReadLastCheckpoint("Partition 0");
+  ASSERT_TRUE(reader.ReadLastTaskCheckpoint("Partition 3").ok());
+  ASSERT_TRUE(
+      reader.WriteTaskCheckpoint("Partition 0", OffsetsOnly({{{"in", 0}, 99}})).ok());
+  auto cp = reader.ReadLastTaskCheckpoint("Partition 0");
   ASSERT_TRUE(cp.ok());
-  EXPECT_EQ(cp.value().at({"in", 0}), 99);
+  EXPECT_EQ(cp.value().input_offsets.at({"in", 0}), 99);
   EXPECT_EQ(fb->FetchCount("__cp_scan") - before, 1);
 }
 
@@ -645,15 +672,15 @@ TEST(CheckpointScanTest, WritesAndRestoreRetryTransientFailures) {
   mgr.SetRetrier(Retrier(RetryPolicy{.max_attempts = 4, .backoff_ms = 1, .backoff_max_ms = 2}));
   ASSERT_TRUE(mgr.Start().ok());
   fb->FailNextAppends(2);
-  ASSERT_TRUE(mgr.WriteCheckpoint("Partition 0", {{{"in", 0}, 7}}).ok());
+  ASSERT_TRUE(mgr.WriteTaskCheckpoint("Partition 0", OffsetsOnly({{{"in", 0}, 7}})).ok());
 
   CheckpointManager reader(fb, "__cp_retry");
   reader.SetRetrier(Retrier(RetryPolicy{.max_attempts = 4, .backoff_ms = 1, .backoff_max_ms = 2}));
   ASSERT_TRUE(reader.Start().ok());
   fb->FailNextFetches(2);
-  auto cp = reader.ReadLastCheckpoint("Partition 0");
+  auto cp = reader.ReadLastTaskCheckpoint("Partition 0");
   ASSERT_TRUE(cp.ok()) << cp.status().ToString();
-  EXPECT_EQ(cp.value().at({"in", 0}), 7);
+  EXPECT_EQ(cp.value().input_offsets.at({"in", 0}), 7);
 }
 
 // ---------------------------------------------------------------------------
@@ -892,7 +919,6 @@ TEST_F(RecoveryTest, ThreadedBudgetExhaustionCarriesFirstCrashError) {
 
   Config defaults = SupervisedDefaults();
   defaults.SetInt(cfg::kContainerRestartMax, 2);
-  defaults.Set(cfg::kExecutorMode, "threaded");
   executor_ = std::make_unique<QueryExecutor>(env_, defaults);
   auto submitted = executor_->Execute(kTumblingStream);
   ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
@@ -1150,7 +1176,6 @@ TEST_P(eo_threaded_chaos, ContinuousKillsUnderLoadStayByteEqualToOracle) {
   defaults.SetInt(cfg::kContainerRestartMax, 32);
   defaults.Set(cfg::kTaskDelivery, "exactly-once");
   defaults.Set(cfg::kCheckpointTopic, "__cp_eo_chaos");
-  defaults.Set(cfg::kExecutorMode, "threaded");
   executor_ = std::make_unique<QueryExecutor>(env_, defaults);
   auto submitted = executor_->Execute(kTumblingStream);
   ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();

@@ -204,10 +204,10 @@ TEST_F(RunnerReadyQueueTest, EndlessInputDoesNotStarveTheNeighbourOnOneWorker) {
 TEST_F(RunnerReadyQueueTest, ChainedPipelineDoesNotQuiesceBeforeDownstreamDrains) {
   Topic("in", 4);
   for (int32_t p = 0; p < 4; ++p) Append(*broker_, {"in", p}, 50);
-  for (bool fifo : {false, true}) {
-    SCOPED_TRACE(fifo ? "serial (one FIFO worker)" : "threaded");
-    const std::string mid = fifo ? "mid-serial" : "mid-threaded";
-    const std::string out = fifo ? "out-serial" : "out-threaded";
+  for (int threads : {2, 1}) {
+    SCOPED_TRACE(threads == 1 ? "one worker" : "threaded");
+    const std::string mid = threads == 1 ? "mid-one" : "mid-threaded";
+    const std::string out = threads == 1 ? "out-one" : "out-threaded";
     Topic(mid, 4);
     Topic(out, 4);
     auto make = [this](const std::string& name, const std::string& in,
@@ -224,7 +224,7 @@ TEST_F(RunnerReadyQueueTest, ChainedPipelineDoesNotQuiesceBeforeDownstreamDrains
     ASSERT_TRUE(up->Start().ok());
     ASSERT_TRUE(down->Start().ok());
     // Downstream first: its containers find nothing on their first turns.
-    auto ran = JobRunner::RunPipeline({down.get(), up.get()}, fifo ? 1 : 2, fifo);
+    auto ran = JobRunner::RunPipeline({down.get(), up.get()}, threads);
     ASSERT_TRUE(ran.ok()) << ran.status().ToString();
     EXPECT_EQ(ran.value(), 400);  // 200 through each job, in one call
     size_t delivered = 0;

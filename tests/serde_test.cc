@@ -271,6 +271,24 @@ TEST(OrderedKeyTest, RandomizedIntegerOrderProperty) {
   }
 }
 
+// The tagged encoding the window operator keeps its scalar state in.
+TEST(TaggedValueTest, RoundTripsAllKinds) {
+  for (const Value& v : {Value(int64_t{-5}), Value(2.5), Value("str"),
+                         Value(true), Value::Null()}) {
+    BytesWriter w(16);
+    ASSERT_TRUE(SerializeTaggedValue(v, w).ok());
+    Bytes bytes = w.Take();
+    BytesReader r(bytes);
+    auto back = DeserializeTaggedValue(r);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    if (v.is_null()) {
+      EXPECT_TRUE(back.value().is_null());
+    } else {
+      EXPECT_EQ(back.value(), v);
+    }
+  }
+}
+
 TEST(RegistryTest, RegisterAndFetch) {
   SchemaRegistry reg;
   auto r = reg.Register("Orders", OrdersSchema());

@@ -2,11 +2,13 @@
 // full scripted session.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
 #include "common/tracing.h"
 #include "core/shell.h"
+#include "serde/json.h"
 #include "workload/generators.h"
 
 namespace sqs::core {
@@ -93,6 +95,44 @@ TEST_F(ShellTest, StreamingFlow) {
   out = Feed("!output samzasql-query-0-output 3");
   EXPECT_NE(out.find("orderId"), std::string::npos);
   EXPECT_NE(out.find("row(s)"), std::string::npos);
+}
+
+// SHOW JOBS: after !run the table lists the job with rows_in equal to the
+// job's processed count, and SHOW JOBS JSON names the same job with the
+// same rows_in.
+TEST_F(ShellTest, ShowJobsTableAndJsonReportTheProcessedCount) {
+  EXPECT_NE(Feed("SHOW JOBS;").find("(no jobs submitted)"), std::string::npos);
+  Feed("SELECT STREAM orderId FROM Orders WHERE units > 95;");
+  EXPECT_NE(Feed("!run").find("processed 200 message(s)"), std::string::npos);
+  const int64_t processed = shell_->executor().job(0)->TotalProcessed();
+  ASSERT_EQ(processed, 200);
+
+  std::istringstream table(Feed("SHOW JOBS;"));
+  auto columns = [](const std::string& line) {
+    std::istringstream in(line);
+    std::vector<std::string> out;
+    for (std::string word; in >> word;) out.push_back(word);
+    return out;
+  };
+  std::string line;
+  ASSERT_TRUE(std::getline(table, line));
+  const std::vector<std::string> header = columns(line);
+  const size_t rows_in =
+      std::find(header.begin(), header.end(), "rows_in") - header.begin();
+  ASSERT_LT(rows_in, header.size()) << line;
+  ASSERT_TRUE(std::getline(table, line));
+  const std::vector<std::string> row = columns(line);
+  ASSERT_EQ(row.size(), header.size()) << line;
+  EXPECT_EQ(row[0], "samzasql-query-0");
+  EXPECT_EQ(row[rows_in], std::to_string(processed));
+  EXPECT_FALSE(std::getline(table, line)) << "one job, one row: " << line;
+
+  auto json = ParseJson(Feed("SHOW JOBS JSON;"));
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const ValueArray& jobs = json.value().as_map().at("jobs").as_array();
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].as_map().at("name").as_string(), "samzasql-query-0");
+  EXPECT_EQ(jobs[0].as_map().at("rows_in").ToInt64(), processed);
 }
 
 TEST_F(ShellTest, ShowMetricsWithNoJobsIsEmpty) {

@@ -11,41 +11,36 @@
 namespace sqs::core {
 namespace {
 
-// Scheduler interface (docs/EXECUTION.md "Threaded execution"):
-// executor.mode picks the scheduler, and a bad mode surfaces as
-// RunJobsUntilQuiescent's error (the scheduler is built lazily there).
-TEST(SchedulerTest, ModesParseAndBadModeSurfacesOnRun) {
-  EXPECT_EQ(ParseExecutorMode("serial").value(), ExecutorMode::kSerial);
-  EXPECT_EQ(ParseExecutorMode("threaded").value(), ExecutorMode::kThreaded);
-  EXPECT_FALSE(ParseExecutorMode("fibers").ok());
-
+// executor.threads sizes the one driver's pool, and a negative count
+// surfaces as RunJobsUntilQuiescent's error.
+TEST(SchedulerTest, NegativeThreadsSurfacesOnRun) {
   auto env = SamzaSqlEnvironment::Make();
   ASSERT_TRUE(workload::SetupPaperSources(*env, 4).ok());
   workload::OrdersGenerator gen(*env, {});
   ASSERT_TRUE(gen.Produce(1'000).ok());
   Config defaults;
-  defaults.Set(cfg::kExecutorMode, "fibers");
+  defaults.SetInt(cfg::kExecutorThreads, -1);
   QueryExecutor executor(env, defaults);
   auto submitted = executor.Execute("SELECT STREAM orderId FROM Orders");
   ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
   auto ran = executor.RunJobsUntilQuiescent();
   ASSERT_FALSE(ran.ok());
-  EXPECT_NE(ran.status().message().find("unknown executor.mode"),
+  EXPECT_NE(ran.status().message().find("executor.threads must be >= 0"),
             std::string::npos)
       << ran.status().ToString();
 }
 
-// Serial mode is the debugging baseline: same results as the threaded
+// One worker is the debugging baseline: same results as the threaded
 // default, just single-threaded.
-TEST(SchedulerTest, SerialModeMatchesThreadedDefault) {
-  auto run_mode = [](const char* mode) {
+TEST(SchedulerTest, OneWorkerMatchesThreadedDefault) {
+  auto run_with = [](int64_t threads) {
     auto env = SamzaSqlEnvironment::Make();
     EXPECT_TRUE(workload::SetupPaperSources(*env, 4).ok());
     workload::OrdersGenerator gen(*env, {});
     EXPECT_TRUE(gen.Produce(5'000).ok());
     Config defaults;
     defaults.SetInt(cfg::kContainerCount, 2);
-    if (mode != nullptr) defaults.Set(cfg::kExecutorMode, mode);
+    if (threads > 0) defaults.SetInt(cfg::kExecutorThreads, threads);
     QueryExecutor executor(env, defaults);
     auto submitted = executor.Execute(
         "SELECT STREAM orderId, units FROM Orders WHERE units > 40");
@@ -58,10 +53,10 @@ TEST(SchedulerTest, SerialModeMatchesThreadedDefault) {
     for (const Row& r : rows.value()) out.insert(RowToString(r));
     return out;
   };
-  std::multiset<std::string> serial = run_mode("serial");
-  std::multiset<std::string> threaded = run_mode(nullptr);  // default
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, threaded);
+  std::multiset<std::string> one_worker = run_with(1);
+  std::multiset<std::string> threaded = run_with(0);  // default
+  EXPECT_FALSE(one_worker.empty());
+  EXPECT_EQ(one_worker, threaded);
 }
 
 TEST(StressTest, ThreadedContainersMatchOracle) {

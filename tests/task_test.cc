@@ -96,28 +96,36 @@ std::vector<std::string> ReadAll(Broker& broker, const std::string& topic) {
   return out;
 }
 
+// An at-least-once checkpoint: input positions only.
+TaskCheckpoint OffsetsOnly(Checkpoint offsets) {
+  TaskCheckpoint cp;
+  cp.input_offsets = std::move(offsets);
+  return cp;
+}
+
 TEST(CheckpointCodecTest, RoundTrip) {
-  Checkpoint cp;
-  cp[{"orders", 0}] = 17;
-  cp[{"orders", 3}] = 42;
-  cp[{"products", 0}] = 5;
-  auto back = CheckpointManager::DecodeCheckpoint(CheckpointManager::EncodeCheckpoint(cp));
+  TaskCheckpoint cp;
+  cp.input_offsets[{"orders", 0}] = 17;
+  cp.input_offsets[{"orders", 3}] = 42;
+  cp.input_offsets[{"products", 0}] = 5;
+  auto back = CheckpointManager::DecodeTaskCheckpoint(
+      CheckpointManager::EncodeTaskCheckpoint(cp));
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value(), cp);
+  EXPECT_EQ(back.value().input_offsets, cp.input_offsets);
 }
 
 TEST(CheckpointManagerTest, LatestCheckpointWins) {
   auto broker = std::make_shared<Broker>();
   CheckpointManager mgr(broker, "__cp");
   ASSERT_TRUE(mgr.Start().ok());
-  ASSERT_TRUE(mgr.WriteCheckpoint("Partition 0", {{{"t", 0}, 5}}).ok());
-  ASSERT_TRUE(mgr.WriteCheckpoint("Partition 1", {{{"t", 1}, 9}}).ok());
-  ASSERT_TRUE(mgr.WriteCheckpoint("Partition 0", {{{"t", 0}, 8}}).ok());
-  auto cp = mgr.ReadLastCheckpoint("Partition 0");
+  ASSERT_TRUE(mgr.WriteTaskCheckpoint("Partition 0", OffsetsOnly({{{"t", 0}, 5}})).ok());
+  ASSERT_TRUE(mgr.WriteTaskCheckpoint("Partition 1", OffsetsOnly({{{"t", 1}, 9}})).ok());
+  ASSERT_TRUE(mgr.WriteTaskCheckpoint("Partition 0", OffsetsOnly({{{"t", 0}, 8}})).ok());
+  auto cp = mgr.ReadLastTaskCheckpoint("Partition 0");
   ASSERT_TRUE(cp.ok());
-  EXPECT_EQ(cp.value().at({"t", 0}), 8);
+  EXPECT_EQ(cp.value().input_offsets.at({"t", 0}), 8);
   // Unknown task: empty checkpoint, not an error.
-  EXPECT_TRUE(mgr.ReadLastCheckpoint("Partition 99").value().empty());
+  EXPECT_TRUE(mgr.ReadLastTaskCheckpoint("Partition 99").value().empty());
 }
 
 TEST(JobModelTest, TasksGroupedByPartitionAcrossStreams) {

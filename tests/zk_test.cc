@@ -81,28 +81,5 @@ TEST(ZkTest, PathValidation) {
   EXPECT_FALSE(zk.Create("", "").ok());
 }
 
-TEST(ZkTest, WatchesFireOnCreateChangeDelete) {
-  ZooKeeperSim zk;
-  std::vector<std::pair<ZooKeeperSim::EventType, std::string>> events;
-  zk.Watch("/w", [&](ZooKeeperSim::EventType t, const std::string& p) {
-    events.emplace_back(t, p);
-  });
-  ASSERT_TRUE(zk.Create("/w", "1").ok());
-  ASSERT_TRUE(zk.Set("/w", "2").ok());
-  ASSERT_TRUE(zk.Delete("/w").ok());
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].first, ZooKeeperSim::EventType::kCreated);
-  EXPECT_EQ(events[1].first, ZooKeeperSim::EventType::kChanged);
-  EXPECT_EQ(events[2].first, ZooKeeperSim::EventType::kDeleted);
-}
-
-TEST(ZkTest, WatchOnOtherPathDoesNotFire) {
-  ZooKeeperSim zk;
-  int fired = 0;
-  zk.Watch("/x", [&](ZooKeeperSim::EventType, const std::string&) { ++fired; });
-  ASSERT_TRUE(zk.Create("/y", "1").ok());
-  EXPECT_EQ(fired, 0);
-}
-
 }  // namespace
 }  // namespace sqs
