@@ -20,7 +20,7 @@ constexpr int64_t kMessages = 20'000;
 // Fully sampled, interpreted mode: ~6 spans per tuple (produce, process,
 // scan, filter, project, insert) — size the ring so nothing is evicted
 // mid-run. Fused mode telescopes to batch granularity (~4 spans per run of
-// up to task.batch.max.messages tuples) and needs far less.
+// up to 256 tuples) and needs far less.
 constexpr size_t kSpanCapacity = 1 << 18;
 constexpr const char* kExportPath = "bench_trace_profile.json";
 

@@ -18,11 +18,16 @@
 
 namespace sqs {
 
+// Merge histogram snapshots into one distribution: cumulative bucket counts
+// become per-bucket deltas, summed across the parts, then percentiles are
+// re-estimated by a cumulative walk. The estimate uses each bucket's upper
+// bound clamped to the observed range, so it carries the same bounded
+// relative error as the parts' own stats.
+HistogramStats MergeHistogramStats(const std::vector<HistogramStats>& parts);
+
 // Union of several snapshots (e.g. one per job). Same-name collisions:
 // counters and timers sum, gauges keep the latest (last snapshot wins),
-// histograms keep the stats with the larger count (bucket data is not
-// preserved across snapshots, so true merging is impossible post-snapshot —
-// avoided in practice because each job has its own name scope).
+// histograms merge their buckets (MergeHistogramStats).
 MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& snapshots);
 
 // One JSON object per metric per line, e.g.
@@ -34,6 +39,10 @@ std::string SnapshotToJsonLines(const MetricsSnapshot& snapshot, int64_t ts_ms);
 // render their count and percentiles in the value column.
 std::string SnapshotToTable(const MetricsSnapshot& snapshot);
 
+// The JSON-lines file behind every file-backed reporter on one path
+// (metrics_reporter.cc).
+class MetricsFileSink;
+
 class MetricsReporter {
  public:
   // Emits JSON lines for `registry` to `out` every `interval_ms` of clock
@@ -41,10 +50,11 @@ class MetricsReporter {
   MetricsReporter(std::shared_ptr<MetricsRegistry> registry, std::ostream* out,
                   int64_t interval_ms, std::shared_ptr<Clock> clock = nullptr);
 
-  // File-backed variant: the reporter owns the stream, appends to `path`,
-  // and — when `max_bytes` > 0 — rolls the file to `<path>.1` (replacing any
-  // previous roll) before a report would push it past `max_bytes`, so
-  // long-running jobs keep at most ~2x max_bytes of metrics on disk.
+  // File-backed variant: appends to `path` through the path's shared
+  // MetricsFileSink, which — when `max_bytes` > 0 — rolls the file to
+  // `<path>.1` (replacing any previous roll) before a report would push it
+  // past `max_bytes`, so long-running jobs keep at most ~2x max_bytes of
+  // metrics on disk.
   MetricsReporter(std::shared_ptr<MetricsRegistry> registry, std::string path,
                   int64_t interval_ms, int64_t max_bytes,
                   std::shared_ptr<Clock> clock = nullptr);
@@ -65,7 +75,7 @@ class MetricsReporter {
 
   int64_t interval_ms() const { return interval_ms_; }
   // Bytes currently in the active file (file-backed reporters only).
-  int64_t bytes_written() const { return bytes_written_; }
+  int64_t bytes_written() const;
   const std::string& path() const { return path_; }
 
  private:
@@ -82,9 +92,7 @@ class MetricsReporter {
   std::recursive_mutex emit_mu_;
   // File-backed mode.
   std::string path_;
-  int64_t max_bytes_ = 0;
-  int64_t bytes_written_ = 0;
-  std::ofstream file_;
+  std::shared_ptr<MetricsFileSink> sink_;
 };
 
 }  // namespace sqs

@@ -74,6 +74,15 @@ class Retrier {
   Retrier(RetryPolicy policy, std::string_view scope)
       : policy_(policy), jitter_state_(Fnv1a64(scope)) {}
 
+  // A copy (same policy and counters) that draws its own jitter sequence,
+  // seeded from `scope`: per-task copies of a container's retrier, so tasks
+  // that fail together do not retry in lockstep.
+  Retrier Reseeded(std::string_view scope) const {
+    Retrier copy = *this;
+    copy.jitter_state_ = Fnv1a64(scope);
+    return copy;
+  }
+
   void SetPolicy(RetryPolicy policy) { policy_ = policy; }
   const RetryPolicy& policy() const { return policy_; }
 

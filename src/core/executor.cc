@@ -218,48 +218,6 @@ std::string RenderCpuAttribution() {
   return os.str();
 }
 
-// Merge per-container histogram snapshots into one distribution: cumulative
-// bucket counts become per-bucket deltas, summed across containers, then
-// percentiles are re-estimated by a cumulative walk. The estimate uses each
-// bucket's upper bound clamped to the observed range, so it carries the same
-// bounded relative error as the per-container stats.
-HistogramStats MergeHistogramStats(const std::vector<HistogramStats>& parts) {
-  HistogramStats out;
-  out.min = INT64_MAX;
-  std::map<int64_t, int64_t> deltas;  // inclusive upper bound -> merged count
-  for (const HistogramStats& h : parts) {
-    if (h.count <= 0) continue;
-    out.count += h.count;
-    out.sum += h.sum;
-    out.min = std::min(out.min, h.min);
-    out.max = std::max(out.max, h.max);
-    int64_t prev = 0;
-    for (const auto& [le, cumulative] : h.buckets) {
-      deltas[le] += cumulative - prev;
-      prev = cumulative;
-    }
-  }
-  if (out.count <= 0) return HistogramStats{};
-  const double targets[] = {50.0, 95.0, 99.0};
-  int64_t* fields[] = {&out.p50, &out.p95, &out.p99};
-  size_t next = 0;
-  int64_t cumulative = 0;
-  for (const auto& [le, n] : deltas) {
-    cumulative += n;
-    out.buckets.emplace_back(le, cumulative);
-    while (next < 3) {
-      int64_t rank = static_cast<int64_t>(
-          targets[next] / 100.0 * static_cast<double>(out.count) + 0.5);
-      if (rank < 1) rank = 1;
-      if (cumulative < rank) break;
-      *fields[next] = std::min(std::max(le, out.min), out.max);
-      ++next;
-    }
-  }
-  for (; next < 3; ++next) *fields[next] = out.max;
-  return out;
-}
-
 // Wall-clock latency waterfall for the analyzed job (docs/LATENCY.md): where
 // a record's time went between its first broker append and the sink emit.
 // "broker queue wait" is the fetch-side dwell (append -> fetch), "container
@@ -319,10 +277,6 @@ QueryExecutor::QueryExecutor(EnvironmentPtr env, Config job_defaults)
     : env_(std::move(env)),
       defaults_(std::move(job_defaults)),
       factory_name_(UniqueFactoryName()) {
-  EnvironmentPtr captured = env_;
-  TaskFactoryRegistry::Instance().Register(factory_name_, [captured] {
-    return std::make_unique<SamzaSqlTask>(captured);
-  });
   // Process-wide settings from the defaults, before durable recovery below
   // so the crash handlers are in place for it; each job applies its own
   // config again at JobRunner::Start.
@@ -380,7 +334,9 @@ QueryExecutor::~QueryExecutor() {
   // Stop the monitor first so its HTTP worker cannot observe jobs mid-stop.
   monitor_->Stop();
   for (auto& job : jobs_) {
-    if (job) (void)job->Stop();
+    if (!job) continue;
+    (void)job->Stop();
+    TaskFactoryRegistry::Instance().Unregister(job->config().Get(cfg::kTaskFactory));
   }
 }
 
@@ -718,7 +674,13 @@ Result<QueryExecutor::ExecutionResult> QueryExecutor::SubmitStreamingJob(
   config.Set(cfg::kJobName, job_name);
   config.SetList(cfg::kTaskInputs, inputs);
   if (!bootstrap.empty()) config.SetList(cfg::kBootstrapInputs, bootstrap);
-  config.Set(cfg::kTaskFactory, factory_name_);
+  // The job's task factory holds its task-side plan: every task of the job,
+  // supervisor restarts included, shares the one SamzaSqlJob.
+  const std::string factory = factory_name_ + "." + job_name;
+  auto sql_job = std::make_shared<SamzaSqlJob>(env_);
+  TaskFactoryRegistry::Instance().Register(
+      factory, [sql_job] { return std::make_unique<SamzaSqlTask>(sql_job); });
+  config.Set(cfg::kTaskFactory, factory);
   config.Set(sqlcfg::kZkPrefix, zk_prefix);
   config.Set(sqlcfg::kOutputTopic, output_topic);
   config.Set(sqlcfg::kOutputSchema, output_schema->Canonical());
@@ -732,7 +694,9 @@ Result<QueryExecutor::ExecutionResult> QueryExecutor::SubmitStreamingJob(
   }
 
   auto runner = std::make_unique<JobRunner>(env_->broker, config, env_->clock);
-  SQS_RETURN_IF_ERROR(runner->Start());
+  Status started = runner->Start();
+  if (!started.ok()) TaskFactoryRegistry::Instance().Unregister(factory);
+  SQS_RETURN_IF_ERROR(started);
   FlightRecorder::Record(FlightEventType::kJobSubmit, job_name, output_topic,
                          static_cast<int64_t>(num_partitions));
   {

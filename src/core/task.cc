@@ -7,9 +7,9 @@
 
 namespace sqs::core {
 
-Status SamzaSqlTask::Init(TaskContext& context) {
-  context_ = &context;
-  const Config& config = context.config();
+Result<ops::RouterPlanPtr> SamzaSqlJob::Plan(const Config& config) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (plan_) return plan_;
 
   // Task-side planning inputs come from ZooKeeper (paper §4.2: "SamzaSQL
   // tasks then read actual values for configurations from Zookeeper").
@@ -48,7 +48,6 @@ Status SamzaSqlTask::Init(TaskContext& context) {
   SQS_ASSIGN_OR_RETURN(plan, planner.Plan(*select));
   plan = sql::Optimize(plan);
 
-  // Operator/router generation with compiled expressions.
   ops::RouterConfig router_config;
   router_config.output_topic = config.Get(sqlcfg::kOutputTopic);
   if (router_config.output_topic.empty()) {
@@ -65,47 +64,43 @@ Status SamzaSqlTask::Init(TaskContext& context) {
   router_config.out_key_index =
       static_cast<int>(config.GetInt(sqlcfg::kOutputKeyIndex, -1));
   router_config.fusion = sqlcfg::FusionEnabled(config);
+  plan_ = ops::MessageRouter::Plan(std::move(plan), std::move(router_config));
+  FlightRecorder::Record(FlightEventType::kPlanBuilt, config.Get(cfg::kJobName, "job"),
+                         plan_->fused ? "job plan ready (fused)"
+                                      : "job plan ready (interpreted)");
+  return plan_;
+}
 
-  SQS_ASSIGN_OR_RETURN(router, ops::MessageRouter::Build(*plan, router_config));
+Status SamzaSqlTask::Init(TaskContext& context) {
+  context_ = &context;
+  // Operator/router generation from the job's shared plan.
+  SQS_ASSIGN_OR_RETURN(plan, job_->Plan(context.config()));
+  SQS_ASSIGN_OR_RETURN(router, ops::MessageRouter::Build(std::move(plan)));
   router_ = std::move(router);
-  FlightRecorder::Record(
-      FlightEventType::kPlanBuilt, context.task_name(),
-      router_->fused_stage() != nullptr ? "task plan ready (fused)"
-                                        : "task plan ready (interpreted)");
-
-  ops::OperatorContext op_context;
-  op_context.task = context_;
-  return router_->Init(op_context);
+  ops::OperatorContext ctx{context_, nullptr};
+  return router_->Init(ctx);
 }
 
 Status SamzaSqlTask::Process(const IncomingMessage& message,
-                             MessageCollector& collector, TaskCoordinator&) {
-  ops::OperatorContext op_context;
-  op_context.task = context_;
-  op_context.collector = &collector;
-  return router_->RouteBatch(&message, 1, op_context, nullptr);
+                             MessageCollector& collector, TaskCoordinator& coordinator) {
+  return ProcessBatch(&message, 1, collector, coordinator, nullptr);
 }
 
 Status SamzaSqlTask::ProcessBatch(const IncomingMessage* msgs, size_t count,
                                   MessageCollector& collector, TaskCoordinator&,
                                   size_t* consumed) {
-  ops::OperatorContext op_context;
-  op_context.task = context_;
-  op_context.collector = &collector;
-  return router_->RouteBatch(msgs, count, op_context, consumed);
+  ops::OperatorContext ctx{context_, &collector};
+  return router_->RouteBatch(msgs, count, ctx, consumed);
 }
 
 Status SamzaSqlTask::Window(MessageCollector& collector, TaskCoordinator&) {
-  ops::OperatorContext op_context;
-  op_context.task = context_;
-  op_context.collector = &collector;
-  return router_->OnTimer(op_context);
+  ops::OperatorContext ctx{context_, &collector};
+  return router_->OnTimer(ctx);
 }
 
 Status SamzaSqlTask::OnCommit() {
-  ops::OperatorContext op_context;
-  op_context.task = context_;
-  return router_->OnCommit(op_context);
+  ops::OperatorContext ctx{context_, nullptr};
+  return router_->OnCommit(ctx);
 }
 
 }  // namespace sqs::core

@@ -1,13 +1,17 @@
 // SamzaSqlTask: the generated stream task that executes a streaming SQL
 // query (paper §2: "A SamzaSQL query is a Samza job with SamzaSQL specific
-// stream task implementation"). At Init it performs the paper's task-side
-// half of two-step planning (§4.2): fetch the SQL text, catalog model and
-// view definitions from ZooKeeper, re-run parsing/validation/planning/
-// optimization, and generate the operator DAG (message router) with
-// compiled expressions.
+// stream task implementation"). The paper's task-side half of two-step
+// planning (§4.2) is planned once per job on the task side: the first of a
+// job's tasks to start fetches the SQL text, catalog model and view
+// definitions from ZooKeeper and re-runs parsing/validation/planning/
+// optimization and fused-stage planning into an immutable plan that its
+// SamzaSqlJob keeps. Every task of the job (supervisor restarts included)
+// builds its operator DAG (message router) from that one plan, binds stores,
+// collector and metrics, and compiles its expressions.
 #pragma once
 
 #include <memory>
+#include <mutex>
 
 #include "core/environment.h"
 #include "ops/router.h"
@@ -15,9 +19,26 @@
 
 namespace sqs::core {
 
+// One streaming SQL job's task-side plan, shared by all of its tasks (the
+// job's task factory holds it).
+class SamzaSqlJob {
+ public:
+  explicit SamzaSqlJob(EnvironmentPtr env) : env_(std::move(env)) {}
+
+  // The job's plan, compiled on the first call from the ZooKeeper prefix and
+  // output settings in `config`, then returned as is. Thread-safe; a failed
+  // compile is not kept, so the next task retries it.
+  Result<ops::RouterPlanPtr> Plan(const Config& config);
+
+ private:
+  EnvironmentPtr env_;
+  std::mutex mu_;
+  ops::RouterPlanPtr plan_;
+};
+
 class SamzaSqlTask : public StreamTask {
  public:
-  explicit SamzaSqlTask(EnvironmentPtr env) : env_(std::move(env)) {}
+  explicit SamzaSqlTask(std::shared_ptr<SamzaSqlJob> job) : job_(std::move(job)) {}
 
   Status Init(TaskContext& context) override;
   Status Process(const IncomingMessage& message, MessageCollector& collector,
@@ -34,7 +55,7 @@ class SamzaSqlTask : public StreamTask {
   const ops::MessageRouter* router() const { return router_.get(); }
 
  private:
-  EnvironmentPtr env_;
+  std::shared_ptr<SamzaSqlJob> job_;
   TaskContext* context_ = nullptr;
   std::unique_ptr<ops::MessageRouter> router_;
 };

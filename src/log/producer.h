@@ -30,6 +30,7 @@ class Producer {
   // Transient (Unavailable) append failures are retried by this retrier
   // (policy and counters); default is no retry.
   void SetRetrier(Retrier retrier) { retrier_ = std::move(retrier); }
+  const Retrier& retrier() const { return retrier_; }
 
   // Acquire an idempotent identity from the broker under `name`. A producer
   // for the same name registered later (a restarted container) fences this

@@ -6,7 +6,6 @@ namespace sqs::ops {
 
 Status ScanOperator::ProcessMessage(const IncomingMessage& message,
                                     OperatorContext& ctx) {
-  EnsureMetrics(ctx);
   // Parent preference: the container's per-message "process" span (ambient)
   // when running inside a container loop; the message's own stamped context
   // when fed directly (tests, native harnesses).

@@ -35,23 +35,19 @@ Status FusedStageOperator::Init(OperatorContext& ctx) {
   // Keyed output needs the key column's decoded value, so it stays on the
   // re-serialize path (key sends are rare for filter/project pipelines).
   passthrough_ = key_index_ < 0 &&
-                 FusedStageCanPassthrough(spec_, *input_serde_, *output_serde_);
+                 FusedStageCanPassthrough(*spec_, *input_serde_, *output_serde_);
   std::vector<int> extra;
-  if (key_index_ >= 0 && !spec_.probe) extra.push_back(key_index_);
+  if (key_index_ >= 0 && !spec_->probe) extra.push_back(key_index_);
   SQS_ASSIGN_OR_RETURN(kernel,
-                       sql::FusedStageKernel::Compile(spec_, input_serde_,
+                       sql::FusedStageKernel::Compile(*spec_, input_serde_,
                                                       passthrough_, extra));
   kernel_ = std::move(kernel);
-  if (spec_.probe) SQS_RETURN_IF_ERROR(CompileProbe(ctx));
-  // The plan nodes are only valid during build/init (the task frees its plan
-  // after Init); everything the stage needs is copied into spec_/kernel_.
-  spec_.scan = nullptr;
-  if (spec_.probe) spec_.probe->relation = nullptr;
+  if (spec_->probe) SQS_RETURN_IF_ERROR(CompileProbe(ctx));
   return Status::Ok();
 }
 
 Status FusedStageOperator::CompileProbe(OperatorContext& ctx) {
-  const sql::FusedProbeSpec& spec = *spec_.probe;
+  const sql::FusedProbeSpec& spec = *spec_->probe;
   if (relation_serde_ == nullptr) {
     return Status::Internal("fused probe stage without a relation serde");
   }
@@ -187,7 +183,6 @@ Status FusedStageOperator::ProcessMessages(const IncomingMessage* msgs, size_t c
     if (consumed) *consumed = 0;
     return Status::Ok();
   }
-  EnsureMetrics(ctx);
   TraceContext parent = CurrentTraceContext();  // the batch's "process" span
   if (!parent.valid()) parent = msgs[0].message.trace;
   TraceSpan span(parent, TraceName(), TraceScopeName(), msgs[0].origin.partition);

@@ -39,8 +39,10 @@ class FusedStageOperator : public Operator, public SourceOperator {
   // stage output. `out_key_index` >= 0 hash-partitions output by that
   // column of the output row; otherwise sends preserve the input partition.
   // `relation_serde` decodes the stored relation rows of a probe stage (the
-  // join's state serde); unused without a probe.
-  FusedStageOperator(sql::FusedStageSpec spec, RowSerdePtr input_serde,
+  // join's state serde); unused without a probe. `spec` is shared read-only
+  // with every other task of the job.
+  FusedStageOperator(std::shared_ptr<const sql::FusedStageSpec> spec,
+                     RowSerdePtr input_serde,
                      std::string output_topic, RowSerdePtr output_serde,
                      int out_key_index = -1, RowSerdePtr relation_serde = nullptr)
       : spec_(std::move(spec)),
@@ -69,7 +71,7 @@ class FusedStageOperator : public Operator, public SourceOperator {
                          OperatorContext& ctx, size_t* consumed) override;
 
   bool passthrough() const { return passthrough_; }
-  const std::string& label() const { return spec_.label; }
+  const std::string& label() const { return spec_->label; }
   int64_t emitted() const { return emitted_; }
 
  protected:
@@ -116,7 +118,7 @@ class FusedStageOperator : public Operator, public SourceOperator {
   Status SendOne(const IncomingMessage& msg, PendingSend& pending,
                  OperatorContext& ctx);
 
-  sql::FusedStageSpec spec_;
+  std::shared_ptr<const sql::FusedStageSpec> spec_;
   RowSerdePtr input_serde_;
   std::string topic_;
   RowSerdePtr output_serde_;

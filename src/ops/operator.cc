@@ -2,19 +2,18 @@
 
 namespace sqs::ops {
 
-void Operator::EnsureMetrics(OperatorContext& ctx) {
-  if (processed_ != nullptr || ctx.task == nullptr) return;
-  ScopedMetrics scope(&ctx.task->metrics(),
-                      ctx.task->config().Get(cfg::kJobName, "job"));
-  trace_scope_ = ctx.task->config().Get(cfg::kJobName, "job") + "." +
-                 ctx.task->task_name();
-  scope = scope.Sub(ctx.task->task_name()).Sub(metric_id());
+void Operator::BindMetrics(TaskContext& task) {
+  if (metric_id_.empty()) metric_id_ = name();
+  const std::string job = task.config().Get(cfg::kJobName, "job");
+  trace_scope_ = job + "." + task.task_name();
+  ScopedMetrics scope =
+      ScopedMetrics(&task.metrics(), job).Sub(task.task_name()).Sub(metric_id_);
   processed_ = &scope.counter("processed");
   dropped_ = &scope.counter("dropped");
   latency_ = &scope.histogram("latency_ns");
   watermark_ = &scope.gauge("watermark_ms");
   watermark_lag_ = &scope.gauge("watermark_lag_ms");
-  clock_ = ctx.task->clock();
+  clock_ = task.clock();
 }
 
 void Operator::UpdateWatermark(int64_t rowtime) {
@@ -29,23 +28,20 @@ void Operator::UpdateWatermark(int64_t rowtime) {
 }
 
 void Operator::RecordTuple(int64_t latency_nanos, int64_t rowtime) {
-  if (processed_ == nullptr) return;
   processed_->Inc();
   latency_->Record(latency_nanos);
   UpdateWatermark(rowtime);
 }
 
 void Operator::RecordBatch(int64_t latency_nanos, int64_t n, int64_t rowtime) {
-  if (processed_ == nullptr || n <= 0) return;
+  if (n <= 0) return;
   processed_->Inc(n);
   latency_->Record(latency_nanos);
   UpdateWatermark(rowtime);
 }
 
 Status Operator::Process(const TupleEvent& event, OperatorContext& ctx) {
-  EnsureMetrics(ctx);
-  TraceSpan span(event.trace, TraceName(), trace_scope_, event.partition);
-  if (processed_ == nullptr) return DoProcess(event, ctx);
+  TraceSpan span(event.trace, metric_id_, trace_scope_, event.partition);
   int64_t rowtime = event.rowtime;
   int64_t t0 = MonotonicNanos();
   Status st = DoProcess(event, ctx);

@@ -80,12 +80,17 @@ class Operator {
   // the paper's task-side "operator code generation" step.
   virtual Status Init(OperatorContext& ctx) = 0;
 
-  // Instrumented entry point: lazily binds the operator's scoped metrics
-  // (`<job>.<task>.<operator>.*`) from the task context on first use, then
-  // counts the tuple, times DoProcess (inclusive of downstream operators —
-  // see docs/METRICS.md), and advances the event-time watermark gauges.
-  // When the event carries a sampled trace context, the call is also wrapped
-  // in a span named after the plan-unique operator id, scoped `<job>.<task>`.
+  // Registers the operator's scoped instruments (`<job>.<task>.<metric_id>.*`)
+  // in task.metrics() and binds its span identity (name = metric id, scope =
+  // `<job>.<task>`). MessageRouter::Init binds every operator before its
+  // Init; an operator driven on its own must be bound before it processes.
+  void BindMetrics(TaskContext& task);
+
+  // Instrumented entry point: counts the tuple, times DoProcess (inclusive
+  // of downstream operators — see docs/METRICS.md), and advances the
+  // event-time watermark gauges. When the event carries a sampled trace
+  // context, the call is also wrapped in a span named after the plan-unique
+  // operator id, scoped `<job>.<task>`.
   Status Process(const TupleEvent& event, OperatorContext& ctx);
 
   // Timer callback (window emission). Default: no-op.
@@ -104,9 +109,8 @@ class Operator {
   Operator* next() const { return next_.get(); }
 
   // Metric namespace segment for this operator. The router sets plan-unique
-  // ids ("op2-filter"); an operator used standalone defaults to name().
+  // ids ("op2-filter"); an operator bound without one uses name().
   void set_metric_id(std::string id) { metric_id_ = std::move(id); }
-  std::string metric_id() const { return metric_id_.empty() ? name() : metric_id_; }
 
  protected:
   // Process one tuple, forwarding results downstream via EmitNext().
@@ -123,10 +127,6 @@ class Operator {
     return next_->Process(event, ctx);
   }
 
-  // Resolve this operator's scoped instruments from ctx.task->metrics().
-  // Idempotent and cheap after the first call.
-  void EnsureMetrics(OperatorContext& ctx);
-
   // Count one processed tuple: latency sample plus watermark / watermark-lag
   // gauge updates (rowtime 0 means "no event time" and is skipped).
   void RecordTuple(int64_t latency_nanos, int64_t rowtime);
@@ -138,31 +138,22 @@ class Operator {
 
   // Count a tuple this operator intentionally did not forward (filter miss,
   // late arrival past the grace period).
-  void CountDropped(int64_t n = 1) {
-    if (dropped_) dropped_->Inc(n);
-  }
+  void CountDropped(int64_t n = 1) { dropped_->Inc(n); }
 
   // Span identity for instrumented entry points (Process, scan's
-  // ProcessMessage). Name lazily binds to metric_id() on first use; scope is
-  // bound together with the metrics in EnsureMetrics.
-  const std::string& TraceName() {
-    if (trace_name_.empty()) trace_name_ = metric_id();
-    return trace_name_;
-  }
+  // ProcessMessage), bound by BindMetrics.
+  const std::string& TraceName() const { return metric_id_; }
   const std::string& TraceScopeName() const { return trace_scope_; }
 
  private:
   OperatorPtr next_;
   int next_side_ = 0;
   std::string metric_id_;
-  // Cached span identity: name = metric_id() (bound on first Process),
-  // scope = `<job>.<task>` (bound with the metrics).
-  std::string trace_name_;
-  std::string trace_scope_;
+  std::string trace_scope_;  // `<job>.<task>`
 
   void UpdateWatermark(int64_t rowtime);
 
-  // Scoped instruments, bound on first Process with a task context.
+  // Scoped instruments, bound by BindMetrics.
   Counter* processed_ = nullptr;
   Counter* dropped_ = nullptr;
   Histogram* latency_ = nullptr;

@@ -26,7 +26,8 @@ namespace {
 // store prefixes (operator ids are preorder positions).
 class Builder {
  public:
-  Builder(const RouterConfig* config, std::vector<std::string>* stores_out)
+  explicit Builder(const RouterConfig& config,
+                   std::vector<std::string>* stores_out = nullptr)
       : config_(config), stores_out_(stores_out) {}
 
   Result<OperatorPtr> BuildNode(const sql::LogicalNode& node);
@@ -45,8 +46,7 @@ class Builder {
   void set_next_id(int id) { next_id_ = id; }
 
   Result<RowSerdePtr> StateSerde(SchemaPtr schema) const {
-    return SerdeForFormat(config_ ? config_->state_serde : "reflective",
-                          std::move(schema));
+    return SerdeForFormat(config_.state_serde, std::move(schema));
   }
 
   std::vector<OperatorPtr> operators_;
@@ -54,167 +54,128 @@ class Builder {
   std::vector<std::shared_ptr<ScanOperator>> scan_ops_;
 
  private:
-  const RouterConfig* config_;   // null during RequiredStores traversal
-  std::vector<std::string>* stores_out_;
+  void AddStores(std::vector<std::string> stores) {
+    if (stores_out_ == nullptr) return;
+    for (auto& s : stores) stores_out_->push_back(std::move(s));
+  }
+
+  const RouterConfig& config_;
+  std::vector<std::string>* stores_out_;  // set by RequiredStores
   int next_id_ = 0;
 };
 
 Result<OperatorPtr> Builder::BuildNode(const sql::LogicalNode& node) {
   const int id = next_id_++;
   const std::string prefix = "op" + std::to_string(id);
-  const bool collecting = config_ == nullptr;
 
   switch (node.kind) {
     case sql::LogicalKind::kScan: {
-      OperatorPtr op;
-      if (!collecting) {
-        SQS_ASSIGN_OR_RETURN(serde,
-                             SerdeForFormat(node.source.format, node.source.schema));
-        int rowtime = -1;
-        if (!node.source.rowtime_column.empty()) {
-          auto idx = node.source.schema->FieldIndex(node.source.rowtime_column);
-          if (idx) rowtime = static_cast<int>(*idx);
-        }
-        auto scan = std::make_shared<ScanOperator>(serde, node.source.schema, rowtime);
-        scan_ops_.push_back(scan);
-        scan_topics_.emplace_back(node.source.topic, !node.source.is_stream());
-        op = scan;
-        Register(prefix, op);
-      } else {
-        scan_topics_.emplace_back(node.source.topic, !node.source.is_stream());
+      SQS_ASSIGN_OR_RETURN(serde,
+                           SerdeForFormat(node.source.format, node.source.schema));
+      int rowtime = -1;
+      if (!node.source.rowtime_column.empty()) {
+        auto idx = node.source.schema->FieldIndex(node.source.rowtime_column);
+        if (idx) rowtime = static_cast<int>(*idx);
       }
-      return op;
+      auto scan = std::make_shared<ScanOperator>(serde, node.source.schema, rowtime);
+      scan_ops_.push_back(scan);
+      scan_topics_.emplace_back(node.source.topic, !node.source.is_stream());
+      Register(prefix, scan);
+      return OperatorPtr(scan);
     }
 
     case sql::LogicalKind::kFilter: {
       SQS_ASSIGN_OR_RETURN(child, BuildNode(*node.inputs[0]));
-      OperatorPtr op;
-      if (!collecting) {
-        op = std::make_shared<FilterOperator>(node.predicate->Clone());
-        child->SetNext(op, 0);
-        Register(prefix, op);
-      }
-      return op;
+      auto op = std::make_shared<FilterOperator>(node.predicate->Clone());
+      child->SetNext(op, 0);
+      Register(prefix, op);
+      return OperatorPtr(op);
     }
 
     case sql::LogicalKind::kProject: {
       SQS_ASSIGN_OR_RETURN(child, BuildNode(*node.inputs[0]));
-      OperatorPtr op;
-      if (!collecting) {
-        std::vector<sql::ExprPtr> exprs;
-        exprs.reserve(node.exprs.size());
-        for (const auto& e : node.exprs) exprs.push_back(e->Clone());
-        op = std::make_shared<ProjectOperator>(std::move(exprs), node.rowtime_index);
-        child->SetNext(op, 0);
-        Register(prefix, op);
-      }
-      return op;
+      std::vector<sql::ExprPtr> exprs;
+      exprs.reserve(node.exprs.size());
+      for (const auto& e : node.exprs) exprs.push_back(e->Clone());
+      auto op = std::make_shared<ProjectOperator>(std::move(exprs), node.rowtime_index);
+      child->SetNext(op, 0);
+      Register(prefix, op);
+      return OperatorPtr(op);
     }
 
     case sql::LogicalKind::kSlidingWindow: {
       SQS_ASSIGN_OR_RETURN(child, BuildNode(*node.inputs[0]));
-      if (stores_out_) {
-        for (auto& s :
-             SlidingWindowOperator::RequiredStores(prefix, node.window_calls.size())) {
-          stores_out_->push_back(std::move(s));
-        }
+      AddStores(SlidingWindowOperator::RequiredStores(prefix, node.window_calls.size()));
+      std::vector<sql::WindowCallSpec> calls;
+      for (const auto& c : node.window_calls) {
+        sql::WindowCallSpec copy;
+        copy.kind = c.kind;
+        if (c.arg) copy.arg = c.arg->Clone();
+        for (const auto& p : c.partition_by) copy.partition_by.push_back(p->Clone());
+        copy.ts_index = c.ts_index;
+        copy.range_based = c.range_based;
+        copy.preceding_ms = c.preceding_ms;
+        copy.preceding_rows = c.preceding_rows;
+        copy.output_name = c.output_name;
+        copy.type = c.type;
+        calls.push_back(std::move(copy));
       }
-      OperatorPtr op;
-      if (!collecting) {
-        std::vector<sql::WindowCallSpec> calls;
-        for (const auto& c : node.window_calls) {
-          sql::WindowCallSpec copy;
-          copy.kind = c.kind;
-          if (c.arg) copy.arg = c.arg->Clone();
-          for (const auto& p : c.partition_by) copy.partition_by.push_back(p->Clone());
-          copy.ts_index = c.ts_index;
-          copy.range_based = c.range_based;
-          copy.preceding_ms = c.preceding_ms;
-          copy.preceding_rows = c.preceding_rows;
-          copy.output_name = c.output_name;
-          copy.type = c.type;
-          calls.push_back(std::move(copy));
-        }
-        op = std::make_shared<SlidingWindowOperator>(std::move(calls), prefix);
-        child->SetNext(op, 0);
-        Register(prefix, op);
-      }
-      return op;
+      auto op = std::make_shared<SlidingWindowOperator>(std::move(calls), prefix);
+      child->SetNext(op, 0);
+      Register(prefix, op);
+      return OperatorPtr(op);
     }
 
     case sql::LogicalKind::kAggregate: {
       SQS_ASSIGN_OR_RETURN(child, BuildNode(*node.inputs[0]));
-      if (stores_out_) {
-        for (auto& s : WindowAggregateOperator::RequiredStores(prefix)) {
-          stores_out_->push_back(std::move(s));
-        }
+      AddStores(WindowAggregateOperator::RequiredStores(prefix));
+      if (node.group_window.type == sql::GroupWindowSpec::Type::kNone) {
+        return Status::Unsupported(
+            "streaming aggregate requires a group window (TUMBLE/HOP/FLOOR)");
       }
-      OperatorPtr op;
-      if (!collecting) {
-        if (node.group_window.type == sql::GroupWindowSpec::Type::kNone) {
-          return Status::Unsupported(
-              "streaming aggregate requires a group window (TUMBLE/HOP/FLOOR)");
-        }
-        std::vector<sql::ExprPtr> groups;
-        for (const auto& g : node.group_exprs) groups.push_back(g->Clone());
-        std::vector<sql::AggCallSpec> aggs;
-        for (const auto& a : node.aggs) {
-          sql::AggCallSpec copy;
-          copy.kind = a.kind;
-          copy.udaf_id = a.udaf_id;
-          if (a.arg) copy.arg = a.arg->Clone();
-          copy.output_name = a.output_name;
-          copy.type = a.type;
-          aggs.push_back(std::move(copy));
-        }
-        op = std::make_shared<WindowAggregateOperator>(
-            std::move(groups), node.group_window, std::move(aggs), prefix,
-            config_->grace_ms);
-        child->SetNext(op, 0);
-        Register(prefix, op);
+      std::vector<sql::ExprPtr> groups;
+      for (const auto& g : node.group_exprs) groups.push_back(g->Clone());
+      std::vector<sql::AggCallSpec> aggs;
+      for (const auto& a : node.aggs) {
+        sql::AggCallSpec copy;
+        copy.kind = a.kind;
+        copy.udaf_id = a.udaf_id;
+        if (a.arg) copy.arg = a.arg->Clone();
+        copy.output_name = a.output_name;
+        copy.type = a.type;
+        aggs.push_back(std::move(copy));
       }
-      return op;
+      auto op = std::make_shared<WindowAggregateOperator>(
+          std::move(groups), node.group_window, std::move(aggs), prefix,
+          config_.grace_ms);
+      child->SetNext(op, 0);
+      Register(prefix, op);
+      return OperatorPtr(op);
     }
 
     case sql::LogicalKind::kJoin: {
       SQS_ASSIGN_OR_RETURN(left, BuildNode(*node.inputs[0]));
       SQS_ASSIGN_OR_RETURN(right, BuildNode(*node.inputs[1]));
-      if (node.join_type == sql::JoinType::kStreamRelation) {
-        if (stores_out_) {
-          for (auto& s : StreamTableJoinOperator::RequiredStores(prefix)) {
-            stores_out_->push_back(std::move(s));
-          }
-        }
-        OperatorPtr op;
-        if (!collecting) {
-          SQS_ASSIGN_OR_RETURN(serde, StateSerde(node.inputs[1]->schema));
-          op = std::make_shared<StreamTableJoinOperator>(
-              node.equi_keys, node.residual ? node.residual->Clone() : nullptr, serde,
-              prefix);
-          left->SetNext(op, 0);
-          right->SetNext(op, 1);
-          Register(prefix, op);
-        }
-        return op;
-      }
-      if (stores_out_) {
-        for (auto& s : StreamStreamJoinOperator::RequiredStores(prefix)) {
-          stores_out_->push_back(std::move(s));
-        }
-      }
       OperatorPtr op;
-      if (!collecting) {
+      if (node.join_type == sql::JoinType::kStreamRelation) {
+        AddStores(StreamTableJoinOperator::RequiredStores(prefix));
+        SQS_ASSIGN_OR_RETURN(serde, StateSerde(node.inputs[1]->schema));
+        op = std::make_shared<StreamTableJoinOperator>(
+            node.equi_keys, node.residual ? node.residual->Clone() : nullptr, serde,
+            prefix);
+      } else {
+        AddStores(StreamStreamJoinOperator::RequiredStores(prefix));
         SQS_ASSIGN_OR_RETURN(left_serde, StateSerde(node.inputs[0]->schema));
         SQS_ASSIGN_OR_RETURN(right_serde, StateSerde(node.inputs[1]->schema));
         op = std::make_shared<StreamStreamJoinOperator>(
             node.equi_keys, node.left_ts_index, node.right_ts_index,
             node.window_before_ms, node.window_after_ms,
             node.residual ? node.residual->Clone() : nullptr, left_serde, right_serde,
-            prefix, config_->grace_ms);
-        left->SetNext(op, 0);
-        right->SetNext(op, 1);
-        Register(prefix, op);
+            prefix, config_.grace_ms);
       }
+      left->SetNext(op, 0);
+      right->SetNext(op, 1);
+      Register(prefix, op);
       return op;
     }
   }
@@ -223,24 +184,34 @@ Result<OperatorPtr> Builder::BuildNode(const sql::LogicalNode& node) {
 
 }  // namespace
 
-Result<std::unique_ptr<MessageRouter>> MessageRouter::Build(
-    const sql::LogicalNode& plan, const RouterConfig& config) {
-  auto router = std::make_unique<MessageRouter>();
-
+RouterPlanPtr MessageRouter::Plan(sql::LogicalNodePtr plan, RouterConfig config) {
+  auto out = std::make_shared<RouterPlan>();
   // Fusion: when the plan's root chain sits on a Scan, or on a stream-
-  // relation join over a Scan-rooted stream input, replace the interpreted
-  // stream path (scan -> ... -> insert) with a single fused stage that owns
-  // the serde boundary on both sides.
+  // relation join over a Scan-rooted stream input, the interpreted stream
+  // path (scan -> ... -> insert) is replaced with a single fused stage that
+  // owns the serde boundary on both sides.
   if (config.fusion) {
-    std::vector<sql::FusedStageSpec> specs = sql::PlanFusedStages(plan);
+    std::vector<sql::FusedStageSpec> specs = sql::PlanFusedStages(*plan);
     if (specs.size() == 1 && specs[0].first_op == 0 && specs[0].reaches_root) {
-      SQS_RETURN_IF_ERROR(router->BuildFused(std::move(specs[0]), config));
-      return router;
+      out->fused = std::move(specs[0]);
     }
   }
+  out->plan = std::move(plan);
+  out->config = std::move(config);
+  return out;
+}
 
-  Builder builder(&config, nullptr);
-  SQS_ASSIGN_OR_RETURN(root, builder.BuildNode(plan));
+Result<std::unique_ptr<MessageRouter>> MessageRouter::Build(RouterPlanPtr plan) {
+  auto router = std::make_unique<MessageRouter>();
+  router->plan_ = std::move(plan);
+  if (router->plan_->fused) {
+    SQS_RETURN_IF_ERROR(router->BuildFused());
+    return router;
+  }
+
+  const RouterConfig& config = router->plan_->config;
+  Builder builder(config);
+  SQS_ASSIGN_OR_RETURN(root, builder.BuildNode(*router->plan_->plan));
 
   auto insert = std::make_shared<InsertOperator>(
       config.output_topic, config.output_serde, config.out_key_index);
@@ -254,23 +225,23 @@ Result<std::unique_ptr<MessageRouter>> MessageRouter::Build(
   return router;
 }
 
-Status MessageRouter::BuildFused(sql::FusedStageSpec spec, const RouterConfig& config) {
-  const sql::SourceDef& source = spec.scan->source;
+Status MessageRouter::BuildFused() {
+  const RouterConfig& config = plan_->config;
+  // The stage reads its spec in place: the alias keeps the shared plan alive.
+  std::shared_ptr<const sql::FusedStageSpec> spec(plan_, &*plan_->fused);
+  const sql::SourceDef& source = spec->scan->source;
   SQS_ASSIGN_OR_RETURN(input_serde, SerdeForFormat(source.format, source.schema));
-  const std::string label = spec.label;
-  const std::string topic = source.topic;
-  const bool bootstrap = !source.is_stream();
 
   // A probe stage reads the relation store its join fills: only the
   // relation side is built as operators, numbered after the stage's range,
   // and its scan feeds the side-1 upsert of the join operator.
-  Builder builder(&config, nullptr);
+  Builder builder(config);
   RowSerdePtr relation_serde;
-  if (spec.probe) {
-    const sql::FusedProbeSpec& probe = *spec.probe;
+  if (spec->probe) {
+    const sql::FusedProbeSpec& probe = *spec->probe;
     SQS_ASSIGN_OR_RETURN(state_serde, builder.StateSerde(probe.relation_schema));
     relation_serde = state_serde;
-    builder.set_next_id(spec.last_op + 1);
+    builder.set_next_id(spec->last_op + 1);
     SQS_ASSIGN_OR_RETURN(relation, builder.BuildNode(*probe.relation));
     auto join = std::make_shared<StreamTableJoinOperator>(
         probe.equi_keys, nullptr, relation_serde, probe.store_prefix);
@@ -279,14 +250,14 @@ Status MessageRouter::BuildFused(sql::FusedStageSpec spec, const RouterConfig& c
   }
 
   auto fused = std::make_shared<FusedStageOperator>(
-      std::move(spec), input_serde, config.output_topic, config.output_serde,
+      spec, input_serde, config.output_topic, config.output_serde,
       config.out_key_index, relation_serde);
-  fused->set_metric_id(label);
-  FlightRecorder::Record(FlightEventType::kPlanBuilt, topic, label);
+  fused->set_metric_id(spec->label);
+  FlightRecorder::Record(FlightEventType::kPlanBuilt, source.topic, spec->label);
   operators_ = std::move(builder.operators_);
   operators_.push_back(fused);
   fused_stage_ = fused;
-  BindSource(topic, bootstrap, fused);
+  BindSource(source.topic, !source.is_stream(), fused);
   BindScans(builder.scan_topics_, builder.scan_ops_);
   return Status::Ok();
 }
@@ -308,13 +279,15 @@ void MessageRouter::BindScans(
 Result<std::vector<std::string>> MessageRouter::RequiredStores(
     const sql::LogicalNode& plan) {
   std::vector<std::string> stores;
-  Builder builder(nullptr, &stores);
+  const RouterConfig defaults;
+  Builder builder(defaults, &stores);
   SQS_RETURN_IF_ERROR(builder.BuildNode(plan).status());
   return stores;
 }
 
 Status MessageRouter::Init(OperatorContext& ctx) {
   for (auto& op : operators_) {
+    op->BindMetrics(*ctx.task);
     SQS_RETURN_IF_ERROR(op->Init(ctx));
   }
   return Status::Ok();

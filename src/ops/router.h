@@ -3,10 +3,16 @@
 // router generation ... happens during Samza stream task initialization").
 // Incoming messages are dispatched by topic to the matching scan operator(s)
 // and flow through the operator chain to the stream-insert at the root.
+//
+// Planning and instantiation are split: MessageRouter::Plan turns an
+// optimized plan into an immutable RouterPlan once per job (fused-stage
+// planning included), and MessageRouter::Build instantiates one task's
+// operators from it. Every task of a job shares the one RouterPlan.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,16 +43,35 @@ struct RouterConfig {
   bool fusion = true;
 };
 
+// What every task of a job builds its router from: the optimized plan, the
+// router settings and, when the whole plan runs as one fused stage, that
+// stage's spec (its borrowed plan pointers stay valid for the RouterPlan's
+// lifetime). Immutable once made, so tasks on any thread share it.
+struct RouterPlan {
+  std::shared_ptr<const sql::LogicalNode> plan;
+  RouterConfig config;
+  std::optional<sql::FusedStageSpec> fused;
+};
+using RouterPlanPtr = std::shared_ptr<const RouterPlan>;
+
 class MessageRouter {
  public:
-  // Builds the operator DAG for `plan` (an optimized logical plan).
-  static Result<std::unique_ptr<MessageRouter>> Build(const sql::LogicalNode& plan,
-                                                      const RouterConfig& config);
+  // Plans `plan` (an optimized logical plan) for instantiation: with
+  // config.fusion, runs sql::PlanFusedStages and keeps the stage when it
+  // covers the whole plan.
+  static RouterPlanPtr Plan(sql::LogicalNodePtr plan, RouterConfig config);
+
+  // Builds one task's operator DAG from a shared plan.
+  static Result<std::unique_ptr<MessageRouter>> Build(RouterPlanPtr plan);
 
   // Store names the plan's stateful operators require, in the same order
-  // Build() assigns them. Used by the job config generator (shell side).
+  // Build() assigns them. Used by the job config generator (shell side); it
+  // runs the same build traversal, so a plan no task could build (e.g. an
+  // aggregate without a group window) fails here, at submission.
   static Result<std::vector<std::string>> RequiredStores(const sql::LogicalNode& plan);
 
+  // Binds every operator's metrics and trace scope to ctx.task, then runs
+  // each operator's Init (expression compilation, stores).
   Status Init(OperatorContext& ctx);
 
   // Dispatch a contiguous run of messages, grouping same-topic runs into
@@ -73,6 +98,8 @@ class MessageRouter {
   std::vector<std::string> BootstrapTopics() const;
 
   size_t num_operators() const { return operators_.size(); }
+  // The shared plan this router was built from.
+  const RouterPlan* plan() const { return plan_.get(); }
 
  private:
   struct SourceBinding {
@@ -82,13 +109,14 @@ class MessageRouter {
   };
 
   // Fused build: the stage, plus the interpreted relation side of a probe.
-  Status BuildFused(sql::FusedStageSpec spec, const RouterConfig& config);
+  Status BuildFused();
   void BindSource(const std::string& topic, bool bootstrap,
                   std::shared_ptr<SourceOperator> source);
   // Binds built scans (topic, bootstrap flag) as sources.
   void BindScans(const std::vector<std::pair<std::string, bool>>& topics,
                  const std::vector<std::shared_ptr<ScanOperator>>& scans);
 
+  RouterPlanPtr plan_;
   std::vector<OperatorPtr> operators_;  // all, in build order
   std::vector<SourceBinding> sources_;
   std::map<std::string, std::vector<SourceOperator*>> by_topic_;

@@ -17,6 +17,11 @@ void TaskFactoryRegistry::Register(const std::string& name, TaskFactory factory)
   factories_[name] = std::move(factory);
 }
 
+void TaskFactoryRegistry::Unregister(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  factories_.erase(name);
+}
+
 Result<TaskFactory> TaskFactoryRegistry::Get(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = factories_.find(name);

@@ -116,6 +116,7 @@ class TaskFactoryRegistry {
   static TaskFactoryRegistry& Instance();
 
   void Register(const std::string& name, TaskFactory factory);
+  void Unregister(const std::string& name);
   Result<TaskFactory> Get(const std::string& name) const;
 
  private:
@@ -135,10 +136,6 @@ inline constexpr const char* kCheckpointTopic = "task.checkpoint.topic";
 inline constexpr const char* kCommitEveryMessages = "task.commit.max.messages";
 inline constexpr const char* kWindowMs = "task.window.ms";
 inline constexpr const char* kMaxPollMessages = "task.poll.max.messages";
-// Upper bound on the contiguous same-task run handed to one
-// StreamTask::ProcessBatch call (1 = per-message processing). Runs are also
-// cut at traced messages, CRC failures, and the commit cadence.
-inline constexpr const char* kBatchMaxMessages = "task.batch.max.messages";
 inline constexpr const char* kMaxFetchPerPartition = "task.fetch.max.per.partition";
 inline constexpr const char* kPollLatencyNanos = "task.poll.latency.nanos";
 // How the simulated per-poll broker RTT is charged: "spin" (default) burns

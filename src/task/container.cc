@@ -9,6 +9,11 @@ namespace sqs {
 
 namespace {
 
+// Upper bound on the contiguous same-task run handed to one
+// StreamTask::ProcessBatch call. Runs are also cut at traced messages, CRC
+// failures, and the commit cadence.
+constexpr size_t kMaxBatchRun = 256;
+
 // Collector bound to a task instance; keyed sends hash-partition, partition-
 // preserving sends reuse the input partition id. Every successful send is
 // accounted against the container's resource ledger (rows/bytes out), and —
@@ -175,6 +180,13 @@ Container::Container(BrokerPtr broker, Config config, ContainerModel model,
 
 Container::~Container() = default;
 
+const StreamTask& Container::task(size_t i) const { return *tasks_.at(i)->task; }
+
+const Retrier* Container::task_send_retrier(size_t i) const {
+  const Producer* producer = tasks_.at(i)->producer.get();
+  return producer ? &producer->retrier() : nullptr;
+}
+
 Status Container::InitTask(TaskInstance& task) {
   // The full transactional checkpoint is read up front: input positions
   // seed the consumers, changelog high-watermarks bound store restore, and
@@ -185,7 +197,7 @@ Status Container::InitTask(TaskInstance& task) {
 
   if (delivery_ == DeliveryMode::kExactlyOnce) {
     task.producer = std::make_unique<Producer>(broker_, clock_);
-    task.producer->SetRetrier(send_retrier_);
+    task.producer->SetRetrier(send_retrier_.Reseeded(task.trace_scope + ".retry.send"));
     task.producer->BindFencingMetric(m_fenced_);
     // Registering under the task name bumps the epoch past any pre-crash
     // incarnation of this task: its in-flight appends are fenced from here.
@@ -231,7 +243,8 @@ Status Container::InitTask(TaskInstance& task) {
             .Sub(store_name);
     store->BindMetrics(&store_scope.counter("changelog_writes"),
                        &store_scope.counter("changelog_bytes"));
-    store->SetRetrier(changelog_retrier_);
+    store->SetRetrier(changelog_retrier_.Reseeded(
+        task.trace_scope + ".retry.changelog." + store_name));
     // Exactly-once truncates the replay at the checkpointed high-watermark:
     // changelog records appended after the last commit belong to input the
     // restart will reprocess, so replaying them would double-apply state.
@@ -370,8 +383,6 @@ Status Container::Start() {
   checkpoints_->SetRetrier(retrier("checkpoint"));
 
   commit_every_ = config_.GetInt(cfg::kCommitEveryMessages, 0);
-  batch_max_ = config_.GetInt(cfg::kBatchMaxMessages, 256);
-  if (batch_max_ < 1) batch_max_ = 1;
   window_ms_ = config_.GetInt(cfg::kWindowMs, 0);
   last_window_fire_ms_ = clock_->NowMillis();
 
@@ -527,13 +538,13 @@ Result<int64_t> Container::ProcessBatch(const std::vector<IncomingMessage>& batc
       // A producer-traced message is a run of one that continues its own
       // trace (produce -> process -> operator spans). Otherwise slice off the
       // longest contiguous run of CRC-valid, untraced messages owned by this
-      // task, capped by task.batch.max.messages and by the commit cadence (so
+      // task, capped at kMaxBatchRun and by the commit cadence (so
       // task.commit.max.messages boundaries land exactly where the
       // per-message loop would put them).
       TraceContext parent = first.message.trace;
       size_t end = b + 1;
       if (!parent.valid()) {
-        size_t limit = static_cast<size_t>(batch_max_);
+        size_t limit = kMaxBatchRun;
         if (commit_every_ > 0) {
           int64_t room = commit_every_ - task.since_commit;
           if (room < 1) room = 1;

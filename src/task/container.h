@@ -153,6 +153,13 @@ class Container {
   MetricsRegistry& metrics() { return *metrics_; }
   const ContainerModel& model() const { return model_; }
 
+  // The task instances in model order, read-only (tests and tools).
+  size_t num_tasks() const { return tasks_.size(); }
+  const StreamTask& task(size_t i) const;
+  // The retrier task i's exactly-once producer sends through; null under
+  // at-least-once, where sends go through the container's producer.
+  const Retrier* task_send_retrier(size_t i) const;
+
  private:
   struct TaskInstance;
 
@@ -193,11 +200,12 @@ class Container {
   std::string dlq_topic_;
   // Retriers for the operations that gain instances after Start(): each
   // exactly-once task producer sends through a copy of `send_retrier_`,
-  // each managed store mirrors through a copy of `changelog_retrier_`.
+  // each managed store mirrors through a copy of `changelog_retrier_`. The
+  // copies count into the container's metrics but draw their jitter from
+  // the task's scope (Retrier::Reseeded).
   Retrier send_retrier_;
   Retrier changelog_retrier_;
   int64_t commit_every_ = 0;
-  int64_t batch_max_ = 256;  // task.batch.max.messages
   int64_t window_ms_ = 0;
   int64_t last_window_fire_ms_ = 0;
   bool started_ = false;

@@ -4,9 +4,12 @@
 // results on a stream as if the same data were in a table".
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
+#include "common/flightrec.h"
 #include "core/executor.h"
+#include "core/task.h"
 #include "workload/generators.h"
 
 namespace sqs::core {
@@ -447,6 +450,129 @@ TEST_F(E2eTest, InsertArityMismatchFails) {
       "INSERT INTO Derived SELECT STREAM rowtime, units, orderId FROM Orders");
   ASSERT_FALSE(second.ok());
   EXPECT_NE(second.status().message().find("arity"), std::string::npos);
+}
+
+// The task-side plan is made once per job: 2 containers x 8 tasks, one
+// plan-compile event, and every task's router (a restarted container's
+// included) is built from the one shared plan object.
+class PlanOnceTest : public ::testing::Test {
+ protected:
+  static constexpr int32_t kTasks = 8;
+
+  void SetUp() override {
+    env_ = SamzaSqlEnvironment::Make();
+    ASSERT_TRUE(workload::SetupPaperSources(*env_, kTasks).ok());
+  }
+
+  void StartExecutor(const std::string& fusion) {
+    Config defaults;
+    defaults.SetInt(cfg::kContainerCount, 2);
+    defaults.Set(sqlcfg::kFusion, fusion);
+    executor_ = std::make_unique<QueryExecutor>(env_, defaults);
+  }
+
+  // Every task of job `index`, over its containers.
+  std::vector<const SamzaSqlTask*> Tasks(int index) {
+    std::vector<const SamzaSqlTask*> tasks;
+    JobRunner* job = executor_->job(index);
+    for (size_t c = 0; c < job->NumContainers(); ++c) {
+      auto container = job->container(static_cast<int32_t>(c));
+      for (size_t t = 0; t < container->num_tasks(); ++t) {
+        tasks.push_back(dynamic_cast<const SamzaSqlTask*>(&container->task(t)));
+      }
+    }
+    return tasks;
+  }
+
+  // Plan-compile events of `job_name` (the router's per-instantiation
+  // plan_built events are scoped by topic and do not count).
+  static int PlanCompiles(const std::string& job_name) {
+    int plans = 0;
+    for (const FlightEvent& e : FlightRecorder::Instance().Snapshot(job_name)) {
+      if (e.type == FlightEventType::kPlanBuilt && job_name == e.scope &&
+          std::strncmp(e.detail, "job plan", 8) == 0) {
+        ++plans;
+      }
+    }
+    return plans;
+  }
+
+  EnvironmentPtr env_;
+  std::unique_ptr<QueryExecutor> executor_;
+};
+
+TEST_F(PlanOnceTest, EachJobIsPlannedOnceAndEveryTaskSharesThePlan) {
+  FlightRecorder::Instance().Clear();
+  StartExecutor("on");
+  const char* queries[] = {
+      // One fused stage.
+      "SELECT STREAM rowtime, productId, units FROM Orders WHERE units > 10",
+      // An interpreted DAG with a stateful operator.
+      "SELECT STREAM START(rowtime), productId, SUM(units) AS total FROM Orders "
+      "GROUP BY TUMBLE(rowtime, INTERVAL '10' SECOND), productId"};
+  for (const char* query : queries) {
+    auto submitted = executor_->Execute(query);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    const int index = submitted.value().job_index;
+    JobRunner* job = executor_->job(index);
+    ASSERT_EQ(job->NumContainers(), 2u);
+    EXPECT_EQ(PlanCompiles(job->job_name()), 1) << query;
+
+    std::vector<const SamzaSqlTask*> tasks = Tasks(index);
+    ASSERT_EQ(tasks.size(), static_cast<size_t>(kTasks));
+    const ops::RouterPlan* plan = tasks[0]->router()->plan();
+    ASSERT_NE(plan, nullptr);
+    for (const SamzaSqlTask* task : tasks) EXPECT_EQ(task->router()->plan(), plan);
+
+    // A restarted container rebuilds its tasks from the same plan object,
+    // without planning again.
+    ASSERT_TRUE(job->KillContainer(1).ok());
+    ASSERT_TRUE(job->RestartContainer(1).ok());
+    tasks = Tasks(index);
+    ASSERT_EQ(tasks.size(), static_cast<size_t>(kTasks));
+    for (const SamzaSqlTask* task : tasks) EXPECT_EQ(task->router()->plan(), plan);
+    EXPECT_EQ(PlanCompiles(job->job_name()), 1) << query;
+  }
+  EXPECT_TRUE(executor_->RunJobsUntilQuiescent().ok());
+}
+
+TEST_F(PlanOnceTest, OperatorMetricsAreRegisteredBeforeTheFirstMessage) {
+  workload::OrdersGeneratorOptions options;
+  options.num_products = 20;
+  workload::OrdersGenerator gen(*env_, options);
+  ASSERT_TRUE(gen.Produce(100).ok());
+  // Interpreted: the scans, the join, the project and the insert are all
+  // operators of every task.
+  StartExecutor("off");
+  auto submitted = executor_->Execute(
+      "SELECT STREAM Orders.orderId, Products.supplierId FROM Orders "
+      "JOIN Products ON Orders.productId = Products.productId");
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  JobRunner* job = executor_->job(submitted.value().job_index);
+  EXPECT_EQ(job->TotalProcessed(), 0);
+
+  const MetricsSnapshot snap = job->metrics_registry()->Snapshot();
+  const std::vector<const SamzaSqlTask*> tasks = Tasks(submitted.value().job_index);
+  ASSERT_EQ(tasks.size(), static_cast<size_t>(kTasks));
+  const size_t num_operators = tasks[0]->router()->num_operators();
+  EXPECT_EQ(num_operators, 5u);
+  const std::string job_scope = ScopedMetrics::Sanitize(job->job_name());
+  const std::string suffix = ".processed";
+  for (int32_t p = 0; p < kTasks; ++p) {
+    const std::string prefix =
+        job_scope + "." + ScopedMetrics::Sanitize("Partition " + std::to_string(p)) + ".";
+    size_t registered = 0;
+    for (const auto& [name, value] : snap.counters) {
+      if (name.rfind(prefix, 0) == 0 && name.size() > prefix.size() + suffix.size() &&
+          name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
+        ++registered;
+        EXPECT_EQ(value, 0) << name;
+      }
+    }
+    EXPECT_EQ(registered, num_operators) << prefix;
+  }
+  EXPECT_EQ(snap.counters.count(job_scope + ".Partition_0.op1-stream-table-join.processed"),
+            1u);
 }
 
 }  // namespace

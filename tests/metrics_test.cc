@@ -140,7 +140,7 @@ TEST(ScopedMetricsTest, DefaultConstructedIsUnbound) {
 // ---------------------------------------------------------------------------
 // Merge + rendering
 
-TEST(MergeSnapshotsTest, CountersSumGaugesLastWinHistogramsKeepLarger) {
+TEST(MergeSnapshotsTest, CountersSumGaugesLastWinHistogramsMergeBuckets) {
   MetricsRegistry a, b;
   a.GetCounter("c").Inc(2);
   b.GetCounter("c").Inc(5);
@@ -155,7 +155,15 @@ TEST(MergeSnapshotsTest, CountersSumGaugesLastWinHistogramsKeepLarger) {
   EXPECT_EQ(merged.counters.at("c"), 7);
   EXPECT_EQ(merged.gauges.at("g"), 9);
   EXPECT_EQ(merged.timers.at("t"), 30);
-  EXPECT_EQ(merged.histograms.at("h").count, 2);  // larger-count snapshot wins
+  // Same-name histograms merge bucket by bucket: {1} + {1, 2}.
+  const HistogramStats& h = merged.histograms.at("h");
+  EXPECT_EQ(h.count, 3);
+  EXPECT_EQ(h.sum, 4);
+  EXPECT_EQ(h.min, 1);
+  EXPECT_EQ(h.max, 2);
+  EXPECT_EQ(h.p50, 1);
+  EXPECT_EQ(h.p99, 2);
+  EXPECT_EQ(h.buckets, (std::vector<std::pair<int64_t, int64_t>>{{1, 2}, {2, 3}}));
 }
 
 TEST(RenderTest, JsonLinesOneObjectPerMetric) {

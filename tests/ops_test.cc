@@ -108,6 +108,12 @@ class OpsTest : public ::testing::Test {
     ctx.collector = &collector_;
     return ctx;
   }
+  // Operators driven on their own are bound the way MessageRouter::Init
+  // binds a router's operators.
+  template <typename... Ops>
+  void Bind(Ops&... ops) {
+    (ops.BindMetrics(task_), ...);
+  }
 };
 
 TEST_F(OpsTest, FilterPassesAndDrops) {
@@ -115,6 +121,7 @@ TEST_F(OpsTest, FilterPassesAndDrops) {
   FilterOperator filter(ResolvedExpr("val > 10", TestSchema()));
   filter.SetNext(sink);
   auto ctx = Ctx();
+  Bind(filter, *sink);
   ASSERT_TRUE(filter.Init(ctx).ok());
   ASSERT_TRUE(filter.Process(Ev(1, 1, 5), ctx).ok());
   ASSERT_TRUE(filter.Process(Ev(2, 1, 15), ctx).ok());
@@ -130,6 +137,7 @@ TEST_F(OpsTest, ProjectComputesAndTracksRowtime) {
   ProjectOperator project(std::move(exprs), 0);
   project.SetNext(sink);
   auto ctx = Ctx();
+  Bind(project, *sink);
   ASSERT_TRUE(project.Init(ctx).ok());
   ASSERT_TRUE(project.Process(Ev(42, 1, 7), ctx).ok());
   ASSERT_EQ(sink->events.size(), 1u);
@@ -144,6 +152,7 @@ TEST_F(OpsTest, ScanDecodesAndValidates) {
   ScanOperator scan(serde, schema, 0);
   scan.SetNext(sink);
   auto ctx = Ctx();
+  Bind(scan, *sink);
   ASSERT_TRUE(scan.Init(ctx).ok());
 
   IncomingMessage msg;
@@ -166,6 +175,7 @@ TEST_F(OpsTest, InsertSerializesAndPreservesPartition) {
   auto schema = TestSchema();
   InsertOperator insert("out", std::make_shared<AvroRowSerde>(schema));
   auto ctx = Ctx();
+  Bind(insert);
   ASSERT_TRUE(insert.Init(ctx).ok());
   ASSERT_TRUE(insert.Process(Ev(5, 2, 3, 0, 7), ctx).ok());
   ASSERT_EQ(collector_.sent.size(), 1u);
@@ -186,6 +196,7 @@ TEST_F(OpsTest, OperatorRegistersAndAdvancesScopedMetrics) {
   FilterOperator filter(ResolvedExpr("val > 10", TestSchema()));
   filter.SetNext(sink);
   auto ctx = Ctx();
+  Bind(filter, *sink);
   ASSERT_TRUE(filter.Init(ctx).ok());
   ASSERT_TRUE(filter.Process(Ev(100, 1, 5), ctx).ok());
   ASSERT_TRUE(filter.Process(Ev(200, 1, 15), ctx).ok());
@@ -206,6 +217,7 @@ TEST_F(OpsTest, MetricIdOverridesScopeSegment) {
   filter.set_metric_id("op2-filter");
   filter.SetNext(sink);
   auto ctx = Ctx();
+  Bind(filter, *sink);
   ASSERT_TRUE(filter.Init(ctx).ok());
   ASSERT_TRUE(filter.Process(Ev(1, 1, 50), ctx).ok());
   MetricsSnapshot snap = task_.metrics().Snapshot();
@@ -234,6 +246,7 @@ TEST_F(OpsTest, SlidingWindowSumAdvancesAndPurges) {
   auto sink = std::make_shared<SinkOperator>();
   window.SetNext(sink);
   auto ctx = Ctx();
+  Bind(window, *sink);
   ASSERT_TRUE(window.Init(ctx).ok());
 
   // Key 1: values at t=0,50,100,200. Window = 100ms preceding inclusive.
@@ -260,6 +273,7 @@ TEST_F(OpsTest, SlidingWindowDuplicateDeliveryIsIdempotentAndDeterministic) {
   auto sink = std::make_shared<SinkOperator>();
   window.SetNext(sink);
   auto ctx = Ctx();
+  Bind(window, *sink);
   ASSERT_TRUE(window.Init(ctx).ok());
 
   ASSERT_TRUE(window.Process(Ev(0, 1, 10, 0), ctx).ok());
@@ -284,6 +298,7 @@ TEST_F(OpsTest, SlidingWindowReplayAfterLaterTuplesStillExact) {
   auto sink = std::make_shared<SinkOperator>();
   window.SetNext(sink);
   auto ctx = Ctx();
+  Bind(window, *sink);
   ASSERT_TRUE(window.Init(ctx).ok());
 
   ASSERT_TRUE(window.Process(Ev(0, 1, 10, 0), ctx).ok());
@@ -306,6 +321,7 @@ TEST_F(OpsTest, SlidingWindowRowsBased) {
   auto sink = std::make_shared<SinkOperator>();
   window.SetNext(sink);
   auto ctx = Ctx();
+  Bind(window, *sink);
   ASSERT_TRUE(window.Init(ctx).ok());
 
   ASSERT_TRUE(window.Process(Ev(0, 1, 1, 0), ctx).ok());
@@ -335,6 +351,7 @@ TEST_F(OpsTest, WindowAggregateEmitsOnWatermarkAndDiscardsLate) {
   auto sink = std::make_shared<SinkOperator>();
   agg.SetNext(sink);
   auto ctx = Ctx();
+  Bind(agg, *sink);
   ASSERT_TRUE(agg.Init(ctx).ok());
 
   ASSERT_TRUE(agg.Process(Ev(10, 1, 0, 0), ctx).ok());
@@ -379,6 +396,7 @@ TEST_F(OpsTest, HoppingAggregateAssignsTupleToMultipleWindows) {
   auto sink = std::make_shared<SinkOperator>();
   agg.SetNext(sink);
   auto ctx = Ctx();
+  Bind(agg, *sink);
   ASSERT_TRUE(agg.Init(ctx).ok());
 
   ASSERT_TRUE(agg.Process(Ev(60, 1, 0, 0), ctx).ok());  // windows [0,100) & [50,150)
@@ -398,6 +416,7 @@ TEST_F(OpsTest, StreamTableJoinLooksUpAndHonorsUpserts) {
   auto sink = std::make_shared<SinkOperator>();
   join.SetNext(sink);
   auto ctx = Ctx();
+  Bind(join, *sink);
   ASSERT_TRUE(join.Init(ctx).ok());
 
   // No match yet: dropped (inner join).
@@ -431,6 +450,7 @@ TEST_F(OpsTest, StreamStreamJoinMatchesWithinWindowOnly) {
   auto sink = std::make_shared<SinkOperator>();
   join.SetNext(sink);
   auto ctx = Ctx();
+  Bind(join, *sink);
   ASSERT_TRUE(join.Init(ctx).ok());
 
   // Left at t=1000, right at t=1500 (in window), right at t=5000 (out).
@@ -464,6 +484,7 @@ TEST_F(OpsTest, StreamStreamJoinPurgesByOppositeWatermark) {
   auto sink = std::make_shared<SinkOperator>();
   join.SetNext(sink);
   auto ctx = Ctx();
+  Bind(join, *sink);
   ASSERT_TRUE(join.Init(ctx).ok());
 
   for (int i = 0; i < 5; ++i) {
@@ -492,7 +513,7 @@ TEST_F(OpsTest, RouterBuildsPlanAndRoutes) {
   config.output_topic = "out";
   config.output_serde = std::make_shared<AvroRowSerde>(plan->schema);
   config.fusion = false;  // interpreted DAG: one operator per plan node
-  auto router = MessageRouter::Build(*plan, config);
+  auto router = MessageRouter::Build(MessageRouter::Plan(plan, config));
   ASSERT_TRUE(router.ok()) << router.status().ToString();
   EXPECT_EQ(router.value()->InputTopics(), std::vector<std::string>{"orders"});
   EXPECT_TRUE(router.value()->BootstrapTopics().empty());
@@ -530,7 +551,7 @@ TEST_F(OpsTest, RouterFusesTerminalFilterProjectChain) {
   RouterConfig config;
   config.output_topic = "out";
   config.output_serde = std::make_shared<AvroRowSerde>(plan->schema);
-  auto router = MessageRouter::Build(*plan, config);  // fusion defaults on
+  auto router = MessageRouter::Build(MessageRouter::Plan(plan, config));  // fusion defaults on
   ASSERT_TRUE(router.ok()) << router.status().ToString();
   // The whole terminal scan<-filter<-project chain (plus the insert) is one
   // fused stage, so the router holds exactly one operator.
@@ -574,13 +595,13 @@ TEST_F(OpsTest, RouterFusesStreamRelationJoinAndBuildsOnlyTheRelationSide) {
 
   // sql.fusion=off keeps the whole interpreted DAG.
   config.fusion = false;
-  auto interpreted = MessageRouter::Build(*plan, config);
+  auto interpreted = MessageRouter::Build(MessageRouter::Plan(plan, config));
   ASSERT_TRUE(interpreted.ok());
   EXPECT_EQ(interpreted.value()->fused_stage(), nullptr);
   EXPECT_EQ(interpreted.value()->num_operators(), 5u);  // project, join, 2 scans, insert
 
   config.fusion = true;
-  auto router = MessageRouter::Build(*plan, config);
+  auto router = MessageRouter::Build(MessageRouter::Plan(plan, config));
   ASSERT_TRUE(router.ok()) << router.status().ToString();
   // Project op0, join op1 and the Orders scan op2 are one stage; only the
   // Products scan (op3) and the join's relation upsert stay operators.
@@ -637,7 +658,7 @@ TEST_F(OpsTest, RouterStoreNamesMatchBetweenPasses) {
   RouterConfig config;
   config.output_topic = "out";
   config.output_serde = std::make_shared<AvroRowSerde>(plan->schema);
-  auto router = MessageRouter::Build(*plan, config);
+  auto router = MessageRouter::Build(MessageRouter::Plan(plan, config));
   ASSERT_TRUE(router.ok());
   EXPECT_FALSE(router.value()->BootstrapTopics().empty());
   auto ctx = Ctx();  // FakeTaskContext creates stores on demand

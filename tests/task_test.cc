@@ -593,5 +593,93 @@ TEST_F(RunnerTest, ShutdownRequestStopsProcessing) {
   EXPECT_LT(runner.TotalProcessed(), 100);
 }
 
+// The exactly-once producers of one container's tasks draw their own retry
+// jitter: tasks that fail together do not back off in lockstep.
+TEST_F(RunnerTest, TasksOfOneContainerDrawDifferentRetryJitter) {
+  TaskFactoryRegistry::Instance().Register(
+      "eo-jitter", [] { return std::make_unique<EchoTask>(); });
+  Config c = BaseConfig("eo-jitter");
+  c.SetInt(cfg::kContainerCount, 1);
+  c.Set(cfg::kTaskDelivery, "exactly-once");
+  c.SetInt(cfg::kRetryMaxAttempts, 3);
+  JobRunner runner(broker_, c);
+  ASSERT_TRUE(runner.Start().ok());
+  std::shared_ptr<Container> container = runner.container(0);
+  ASSERT_EQ(container->num_tasks(), 4u);
+  std::vector<int64_t> first_backoff;
+  for (size_t t = 0; t < container->num_tasks(); ++t) {
+    const Retrier* retrier = container->task_send_retrier(t);
+    ASSERT_NE(retrier, nullptr);
+    Retrier copy = *retrier;
+    first_backoff.push_back(copy.JitteredMs(1000));
+  }
+  EXPECT_NE(first_backoff[0], first_backoff[1]);
+  EXPECT_GT(std::set<int64_t>(first_backoff.begin(), first_backoff.end()).size(), 2u);
+  ASSERT_TRUE(runner.Stop().ok());
+}
+
+// Two jobs reporting to one path rotate on one byte count: `<path>.1`
+// followed by `<path>` is an unbroken tail of the reports both jobs wrote,
+// so no report since the last roll is lost or moved out of order.
+TEST_F(RunnerTest, JobsSharingAReporterPathRotateOnOneByteCount) {
+  TaskFactoryRegistry::Instance().Register(
+      "metrics-reporter-shared", [] { return std::make_unique<EchoTask>(); });
+  const std::string path = "reporter_shared_metrics.jsonl";
+  std::remove(path.c_str());
+  std::remove((path + ".1").c_str());
+  constexpr int64_t kMaxBytes = 8192;
+  auto clock = std::make_shared<ManualClock>(1000);
+  auto make_job = [&](const std::string& name) {
+    Config c = BaseConfig("metrics-reporter-shared");
+    c.Set(cfg::kJobName, name);
+    c.SetInt(cfg::kContainerCount, 1);
+    c.SetInt(cfg::kMetricsReporterIntervalMs, 100);
+    c.Set(cfg::kMetricsReporterPath, path);
+    c.SetInt(cfg::kMetricsReporterMaxBytes, kMaxBytes);
+    return std::make_unique<JobRunner>(broker_, c, clock);
+  };
+  std::unique_ptr<JobRunner> jobs[] = {make_job("job-a"), make_job("job-b")};
+  for (auto& job : jobs) ASSERT_TRUE(job->Start().ok());
+
+  // Each interval, each job reports once (the first turn of its run claims
+  // it): reports go out as (job-a, t), (job-b, t), (job-a, t + 100), ...
+  std::vector<std::pair<std::string, int64_t>> written;
+  for (int interval = 0; interval < 12; ++interval) {
+    clock->Advance(100);
+    Produce(4);
+    for (auto& job : jobs) {
+      ASSERT_TRUE(job->RunThreadedUntilQuiescent(1).ok());
+      written.emplace_back(job->job_name(), clock->NowMillis());
+    }
+  }
+
+  // Group the lines of both files, in roll order, into (job, ts_ms) reports.
+  std::vector<std::pair<std::string, int64_t>> kept;
+  for (const std::string& file : {path + ".1", path}) {
+    std::ifstream in(file, std::ios::binary | std::ios::ate);
+    ASSERT_TRUE(in.good()) << file;
+    EXPECT_LE(static_cast<int64_t>(in.tellg()), kMaxBytes) << file;
+    in.seekg(0);
+    for (std::string line; std::getline(in, line);) {
+      const std::string ts_key = "{\"ts_ms\":";
+      const std::string name_key = "\"name\":\"";
+      ASSERT_EQ(line.rfind(ts_key, 0), 0u) << line;
+      const int64_t ts = std::stoll(line.substr(ts_key.size()));
+      const size_t name_at = line.find(name_key) + name_key.size();
+      const std::string job = line.substr(name_at, line.find('.', name_at) - name_at);
+      if (kept.empty() || kept.back() != std::make_pair(job, ts)) kept.emplace_back(job, ts);
+    }
+  }
+  ASSERT_FALSE(kept.empty());
+  // Rolled at least twice, so the older reports are gone.
+  ASSERT_LT(kept.size(), written.size());
+  const std::vector<std::pair<std::string, int64_t>> tail(
+      written.end() - static_cast<std::ptrdiff_t>(kept.size()), written.end());
+  EXPECT_EQ(kept, tail);
+  for (auto& job : jobs) ASSERT_TRUE(job->Stop().ok());
+  std::remove(path.c_str());
+  std::remove((path + ".1").c_str());
+}
+
 }  // namespace
 }  // namespace sqs
