@@ -112,9 +112,10 @@ inline ThroughputResult MeasureSqlQuery(core::EnvironmentPtr env, const std::str
   return result;
 }
 
-// Create output topic + run a registered native task factory as a job.
+// Create output topic + run a native task factory as job `<name>-job`.
 inline ThroughputResult MeasureNativeJob(core::EnvironmentPtr env, Config config,
-                                         const std::string& factory,
+                                         const std::string& name,
+                                         TaskFactory factory,
                                          const std::string& inputs,
                                          const std::string& bootstrap_inputs,
                                          const std::string& output_topic) {
@@ -123,11 +124,10 @@ inline ThroughputResult MeasureNativeJob(core::EnvironmentPtr env, Config config
         env->broker->CreateTopic(output_topic, {.num_partitions = kPartitions});
     if (!st.ok()) throw std::runtime_error(st.ToString());
   }
-  config.Set(cfg::kJobName, factory + "-job");
+  config.Set(cfg::kJobName, name + "-job");
   config.Set(cfg::kTaskInputs, inputs);
   if (!bootstrap_inputs.empty()) config.Set(cfg::kBootstrapInputs, bootstrap_inputs);
-  config.Set(cfg::kTaskFactory, factory);
-  JobRunner job(env->broker, config, env->clock);
+  JobRunner job(env->broker, config, std::move(factory), env->clock);
   Status st = job.Start();
   if (!st.ok()) throw std::runtime_error(st.ToString());
   ThroughputResult result = MeasureJob(job);

@@ -13,26 +13,19 @@ namespace {
 
 constexpr int64_t kMessages = 120'000;
 
-void RegisterNativeFilter() {
-  static bool done = [] {
-    TaskFactoryRegistry::Instance().Register("bench-native-filter", [] {
-      return std::make_unique<baseline::NativeFilterTask>("native-filter-out", 50);
-    });
-    return true;
-  }();
-  (void)done;
-}
-
 void BM_Filter_Native(benchmark::State& state) {
-  RegisterNativeFilter();
   const int containers = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto env = MakeBenchEnv();
     workload::OrdersGenerator gen(*env, {});
     auto produced = gen.Produce(kMessages);
     if (!produced.ok()) state.SkipWithError(produced.status().ToString().c_str());
-    auto r = MeasureNativeJob(env, BenchJobConfig(containers), "bench-native-filter",
-                              "Orders", "", "native-filter-out");
+    auto r = MeasureNativeJob(
+        env, BenchJobConfig(containers), "bench-native-filter",
+        [] {
+          return std::make_unique<baseline::NativeFilterTask>("native-filter-out", 50);
+        },
+        "Orders", "", "native-filter-out");
     state.counters["job_msgs_per_s"] = r.job_tput;
     state.counters["avg_container_msgs_per_s"] = r.avg_container_tput;
     ReportThroughput("Fig5a", "native", containers, r);

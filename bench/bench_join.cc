@@ -19,16 +19,6 @@ namespace {
 constexpr int64_t kMessages = 60'000;
 constexpr int32_t kProducts = 1'000;
 
-void RegisterNativeJoin() {
-  static bool done = [] {
-    TaskFactoryRegistry::Instance().Register("bench-native-join", [] {
-      return std::make_unique<baseline::NativeJoinTask>("native-join-out", "Products");
-    });
-    return true;
-  }();
-  (void)done;
-}
-
 core::EnvironmentPtr MakeJoinEnv() {
   auto env = MakeBenchEnv();
   workload::OrdersGeneratorOptions options;
@@ -42,14 +32,17 @@ core::EnvironmentPtr MakeJoinEnv() {
 }
 
 void BM_Join_Native(benchmark::State& state) {
-  RegisterNativeJoin();
   const int containers = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto env = MakeJoinEnv();
     Config config = BenchJobConfig(containers);
     config.Set("stores.native-join-table.changelog", "native-join-table-changelog");
-    auto r = MeasureNativeJob(env, config, "bench-native-join", "Orders,Products",
-                              "Products", "native-join-out");
+    auto r = MeasureNativeJob(
+        env, config, "bench-native-join",
+        [] {
+          return std::make_unique<baseline::NativeJoinTask>("native-join-out", "Products");
+        },
+        "Orders,Products", "Products", "native-join-out");
     state.counters["job_msgs_per_s"] = r.job_tput;
     state.counters["avg_container_msgs_per_s"] = r.avg_container_tput;
     ReportThroughput("Fig5c", "native", containers, r);

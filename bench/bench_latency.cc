@@ -34,16 +34,6 @@ int64_t EnvInt(const char* name, int64_t fallback) {
 int64_t Messages() { return EnvInt("BENCH_LATENCY_MESSAGES", 120'000); }
 int Reps() { return static_cast<int>(EnvInt("BENCH_LATENCY_REPS", 13)); }
 
-void RegisterNativeFilter() {
-  static bool done = [] {
-    TaskFactoryRegistry::Instance().Register("bench-lat-native-filter", [] {
-      return std::make_unique<baseline::NativeFilterTask>("native-filter-out", 50);
-    });
-    return true;
-  }();
-  (void)done;
-}
-
 HistogramStats JobE2e(JobRunner& job) {
   MetricsSnapshot snap = job.metrics_registry()->Snapshot();
   auto it = snap.histograms.find(job.job_name() + ".e2e_latency_us");
@@ -84,7 +74,6 @@ void BM_E2eLatency_SamzaSQL(benchmark::State& state) {
 }
 
 void BM_E2eLatency_Native(benchmark::State& state) {
-  RegisterNativeFilter();
   const int containers = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto env = MakeBenchEnv();
@@ -99,8 +88,10 @@ void BM_E2eLatency_Native(benchmark::State& state) {
     Config config = BenchJobConfig(containers);
     config.Set(cfg::kJobName, "bench-lat-native");
     config.Set(cfg::kTaskInputs, "Orders");
-    config.Set(cfg::kTaskFactory, "bench-lat-native-filter");
-    JobRunner job(env->broker, config, env->clock);
+    const TaskFactory factory = [] {
+      return std::make_unique<baseline::NativeFilterTask>("native-filter-out", 50);
+    };
+    JobRunner job(env->broker, config, factory, env->clock);
     Status st = job.Start();
     if (!st.ok()) state.SkipWithError(st.ToString().c_str());
     ThroughputResult r = MeasureJob(job);

@@ -13,26 +13,17 @@ namespace {
 
 constexpr int64_t kMessages = 120'000;
 
-void RegisterNativeProject() {
-  static bool done = [] {
-    TaskFactoryRegistry::Instance().Register("bench-native-project", [] {
-      return std::make_unique<baseline::NativeProjectTask>("native-project-out");
-    });
-    return true;
-  }();
-  (void)done;
-}
-
 void BM_Project_Native(benchmark::State& state) {
-  RegisterNativeProject();
   const int containers = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto env = MakeBenchEnv();
     workload::OrdersGenerator gen(*env, {});
     auto produced = gen.Produce(kMessages);
     if (!produced.ok()) state.SkipWithError(produced.status().ToString().c_str());
-    auto r = MeasureNativeJob(env, BenchJobConfig(containers), "bench-native-project",
-                              "Orders", "", "native-project-out");
+    auto r = MeasureNativeJob(
+        env, BenchJobConfig(containers), "bench-native-project",
+        [] { return std::make_unique<baseline::NativeProjectTask>("native-project-out"); },
+        "Orders", "", "native-project-out");
     state.counters["job_msgs_per_s"] = r.job_tput;
     state.counters["avg_container_msgs_per_s"] = r.avg_container_tput;
     ReportThroughput("Fig5b", "native", containers, r);

@@ -23,19 +23,7 @@ constexpr int64_t kWindowMs = 5 * 60 * 1000;
 // dominate, as in the paper's Figure 6 analysis.
 constexpr int64_t kStoreLatencyNanos = 2000;
 
-void RegisterNativeWindow() {
-  static bool done = [] {
-    TaskFactoryRegistry::Instance().Register("bench-native-window", [] {
-      return std::make_unique<baseline::NativeSlidingWindowTask>("native-window-out",
-                                                                 kWindowMs);
-    });
-    return true;
-  }();
-  (void)done;
-}
-
 void BM_Window_Native(benchmark::State& state) {
-  RegisterNativeWindow();
   const int containers = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto env = MakeBenchEnv();
@@ -46,8 +34,13 @@ void BM_Window_Native(benchmark::State& state) {
     config.SetInt(cfg::kStoreAccessLatencyNanos, kStoreLatencyNanos);
     config.Set("stores.native-win-msgs.changelog", "native-win-msgs-changelog");
     config.Set("stores.native-win-agg.changelog", "native-win-agg-changelog");
-    auto r = MeasureNativeJob(env, config, "bench-native-window", "Orders", "",
-                              "native-window-out");
+    auto r = MeasureNativeJob(
+        env, config, "bench-native-window",
+        [] {
+          return std::make_unique<baseline::NativeSlidingWindowTask>("native-window-out",
+                                                                     kWindowMs);
+        },
+        "Orders", "", "native-window-out");
     state.counters["job_msgs_per_s"] = r.job_tput;
     state.counters["avg_container_msgs_per_s"] = r.avg_container_tput;
     ReportThroughput("Fig6", "native", containers, r);

@@ -84,7 +84,7 @@ class FlightRecorder {
   void SetEnabled(bool enabled);
   bool enabled() const;
 
-  // Per-thread ring capacity (`flightrec.ring.events`). Applies to rings
+  // Per-thread ring capacity (default kDefaultRingEvents). Applies to rings
   // created after the call; existing rings keep their size.
   void SetRingCapacity(size_t events);
   size_t ring_capacity() const;

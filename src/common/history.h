@@ -1,7 +1,7 @@
 // MetricsHistory: a fixed-capacity time-series ring over registry snapshots.
 // The monitor samples every job's registry on a clock-driven interval
 // (`metrics.history.interval.ms`), keeping the most recent
-// `metrics.history.samples` points per metric key, so rates (msgs/sec, lag
+// kDefaultSamples points per metric key, so rates (msgs/sec, lag
 // slope) can be computed without an external scraper. Counters, gauges and
 // timers record their value; histograms record `<name>.count` and
 // `<name>.p99`. Readers (the HTTP /history endpoint, the shell's

@@ -1,7 +1,6 @@
 #include "core/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -23,11 +22,6 @@
 namespace sqs::core {
 
 namespace {
-
-std::string UniqueFactoryName() {
-  static std::atomic<int> counter{0};
-  return "samzasql-" + std::to_string(counter.fetch_add(1));
-}
 
 void CollectScans(const sql::LogicalNode& node,
                   std::vector<const sql::LogicalNode*>& scans) {
@@ -275,8 +269,7 @@ std::string RenderLatencyWaterfall(const MetricsSnapshot& snap,
 
 QueryExecutor::QueryExecutor(EnvironmentPtr env, Config job_defaults)
     : env_(std::move(env)),
-      defaults_(std::move(job_defaults)),
-      factory_name_(UniqueFactoryName()) {
+      defaults_(std::move(job_defaults)) {
   // Process-wide settings from the defaults, before durable recovery below
   // so the crash handlers are in place for it; each job applies its own
   // config again at JobRunner::Start.
@@ -334,9 +327,7 @@ QueryExecutor::~QueryExecutor() {
   // Stop the monitor first so its HTTP worker cannot observe jobs mid-stop.
   monitor_->Stop();
   for (auto& job : jobs_) {
-    if (!job) continue;
-    (void)job->Stop();
-    TaskFactoryRegistry::Instance().Unregister(job->config().Get(cfg::kTaskFactory));
+    if (job) (void)job->Stop();
   }
 }
 
@@ -674,13 +665,6 @@ Result<QueryExecutor::ExecutionResult> QueryExecutor::SubmitStreamingJob(
   config.Set(cfg::kJobName, job_name);
   config.SetList(cfg::kTaskInputs, inputs);
   if (!bootstrap.empty()) config.SetList(cfg::kBootstrapInputs, bootstrap);
-  // The job's task factory holds its task-side plan: every task of the job,
-  // supervisor restarts included, shares the one SamzaSqlJob.
-  const std::string factory = factory_name_ + "." + job_name;
-  auto sql_job = std::make_shared<SamzaSqlJob>(env_);
-  TaskFactoryRegistry::Instance().Register(
-      factory, [sql_job] { return std::make_unique<SamzaSqlTask>(sql_job); });
-  config.Set(cfg::kTaskFactory, factory);
   config.Set(sqlcfg::kZkPrefix, zk_prefix);
   config.Set(sqlcfg::kOutputTopic, output_topic);
   config.Set(sqlcfg::kOutputSchema, output_schema->Canonical());
@@ -693,10 +677,14 @@ Result<QueryExecutor::ExecutionResult> QueryExecutor::SubmitStreamingJob(
                job_name + "-" + store + "-changelog");
   }
 
-  auto runner = std::make_unique<JobRunner>(env_->broker, config, env_->clock);
-  Status started = runner->Start();
-  if (!started.ok()) TaskFactoryRegistry::Instance().Unregister(factory);
-  SQS_RETURN_IF_ERROR(started);
+  // The job's task factory holds its task-side plan: every task of the job,
+  // supervisor restarts included, shares the one SamzaSqlJob, which lives
+  // as long as the runner does.
+  auto sql_job = std::make_shared<SamzaSqlJob>(env_);
+  auto runner = std::make_unique<JobRunner>(
+      env_->broker, config,
+      [sql_job] { return std::make_unique<SamzaSqlTask>(sql_job); }, env_->clock);
+  SQS_RETURN_IF_ERROR(runner->Start());
   FlightRecorder::Record(FlightEventType::kJobSubmit, job_name, output_topic,
                          static_cast<int64_t>(num_partitions));
   {

@@ -101,7 +101,6 @@ class QueryExecutor {
 
   EnvironmentPtr env_;
   Config defaults_;
-  std::string factory_name_;
   // Set when a requested-and-required startup step failed (durable log);
   // latched because the constructor cannot return a Status.
   Status startup_error_ = Status::Ok();

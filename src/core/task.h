@@ -19,8 +19,9 @@
 
 namespace sqs::core {
 
-// One streaming SQL job's task-side plan, shared by all of its tasks (the
-// job's task factory holds it).
+// One streaming SQL job's task-side plan, shared by all of its tasks: the
+// job's task factory, which the executor hands to the job's JobRunner by
+// value, holds it, so it lives exactly as long as the runner.
 class SamzaSqlJob {
  public:
   explicit SamzaSqlJob(EnvironmentPtr env) : env_(std::move(env)) {}

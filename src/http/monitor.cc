@@ -111,10 +111,7 @@ MonitorServer::MonitorServer(const Config& config, MonitorJobsProvider provider,
       history_interval_ms_(
           config.GetInt(cfg::kMetricsHistoryIntervalMs, kDefaultHistoryIntervalMs)),
       max_consumer_lag_(config.GetInt(cfg::kMonitorReadyMaxConsumerLag, -1)),
-      max_watermark_lag_ms_(config.GetInt(cfg::kMonitorReadyMaxWatermarkLagMs, -1)),
       slo_ms_(config.GetInt(cfg::kLatencySloMs, 0)),
-      history_(static_cast<size_t>(config.GetInt(
-          cfg::kMetricsHistorySamples, MetricsHistory::kDefaultSamples))),
       self_metrics_(std::make_shared<MetricsRegistry>()),
       watchdog_stall_ms_(config.GetInt(cfg::kWatchdogStallMs, 0)),
       watchdog_profile_ms_(config.GetInt(cfg::kWatchdogProfileMs, 250)) {
@@ -321,23 +318,14 @@ MonitorServer::Readiness MonitorServer::CheckReadiness(
     return fail("container " + stalled[0] + " stalled (heartbeat older than " +
                 std::to_string(watchdog_stall_ms_) + "ms)");
   }
-  // The lag thresholds are level checks on the gauges as they read now.
-  const struct {
-    const char* selector;
-    int64_t max;
-    const char* what;
-    const char* unit;
-  } levels[] = {{"consumer_lag", max_consumer_lag_, "consumer lag", ""},
-                {"watermark_lag_ms", max_watermark_lag_ms_, "watermark lag", "ms"}};
+  // The consumer-lag threshold is a level check on the gauges as they read
+  // now.
   for (const MonitorJobView& view : views) {
     for (const auto& [name, value] : view.snapshot.gauges) {
-      for (const auto& level : levels) {
-        if (level.max >= 0 && value > level.max &&
-            AlertSelectorMatches(level.selector, name)) {
-          return fail(std::string(level.what) + " " + std::to_string(value) +
-                      level.unit + " > " + std::to_string(level.max) +
-                      level.unit + " (" + name + ")");
-        }
+      if (max_consumer_lag_ >= 0 && value > max_consumer_lag_ &&
+          AlertSelectorMatches("consumer_lag", name)) {
+        return fail("consumer lag " + std::to_string(value) + " > " +
+                    std::to_string(max_consumer_lag_) + " (" + name + ")");
       }
     }
   }

@@ -5,8 +5,8 @@
 //   GET /metrics   Prometheus text exposition 0.0.4 (common/prometheus.h)
 //   GET /healthz   liveness: 200 while the process serves requests
 //   GET /readyz    readiness: 200 only while all containers of all submitted
-//                  jobs are running AND max consumer / watermark lag are
-//                  under the configured thresholds; 503 otherwise
+//                  jobs are running AND max consumer lag is under the
+//                  configured threshold; 503 otherwise
 //   GET /jobs      submitted jobs as JSON (containers, processed counts)
 //   GET /history   the metrics history ring as JSON (?job=<name> filters)
 //   GET /alerts    alert engine state as JSON
@@ -184,7 +184,6 @@ class MonitorServer {
   std::shared_ptr<Clock> clock_;
   int64_t history_interval_ms_;
   int64_t max_consumer_lag_;
-  int64_t max_watermark_lag_ms_;
   // Freshness-lag SLO (`latency.slo.ms`, 0 = off), a built-in rule grouped
   // per job (docs/LATENCY.md).
   int64_t slo_ms_ = 0;

@@ -21,16 +21,6 @@ double ToUniform(uint64_t r) {
 
 }  // namespace
 
-FileFaultPolicy FileFaultPolicy::FromConfig(const Config& config) {
-  FileFaultPolicy policy;
-  policy.seed = static_cast<uint64_t>(config.GetInt(cfg::kIoFaultSeed, 1));
-  policy.short_write_rate = config.GetDouble(cfg::kIoFaultShortWriteRate, 0.0);
-  policy.fsync_fail_rate = config.GetDouble(cfg::kIoFaultFsyncFailRate, 0.0);
-  policy.bitflip_rate = config.GetDouble(cfg::kIoFaultBitflipRate, 0.0);
-  policy.enospc_after_bytes = config.GetInt(cfg::kIoFaultEnospcAfterBytes, -1);
-  return policy;
-}
-
 // A file whose unsynced bytes live in `pending_` until Sync() flushes them
 // to the inner file.
 //

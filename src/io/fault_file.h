@@ -29,37 +29,28 @@
 #include <string>
 #include <vector>
 
-#include "common/config.h"
 #include "io/file.h"
 
 namespace sqs::io {
 
-// `iofault.*` configuration keys (parsed by FileFaultPolicy::FromConfig).
-namespace cfg {
-inline constexpr const char* kIoFaultSeed = "iofault.seed";
-// Probability in [0,1] that an Append persists only a prefix and fails.
-inline constexpr const char* kIoFaultShortWriteRate = "iofault.short.write.rate";
-// Probability in [0,1] that a Sync fails without flushing.
-inline constexpr const char* kIoFaultFsyncFailRate = "iofault.fsync.fail.rate";
-// Probability in [0,1] that a sync flips one bit in the flushed bytes.
-inline constexpr const char* kIoFaultBitflipRate = "iofault.bitflip.rate";
-// Total bytes accepted across all files before Appends fail with ENOSPC
-// (-1 = unlimited).
-inline constexpr const char* kIoFaultEnospcAfterBytes = "iofault.enospc.after.bytes";
-}  // namespace cfg
-
+// The fault schedule, set in code by the test or harness that builds the
+// factory. Every rate is a probability in [0,1].
 struct FileFaultPolicy {
+  // RNG seed for all injection schedules.
   uint64_t seed = 1;
+  // Chance that an Append persists only a prefix and fails.
   double short_write_rate = 0.0;
+  // Chance that a Sync fails without flushing.
   double fsync_fail_rate = 0.0;
+  // Chance that a sync flips one bit in the flushed bytes.
   double bitflip_rate = 0.0;
+  // Total bytes accepted across all files before Appends fail with ENOSPC
+  // (-1 = unlimited).
   int64_t enospc_after_bytes = -1;
   // Forward Sync() to the inner file's fsync. Off by default: the factory's
   // own buffer flush is the durability boundary the tests reason about, and
   // skipping the real fsync keeps seeded soaks fast.
   bool sync_passthrough = false;
-
-  static FileFaultPolicy FromConfig(const Config& config);
 };
 
 class FaultInjectingFile;

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/clock.h"
-#include "common/logging.h"
 
 namespace sqs {
 namespace {
@@ -24,19 +23,6 @@ void SpinFor(int64_t nanos) {
 }
 
 }  // namespace
-
-FaultPolicy FaultPolicy::FromConfig(const Config& config) {
-  FaultPolicy p;
-  p.seed = static_cast<uint64_t>(config.GetInt(cfg::kFaultSeed, 1));
-  p.append_fail_rate = config.GetDouble(cfg::kFaultAppendFailRate, 0.0);
-  p.fetch_fail_rate = config.GetDouble(cfg::kFaultFetchFailRate, 0.0);
-  p.latency_nanos = config.GetInt(cfg::kFaultLatencyNanos, 0);
-  p.latency_rate = config.GetDouble(cfg::kFaultLatencyRate, 0.0);
-  p.topics = config.GetList(cfg::kFaultTopics);
-  p.corrupt_rate = config.GetDouble(cfg::kFaultCorruptRate, 0.0);
-  p.corrupt_topics = config.GetList(cfg::kFaultCorruptTopics);
-  return p;
-}
 
 FaultInjectingBroker::FaultInjectingBroker(BrokerPtr inner, FaultPolicy policy)
     : inner_(std::move(inner)), policy_(std::move(policy)), rng_(policy_.seed) {}
@@ -178,16 +164,6 @@ Result<std::vector<IncomingMessage>> FaultInjectingBroker::Fetch(
     }
   }
   return fetched;
-}
-
-BrokerPtr MaybeWrapWithFaults(BrokerPtr broker, const Config& config) {
-  FaultPolicy policy = FaultPolicy::FromConfig(config);
-  if (!policy.any_faults()) return broker;
-  SQS_INFOC("fault", "fault injection enabled",
-            {"seed", std::to_string(policy.seed)},
-            {"append_fail_rate", std::to_string(policy.append_fail_rate)},
-            {"fetch_fail_rate", std::to_string(policy.fetch_fail_rate)});
-  return std::make_shared<FaultInjectingBroker>(std::move(broker), policy);
 }
 
 }  // namespace sqs

@@ -25,46 +25,26 @@
 #include <string>
 #include <vector>
 
-#include "common/config.h"
 #include "log/broker.h"
 
 namespace sqs {
 
-// `fault.*` configuration keys (parsed by FaultPolicy::FromConfig).
-namespace cfg {
-// RNG seed for the transient-failure schedule (default 1).
-inline constexpr const char* kFaultSeed = "fault.seed";
-// Probability in [0,1] that an Append / Fetch fails with Unavailable.
-inline constexpr const char* kFaultAppendFailRate = "fault.append.fail.rate";
-inline constexpr const char* kFaultFetchFailRate = "fault.fetch.fail.rate";
-// Injected latency: CPU-spin `fault.latency.nanos` on a `fault.latency.rate`
-// fraction of data operations.
-inline constexpr const char* kFaultLatencyNanos = "fault.latency.nanos";
-inline constexpr const char* kFaultLatencyRate = "fault.latency.rate";
-// Restrict injection to these topics (comma list; empty = all topics).
-inline constexpr const char* kFaultTopics = "fault.topics";
-// Corruption: probability in [0,1] that a fetched message has one payload
-// bit flipped in transit (detected downstream by the CRC32C check), and an
-// optional topic restriction for corruption alone (empty = fault.topics).
-inline constexpr const char* kFaultCorruptRate = "fault.corrupt.rate";
-inline constexpr const char* kFaultCorruptTopics = "fault.corrupt.topics";
-}  // namespace cfg
-
+// The failure schedule, set in code by the test or harness that builds the
+// decorator. Every rate is a probability in [0,1].
 struct FaultPolicy {
+  // RNG seed of the transient-failure schedule.
   uint64_t seed = 1;
+  // Chance that an Append / Fetch fails with Unavailable.
   double append_fail_rate = 0.0;
   double fetch_fail_rate = 0.0;
+  // CPU-spin `latency_nanos` on a `latency_rate` fraction of data operations.
   int64_t latency_nanos = 0;
   double latency_rate = 0.0;
   std::vector<std::string> topics;  // empty = inject everywhere
+  // Chance that a fetched message has one payload bit flipped in transit
+  // (caught downstream by the CRC32C check).
   double corrupt_rate = 0.0;
   std::vector<std::string> corrupt_topics;  // empty = fall back to `topics`
-
-  static FaultPolicy FromConfig(const Config& config);
-  bool any_faults() const {
-    return append_fail_rate > 0 || fetch_fail_rate > 0 || corrupt_rate > 0 ||
-           (latency_nanos > 0 && latency_rate > 0);
-  }
 };
 
 class FaultInjectingBroker : public Broker {
@@ -183,9 +163,5 @@ class FaultInjectingBroker : public Broker {
   mutable std::atomic<int64_t> fetch_failures_{0};
   mutable std::atomic<int64_t> corruptions_{0};
 };
-
-// Wraps `broker` in a FaultInjectingBroker when `config` carries any active
-// fault.* policy; returns it unchanged otherwise.
-BrokerPtr MaybeWrapWithFaults(BrokerPtr broker, const Config& config);
 
 }  // namespace sqs

@@ -8,9 +8,9 @@
 // resolved case-insensitively like built-ins and must not collide with
 // built-in function names.
 //
-// The registry is process-global (like the task factory registry): a UDF
-// must be registered in every process that plans or executes queries using
-// it — the same contract as registering a UDF jar with every Samza job.
+// The registry is process-global: a UDF must be registered in every process
+// that plans or executes queries using it — the same contract as
+// registering a UDF jar with every Samza job.
 #pragma once
 
 #include <cstdint>

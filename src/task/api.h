@@ -8,8 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -107,31 +105,18 @@ class StreamTask {
   virtual Status Close() { return Status::Ok(); }
 };
 
-// Factory invoked once per task instance. Registered by name in the
-// TaskFactoryRegistry; the job config selects it via `task.factory`.
+// Factory invoked once per task instance. A job is handed its factory by
+// value (JobRunner's constructor argument, Samza's `task.class`); the
+// runner passes its copy to every container it allocates, supervisor
+// restarts included, so the runner's lifetime bounds the factory's.
 using TaskFactory = std::function<std::unique_ptr<StreamTask>()>;
-
-class TaskFactoryRegistry {
- public:
-  static TaskFactoryRegistry& Instance();
-
-  void Register(const std::string& name, TaskFactory factory);
-  void Unregister(const std::string& name);
-  Result<TaskFactory> Get(const std::string& name) const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, TaskFactory> factories_;
-};
 
 // Well-known configuration keys (subset of Samza's, plus SamzaSQL's).
 namespace cfg {
 inline constexpr const char* kJobName = "job.name";
-inline constexpr const char* kJobId = "job.id";
 inline constexpr const char* kContainerCount = "job.container.count";
 inline constexpr const char* kTaskInputs = "task.inputs";
 inline constexpr const char* kBootstrapInputs = "task.bootstrap.inputs";
-inline constexpr const char* kTaskFactory = "task.factory";
 inline constexpr const char* kCheckpointTopic = "task.checkpoint.topic";
 inline constexpr const char* kCommitEveryMessages = "task.commit.max.messages";
 inline constexpr const char* kWindowMs = "task.window.ms";
@@ -166,10 +151,9 @@ inline constexpr const char* kMetricsReporterMaxBytes = "metrics.reporter.max.by
 inline constexpr const char* kMonitorEnable = "monitor.enable";
 // TCP port for the monitor (loopback); 0 = ephemeral (see MonitorServer::port).
 inline constexpr const char* kMonitorPort = "monitor.port";
-// Readiness thresholds: /readyz reports 503 while any per-partition consumer
-// lag / operator watermark lag exceeds these (-1 = check disabled).
+// Readiness threshold: /readyz reports 503 while any per-partition consumer
+// lag exceeds this (-1 = check disabled).
 inline constexpr const char* kMonitorReadyMaxConsumerLag = "monitor.ready.max.consumer.lag";
-inline constexpr const char* kMonitorReadyMaxWatermarkLagMs = "monitor.ready.max.watermark.lag.ms";
 // --- end-to-end latency SLOs (docs/LATENCY.md) ---
 // Freshness-lag SLO in ms: the monitor's built-in alert rule
 // `freshness_lag_ms > latency.slo.ms`, tracked per job. While a job's oldest
@@ -179,17 +163,15 @@ inline constexpr const char* kLatencySloMs = "latency.slo.ms";
 // Process-global toggle for ingest/append timestamp stamping and the e2e /
 // dwell histograms (default on; the bench_latency overhead arm turns it off).
 inline constexpr const char* kLatencyStampingEnable = "latency.stamping.enable";
-// Metrics history ring: sampling interval and retained points per key.
+// Metrics history ring: sampling interval (MetricsHistory::kDefaultSamples
+// points are kept per key).
 inline constexpr const char* kMetricsHistoryIntervalMs = "metrics.history.interval.ms";
-inline constexpr const char* kMetricsHistorySamples = "metrics.history.samples";
 // ';'-separated threshold alert rules (grammar in common/alerts.h).
 inline constexpr const char* kAlertRules = "alert.rules";
 // stores.<name>.changelog = <topic>
 inline constexpr const char* kStoresPrefix = "stores.";
 // Head-based trace sampling rate in (0,1]; 0 / unset = tracing disabled.
 inline constexpr const char* kTracingSampleRate = "tracing.sample.rate";
-// Span ring-buffer capacity (default Tracer::kDefaultCapacity).
-inline constexpr const char* kTracingBufferSpans = "tracing.buffer.spans";
 // If set, JobRunner::Stop writes a Chrome-trace-format JSON file here.
 inline constexpr const char* kTracingExportPath = "tracing.export.path";
 // Structured logging: minimum level (debug|info|warn|error|off) and record
@@ -201,11 +183,6 @@ inline constexpr const char* kLogFormat = "log.format";
 // duplicate output) or "exactly-once" (idempotent per-task producers +
 // transactional checkpoints; see docs/FAULT_TOLERANCE.md "Exactly-once").
 inline constexpr const char* kTaskDelivery = "task.delivery";
-// What to do with an input message whose CRC32C does not match its payload:
-// "fail" (crash the container so the replay refetches — transient
-// corruption heals, the default) or "dead-letter" (route to the DLQ with
-// provenance, then advance past it).
-inline constexpr const char* kTaskCorruptPolicy = "task.corrupt.policy";
 // What to do when task->Process fails on a message: "fail" (stop the
 // container — the default), "skip" (log, count as dropped, advance past
 // it), or "dead-letter" (route the original bytes + error string to the
@@ -225,9 +202,9 @@ inline constexpr const char* kContainerRestartBackoffMaxMs =
 // Background sampling-profiler rate in Hz (0 / unset = off; sampling is
 // also available on demand via GET /debug/profile and EXPLAIN ANALYZE).
 inline constexpr const char* kProfileHz = "profile.hz";
-// Flight recorder toggle (default on) and per-thread ring capacity.
+// Flight recorder toggle (default on); each thread's ring holds
+// FlightRecorder::kDefaultRingEvents events.
 inline constexpr const char* kFlightRecEnable = "flightrec.enable";
-inline constexpr const char* kFlightRecRingEvents = "flightrec.ring.events";
 // Where crash/stall forensics dumps (JSON lines) are written: by the fatal
 // signal / terminate handlers, on supervisor-observed container death, and
 // on watchdog stalls. Empty = no automatic dump file.
@@ -240,11 +217,11 @@ inline constexpr const char* kFlightRecDumpPath = "flightrec.dump.path";
 inline constexpr const char* kWatchdogStallMs = "watchdog.stall.ms";
 // Length of the one-shot 97 Hz profile burst fired when a stall is detected.
 inline constexpr const char* kWatchdogProfileMs = "watchdog.profile.ms";
-// `retry.*` keys live in common/retry.h, `fault.*` keys in log/fault_broker.h.
+// `retry.*` keys live in common/retry.h.
 }  // namespace cfg
 
 // Applies the process-wide settings a config carries: log level and format,
-// the flight recorder (toggle, ring size, crash-dump path + handlers), the
+// the flight recorder (toggle, crash-dump path + handlers), the
 // background profiler (profile.hz), latency stamping and the tracer. These
 // are process-global (traces and stamps cross job boundaries), so a key the
 // config does not carry is left as it is: a job without one does not reset

@@ -47,15 +47,13 @@ class ProducerCollector : public MessageCollector {
 
  private:
   void Account(int64_t bytes) const {
-    if (rows_out_ != nullptr) rows_out_->Inc();
-    if (bytes_out_ != nullptr) bytes_out_->Inc(bytes);
-    if (e2e_us_ != nullptr) {
-      // The producer already stamped this send's append time; its gap to the
-      // inherited ingest stamp is the source-to-sink latency, with no extra
-      // clock read on the hot path. -1 means unstamped or a fresh lineage.
-      int64_t e2e = producer_.last_e2e_us();
-      if (e2e >= 0) e2e_us_->Record(e2e);
-    }
+    rows_out_->Inc();
+    bytes_out_->Inc(bytes);
+    // The producer already stamped this send's append time; its gap to the
+    // inherited ingest stamp is the source-to-sink latency, with no extra
+    // clock read on the hot path. -1 means unstamped or a fresh lineage.
+    int64_t e2e = producer_.last_e2e_us();
+    if (e2e >= 0) e2e_us_->Record(e2e);
   }
 
   Producer& producer_;
@@ -79,13 +77,6 @@ Result<DeliveryMode> ParseDeliveryMode(const std::string& value) {
   if (value == "exactly-once") return DeliveryMode::kExactlyOnce;
   return Status::InvalidArgument(
       "task.delivery must be at-least-once|exactly-once, got: " + value);
-}
-
-Result<TaskCorruptPolicy> ParseTaskCorruptPolicy(const std::string& value) {
-  if (value.empty() || value == "fail") return TaskCorruptPolicy::kFail;
-  if (value == "dead-letter") return TaskCorruptPolicy::kDeadLetter;
-  return Status::InvalidArgument(
-      "task.corrupt.policy must be fail|dead-letter, got: " + value);
 }
 
 Bytes EncodeDeadLetter(const DeadLetterRecord& record) {
@@ -170,11 +161,12 @@ struct Container::TaskInstance : public TaskContext, public TaskCoordinator {
 };
 
 Container::Container(BrokerPtr broker, Config config, ContainerModel model,
-                     std::shared_ptr<Clock> clock,
+                     TaskFactory factory, std::shared_ptr<Clock> clock,
                      std::shared_ptr<MetricsRegistry> metrics)
     : broker_(std::move(broker)),
       config_(std::move(config)),
       model_(std::move(model)),
+      factory_(std::move(factory)),
       clock_(clock ? std::move(clock) : SystemClock::Instance()),
       metrics_(metrics ? std::move(metrics) : std::make_shared<MetricsRegistry>()) {}
 
@@ -324,9 +316,6 @@ Status Container::Start() {
   error_policy_ = policy;
   SQS_ASSIGN_OR_RETURN(delivery, ParseDeliveryMode(config_.Get(cfg::kTaskDelivery)));
   delivery_ = delivery;
-  SQS_ASSIGN_OR_RETURN(corrupt_policy,
-                       ParseTaskCorruptPolicy(config_.Get(cfg::kTaskCorruptPolicy)));
-  corrupt_policy_ = corrupt_policy;
   dlq_topic_ = config_.Get(cfg::kTaskDlqTopic,
                            config_.Get(cfg::kJobName, "job") + ".dlq");
 
@@ -386,10 +375,6 @@ Status Container::Start() {
   window_ms_ = config_.GetInt(cfg::kWindowMs, 0);
   last_window_fire_ms_ = clock_->NowMillis();
 
-  std::string factory_name = config_.Get(cfg::kTaskFactory);
-  if (factory_name.empty()) return Status::InvalidArgument("task.factory not set");
-  SQS_ASSIGN_OR_RETURN(factory, TaskFactoryRegistry::Instance().Get(factory_name));
-
   for (const TaskModel& tm : model_.tasks) {
     auto instance = std::make_unique<TaskInstance>();
     instance->model = tm;
@@ -400,7 +385,7 @@ Status Container::Start() {
         &ScopedMetrics(metrics_.get(), config_.Get(cfg::kJobName, "job"))
              .Sub(tm.task_name)
              .counter("dropped");
-    instance->task = factory();
+    instance->task = factory_();
     if (!instance->task) return Status::Internal("task factory returned null");
     SQS_RETURN_IF_ERROR(InitTask(*instance));
     tasks_.push_back(std::move(instance));
@@ -469,8 +454,8 @@ Status Container::UpdateLagGauges() {
       total_backlog += backlog.bytes;
     }
   }
-  if (m_freshness_ms_ != nullptr) m_freshness_ms_->Set(max_freshness);
-  if (m_backlog_bytes_ != nullptr) m_backlog_bytes_->Set(total_backlog);
+  m_freshness_ms_->Set(max_freshness);
+  m_backlog_bytes_->Set(total_backlog);
   // State footprint: resident store bytes across this container's tasks,
   // with a container-lifetime high-water mark for the resource ledger.
   int64_t state_bytes = 0;
@@ -481,11 +466,11 @@ Status Container::UpdateLagGauges() {
     }
   }
   if (state_bytes > state_hwm_) state_hwm_ = state_bytes;
-  if (m_state_bytes_ != nullptr) m_state_bytes_->Set(state_bytes);
-  if (m_state_bytes_hwm_ != nullptr) m_state_bytes_hwm_->Set(state_hwm_);
+  m_state_bytes_->Set(state_bytes);
+  m_state_bytes_hwm_->Set(state_hwm_);
   // Broker-wide duplicate-drop total (idempotent dedup activity); sampled
   // here so it moves with the same cadence as the lag gauges.
-  if (m_dups_dropped_ != nullptr) m_dups_dropped_->Set(broker_->dups_dropped());
+  m_dups_dropped_->Set(broker_->dups_dropped());
   return Status::Ok();
 }
 
@@ -496,20 +481,14 @@ Producer& Container::TaskProducer(TaskInstance& task) {
 Result<int64_t> Container::ProcessBatch(const std::vector<IncomingMessage>& batch) {
   // Fetch-side ledger pass: input payload bytes, and — for stamped
   // messages — broker-queue dwell (now minus this hop's append time).
-  int64_t dwell_now_us =
-      (m_dwell_us_ != nullptr && LatencyStampingEnabled()) ? clock_->NowMicros()
-                                                           : 0;
-  if (m_bytes_in_ != nullptr || dwell_now_us > 0) {
-    for (const IncomingMessage& im : batch) {
-      if (m_bytes_in_ != nullptr) {
-        m_bytes_in_->Inc(static_cast<int64_t>(im.message.key.size() +
-                                              im.message.value.size()));
-      }
-      if (dwell_now_us > 0 && im.message.append_us > 0 &&
-          (dwell_sample_seq_++ & 15) == 0) {
-        m_dwell_us_->Record(
-            std::max<int64_t>(0, dwell_now_us - im.message.append_us));
-      }
+  int64_t dwell_now_us = LatencyStampingEnabled() ? clock_->NowMicros() : 0;
+  for (const IncomingMessage& im : batch) {
+    m_bytes_in_->Inc(static_cast<int64_t>(im.message.key.size() +
+                                          im.message.value.size()));
+    if (dwell_now_us > 0 && im.message.append_us > 0 &&
+        (dwell_sample_seq_++ & 15) == 0) {
+      m_dwell_us_->Record(
+          std::max<int64_t>(0, dwell_now_us - im.message.append_us));
     }
   }
   int64_t processed = 0;
@@ -523,82 +502,73 @@ Result<int64_t> Container::ProcessBatch(const std::vector<IncomingMessage>& batc
     TaskInstance& task = *it->second;
 
     // End-to-end integrity gate: a stamped message whose payload no longer
-    // matches its CRC32C never reaches Process. Under the fail policy the
-    // container crashes and the replay refetches (transient corruption
-    // heals); under dead-letter the record is preserved with provenance.
-    Status st;  // the data error of batch[b] after the run, if any
-    TaskErrorPolicy policy = error_policy_;
+    // matches its CRC32C never reaches Process. The container crashes and
+    // the replay refetches, so transient corruption heals.
     if (!MessageCrcValid(first.message)) {
-      if (m_corrupt_ != nullptr) m_corrupt_->Inc();
-      st = Status::DataLoss("crc mismatch on " + first.origin.ToString() + "@" +
-                            std::to_string(first.offset));
-      if (corrupt_policy_ == TaskCorruptPolicy::kFail) return st;
-      policy = TaskErrorPolicy::kDeadLetter;
-    } else {
-      // A producer-traced message is a run of one that continues its own
-      // trace (produce -> process -> operator spans). Otherwise slice off the
-      // longest contiguous run of CRC-valid, untraced messages owned by this
-      // task, capped at kMaxBatchRun and by the commit cadence (so
-      // task.commit.max.messages boundaries land exactly where the
-      // per-message loop would put them).
-      TraceContext parent = first.message.trace;
-      size_t end = b + 1;
-      if (!parent.valid()) {
-        size_t limit = kMaxBatchRun;
-        if (commit_every_ > 0) {
-          int64_t room = commit_every_ - task.since_commit;
-          if (room < 1) room = 1;
-          if (static_cast<size_t>(room) < limit) limit = static_cast<size_t>(room);
-        }
-        while (end < batch.size() && end - b < limit) {
-          const IncomingMessage& m = batch[end];
-          if (m.message.trace.valid() || !MessageCrcValid(m.message)) break;
-          auto it2 = dispatch_.find(m.origin);
-          if (it2 == dispatch_.end() || it2->second != &task) break;
-          ++end;
-        }
-        // One "process" span per run: head-sampling moves to batch
-        // granularity for untraced traffic (see docs/EXECUTION.md).
-        parent = Tracer::Instance().MaybeStartTrace();
+      m_corrupt_->Inc();
+      return Status::DataLoss("crc mismatch on " + first.origin.ToString() + "@" +
+                              std::to_string(first.offset));
+    }
+    // A producer-traced message is a run of one that continues its own trace
+    // (produce -> process -> operator spans). Otherwise slice off the longest
+    // contiguous run of CRC-valid, untraced messages owned by this task,
+    // capped at kMaxBatchRun and by the commit cadence (so
+    // task.commit.max.messages boundaries land exactly where the per-message
+    // loop would put them).
+    TraceContext parent = first.message.trace;
+    size_t end = b + 1;
+    if (!parent.valid()) {
+      size_t limit = kMaxBatchRun;
+      if (commit_every_ > 0) {
+        int64_t room = commit_every_ - task.since_commit;
+        if (room < 1) room = 1;
+        if (static_cast<size_t>(room) < limit) limit = static_cast<size_t>(room);
       }
-      const size_t len = end - b;
+      while (end < batch.size() && end - b < limit) {
+        const IncomingMessage& m = batch[end];
+        if (m.message.trace.valid() || !MessageCrcValid(m.message)) break;
+        auto it2 = dispatch_.find(m.origin);
+        if (it2 == dispatch_.end() || it2->second != &task) break;
+        ++end;
+      }
+      // One "process" span per run: head-sampling moves to batch
+      // granularity for untraced traffic (see docs/EXECUTION.md).
+      parent = Tracer::Instance().MaybeStartTrace();
+    }
+    const size_t len = end - b;
 
-      ProducerCollector collector(TaskProducer(task), m_rows_out_,
-                                  m_bytes_out_, m_e2e_us_);
-      size_t consumed = 0;
-      int64_t t0 = MonotonicNanos();
-      {
-        TraceSpan span(parent, "process", task.trace_scope,
-                       first.origin.partition);
-        st = task.task->ProcessBatch(&batch[b], len, collector, task, &consumed);
-      }
-      if (m_process_latency_ns_ != nullptr) {
-        m_process_latency_ns_->Record(MonotonicNanos() - t0);
-      }
-      // Batch-run boundary: the flight recorder's record of forward
-      // progress (a = messages consumed, b = source partition).
-      FlightRecorder::Record(FlightEventType::kBatchRun, task.trace_scope, "",
-                             static_cast<int64_t>(consumed),
-                             first.origin.partition);
-      if (st.ok() && consumed != len) {
-        return Status::Internal("task ProcessBatch consumed " +
-                                std::to_string(consumed) + " of " +
-                                std::to_string(len) + " without error");
-      }
-      // Fully-processed prefix: advance positions and cadence counters.
-      for (size_t i = b; i < b + consumed; ++i) {
-        task.processed_positions[batch[i].origin] = batch[i].offset + 1;
-      }
-      task.since_commit += static_cast<int64_t>(consumed);
-      processed += static_cast<int64_t>(consumed);
-      b += consumed;
-      // Transient broker trouble must crash-and-recover, never be dropped:
-      // the message itself is fine and replay will succeed. The same goes
-      // for a fenced send — a newer incarnation of this task owns the
-      // output now, and this container must die without checkpointing.
-      if (st.code() == ErrorCode::kUnavailable || st.code() == ErrorCode::kFenced) {
-        return st;
-      }
+    ProducerCollector collector(TaskProducer(task), m_rows_out_, m_bytes_out_,
+                                m_e2e_us_);
+    size_t consumed = 0;
+    Status st;  // after the run: the data error of batch[b], if any
+    int64_t t0 = MonotonicNanos();
+    {
+      TraceSpan span(parent, "process", task.trace_scope, first.origin.partition);
+      st = task.task->ProcessBatch(&batch[b], len, collector, task, &consumed);
+    }
+    m_process_latency_ns_->Record(MonotonicNanos() - t0);
+    // Batch-run boundary: the flight recorder's record of forward progress
+    // (a = messages consumed, b = source partition).
+    FlightRecorder::Record(FlightEventType::kBatchRun, task.trace_scope, "",
+                           static_cast<int64_t>(consumed), first.origin.partition);
+    if (st.ok() && consumed != len) {
+      return Status::Internal("task ProcessBatch consumed " +
+                              std::to_string(consumed) + " of " +
+                              std::to_string(len) + " without error");
+    }
+    // Fully-processed prefix: advance positions and cadence counters.
+    for (size_t i = b; i < b + consumed; ++i) {
+      task.processed_positions[batch[i].origin] = batch[i].offset + 1;
+    }
+    task.since_commit += static_cast<int64_t>(consumed);
+    processed += static_cast<int64_t>(consumed);
+    b += consumed;
+    // Transient broker trouble must crash-and-recover, never be dropped: the
+    // message itself is fine and replay will succeed. The same goes for a
+    // fenced send — a newer incarnation of this task owns the output now,
+    // and this container must die without checkpointing.
+    if (st.code() == ErrorCode::kUnavailable || st.code() == ErrorCode::kFenced) {
+      return st;
     }
     if (!st.ok()) {
       // Only data errors are poison, so only they go through the policy.
@@ -606,7 +576,7 @@ Result<int64_t> Container::ProcessBatch(const std::vector<IncomingMessage>& batc
       // fully processed (sends issued), so the policy applies to exactly
       // one record and the loop resumes right after it.
       const IncomingMessage& failing = batch[b];
-      SQS_RETURN_IF_ERROR(ApplyErrorPolicy(policy, task, failing, st));
+      SQS_RETURN_IF_ERROR(ApplyErrorPolicy(task, failing, st));
       task.processed_positions[failing.origin] = failing.offset + 1;
       task.since_commit++;
       ++processed;
@@ -637,10 +607,10 @@ Result<int64_t> Container::ProcessBatch(const std::vector<IncomingMessage>& batc
   return processed;
 }
 
-Status Container::ApplyErrorPolicy(TaskErrorPolicy policy, TaskInstance& task,
-                                   const IncomingMessage& msg, const Status& error) {
-  if (policy == TaskErrorPolicy::kFail) return error;
-  if (policy == TaskErrorPolicy::kDeadLetter) {
+Status Container::ApplyErrorPolicy(TaskInstance& task, const IncomingMessage& msg,
+                                   const Status& error) {
+  if (error_policy_ == TaskErrorPolicy::kFail) return error;
+  if (error_policy_ == TaskErrorPolicy::kDeadLetter) {
     if (!broker_->HasTopic(dlq_topic_)) {
       TopicConfig tc;
       SQS_ASSIGN_OR_RETURN(nparts, broker_->NumPartitions(msg.origin.topic));
@@ -667,13 +637,13 @@ Status Container::ApplyErrorPolicy(TaskErrorPolicy policy, TaskInstance& task,
                                           msg.message.key, EncodeDeadLetter(rec));
     if (!sent.ok()) return sent.status();
   }
-  if (task.dropped != nullptr) task.dropped->Inc();
-  if (policy == TaskErrorPolicy::kDeadLetter) {
+  task.dropped->Inc();
+  if (error_policy_ == TaskErrorPolicy::kDeadLetter) {
     FlightRecorder::Record(FlightEventType::kDlqDrop, task.trace_scope,
                            error.ToString(), msg.offset,
                            msg.origin.partition);
   }
-  const char* action = policy == TaskErrorPolicy::kDeadLetter
+  const char* action = error_policy_ == TaskErrorPolicy::kDeadLetter
                            ? "message dead-lettered"
                            : "message skipped";
   SQS_WARNC("container", action,
@@ -722,7 +692,7 @@ Status Container::CommitTask(TaskInstance& task) {
                          task.since_commit);
   task.since_commit = 0;
   task.commit_requested = false;
-  if (m_commits_ != nullptr) m_commits_->Inc();
+  m_commits_->Inc();
   return Status::Ok();
 }
 
@@ -782,10 +752,8 @@ Result<Container::Turn> Container::RunTurn() {
   int64_t busy = MonotonicNanos() - t0;
   busy_nanos_.fetch_add(busy, std::memory_order_relaxed);
   processed_total_.fetch_add(turn.processed, std::memory_order_relaxed);
-  if (m_processed_ != nullptr) {
-    m_processed_->Inc(turn.processed);
-    m_busy_ns_->Add(busy);
-  }
+  m_processed_->Inc(turn.processed);
+  m_busy_ns_->Add(busy);
   return turn;
 }
 

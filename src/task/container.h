@@ -52,13 +52,6 @@ enum class DeliveryMode { kAtLeastOnce, kExactlyOnce };
 
 Result<DeliveryMode> ParseDeliveryMode(const std::string& value);
 
-// What to do with an input message whose CRC check fails
-// (task.corrupt.policy): crash so the replay refetches clean bytes, or
-// dead-letter it with provenance.
-enum class TaskCorruptPolicy { kFail, kDeadLetter };
-
-Result<TaskCorruptPolicy> ParseTaskCorruptPolicy(const std::string& value);
-
 // A dead-lettered message: the original bytes plus enough provenance to
 // replay it by hand once the poison cause is fixed. `trace` carries the
 // message's trace context so a dead-lettered tuple stays correlated with
@@ -78,8 +71,10 @@ Result<DeadLetterRecord> DecodeDeadLetter(const Bytes& bytes);
 
 class Container {
  public:
+  // `factory` builds one task instance per task of `model` at Start(); it
+  // must not be empty (JobRunner::Start rejects an empty one).
   Container(BrokerPtr broker, Config config, ContainerModel model,
-            std::shared_ptr<Clock> clock = nullptr,
+            TaskFactory factory, std::shared_ptr<Clock> clock = nullptr,
             std::shared_ptr<MetricsRegistry> metrics = nullptr);
   ~Container();
 
@@ -165,12 +160,11 @@ class Container {
 
   Status InitTask(TaskInstance& task);
   Result<int64_t> ProcessBatch(const std::vector<IncomingMessage>& batch);
-  // Apply an error policy to a failed message: task.error.policy for a
-  // data error, dead-letter for a corrupt input under that corrupt policy.
-  // Ok = handled (skipped or dead-lettered), error = the container must stop
-  // with that status.
-  Status ApplyErrorPolicy(TaskErrorPolicy policy, TaskInstance& task,
-                          const IncomingMessage& msg, const Status& error);
+  // Apply task.error.policy to a message whose processing failed with a
+  // data error. Ok = handled (skipped or dead-lettered), error = the
+  // container must stop with that status.
+  Status ApplyErrorPolicy(TaskInstance& task, const IncomingMessage& msg,
+                          const Status& error);
   // The producer a task's sends go through: its own idempotent producer in
   // exactly-once mode, the shared container producer otherwise.
   Producer& TaskProducer(TaskInstance& task);
@@ -183,6 +177,7 @@ class Container {
   BrokerPtr broker_;
   Config config_;
   ContainerModel model_;
+  TaskFactory factory_;
   std::shared_ptr<Clock> clock_;
   std::shared_ptr<MetricsRegistry> metrics_;
 
@@ -196,7 +191,6 @@ class Container {
 
   TaskErrorPolicy error_policy_ = TaskErrorPolicy::kFail;
   DeliveryMode delivery_ = DeliveryMode::kAtLeastOnce;
-  TaskCorruptPolicy corrupt_policy_ = TaskCorruptPolicy::kFail;
   std::string dlq_topic_;
   // Retriers for the operations that gain instances after Start(): each
   // exactly-once task producer sends through a copy of `send_retrier_`,
@@ -222,7 +216,8 @@ class Container {
   std::atomic<int64_t> last_heartbeat_ms_{0};
   std::string flight_scope_;
 
-  // Container-scoped instruments (`<job>.container<ID>.*`), bound in Start().
+  // Container-scoped instruments (`<job>.container<ID>.*`), all bound in
+  // Start(), before the first turn.
   Counter* m_processed_ = nullptr;
   Counter* m_commits_ = nullptr;
   Timer* m_busy_ns_ = nullptr;

@@ -14,20 +14,32 @@
 
 namespace sqs {
 
-JobRunner::JobRunner(BrokerPtr broker, Config config, std::shared_ptr<Clock> clock)
+JobRunner::JobRunner(BrokerPtr broker, Config config, TaskFactory factory,
+                     std::shared_ptr<Clock> clock)
     : broker_(std::move(broker)),
       config_(std::move(config)),
+      factory_(std::move(factory)),
       clock_(clock ? std::move(clock) : SystemClock::Instance()),
       metrics_(std::make_shared<MetricsRegistry>()) {}
 
+std::shared_ptr<Container> JobRunner::NewContainer(int32_t container_id) const {
+  return std::make_shared<Container>(broker_, config_,
+                                     model_.containers[container_id], factory_,
+                                     clock_, metrics_);
+}
+
 Status JobRunner::Start() {
   if (started_) return Status::StateError("job already started");
+  if (!factory_) {
+    return Status::InvalidArgument("job " + config_.Get(cfg::kJobName, "job") +
+                                   ": empty task factory");
+  }
   SQS_RETURN_IF_ERROR(ApplyProcessSettings(config_));
   SQS_ASSIGN_OR_RETURN(model, JobCoordinator::BuildJobModel(config_, *broker_));
   model_ = std::move(model);
   containers_.clear();
-  for (const ContainerModel& cm : model_.containers) {
-    auto container = std::make_shared<Container>(broker_, config_, cm, clock_, metrics_);
+  for (int32_t id = 0; id < static_cast<int32_t>(model_.containers.size()); ++id) {
+    std::shared_ptr<Container> container = NewContainer(id);
     SQS_RETURN_IF_ERROR(container->Start());
     containers_.push_back(std::move(container));
   }
@@ -118,8 +130,7 @@ Status JobRunner::SuperviseRestart(int32_t container_id) {
             {"job", model_.job_name}, {"id", std::to_string(container_id)},
             {"attempt", std::to_string(attempt)},
             {"backoff_ms", std::to_string(backoff_ms)});
-  auto container = std::make_shared<Container>(
-      broker_, config_, model_.containers[container_id], clock_, metrics_);
+  std::shared_ptr<Container> container = NewContainer(container_id);
   Status st = container->Start();
   if (!st.ok()) {
     // Attempt consumed; the slot stays dead and the next supervision pass
@@ -349,8 +360,7 @@ Status JobRunner::RestartContainer(int32_t container_id) {
       return Status::StateError("container still running; kill it first");
     }
   }
-  auto container = std::make_shared<Container>(
-      broker_, config_, model_.containers[container_id], clock_, metrics_);
+  std::shared_ptr<Container> container = NewContainer(container_id);
   SQS_RETURN_IF_ERROR(container->Start());
   std::lock_guard<std::mutex> lock(containers_mu_);
   containers_[container_id] = std::move(container);

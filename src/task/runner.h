@@ -35,10 +35,14 @@ namespace sqs {
 
 class JobRunner {
  public:
-  JobRunner(BrokerPtr broker, Config config, std::shared_ptr<Clock> clock = nullptr);
+  // `factory` builds the job's tasks: every container this runner allocates,
+  // supervisor and manual restarts included, gets a copy of it.
+  JobRunner(BrokerPtr broker, Config config, TaskFactory factory,
+            std::shared_ptr<Clock> clock = nullptr);
 
   // Apply the config's process settings (ApplyProcessSettings), build the
-  // job model, start all containers and the metrics reporter.
+  // job model, start all containers and the metrics reporter. An empty
+  // factory is InvalidArgument.
   Status Start();
 
   // Run this job's containers until quiescent: RunPipeline({this},
@@ -138,6 +142,9 @@ class JobRunner {
   // replaced) while I was driving it".
   bool SlotHolds(int32_t container_id, const Container* c) const;
 
+  // A fresh container for `container_id`, built from the job model, config,
+  // task factory and the job-wide registry (not yet started).
+  std::shared_ptr<Container> NewContainer(int32_t container_id) const;
   // Restart a dead slot under the supervisor: sleep the slot's backoff,
   // count the attempt, allocate + Start a fresh container (full recovery).
   // Returns an error once the slot's restart budget is exhausted.
@@ -149,6 +156,7 @@ class JobRunner {
 
   BrokerPtr broker_;
   Config config_;
+  TaskFactory factory_;
   std::shared_ptr<Clock> clock_;
   std::shared_ptr<MetricsRegistry> metrics_;
   JobModel model_;

@@ -548,21 +548,6 @@ TEST(FaultFileTest, EnospcBudgetFailsAppendsAfterTheLimit) {
   EXPECT_GE(fault->injected_enospc_failures(), 1);
 }
 
-TEST(FaultFileTest, PolicyParsesFromConfig) {
-  Config c;
-  c.SetInt(io::cfg::kIoFaultSeed, 99);
-  c.Set(io::cfg::kIoFaultShortWriteRate, "0.25");
-  c.Set(io::cfg::kIoFaultFsyncFailRate, "0.5");
-  c.Set(io::cfg::kIoFaultBitflipRate, "0.125");
-  c.SetInt(io::cfg::kIoFaultEnospcAfterBytes, 4096);
-  io::FileFaultPolicy p = io::FileFaultPolicy::FromConfig(c);
-  EXPECT_EQ(p.seed, 99u);
-  EXPECT_DOUBLE_EQ(p.short_write_rate, 0.25);
-  EXPECT_DOUBLE_EQ(p.fsync_fail_rate, 0.5);
-  EXPECT_DOUBLE_EQ(p.bitflip_rate, 0.125);
-  EXPECT_EQ(p.enospc_after_bytes, 4096);
-}
-
 // ---------------------------------------------------------------------------
 // Broker durability: cold restarts at the broker API level
 // ---------------------------------------------------------------------------

@@ -150,14 +150,16 @@ class LatencyPipelineTest : public ::testing::Test {
     ASSERT_TRUE(broker_->CreateTopic("out", {.num_partitions = 2}).ok());
   }
 
-  Config StageConfig(const std::string& job, const std::string& input,
-                     const std::string& factory) {
+  Config StageConfig(const std::string& job, const std::string& input) {
     Config c;
     c.Set(cfg::kJobName, job);
     c.Set(cfg::kTaskInputs, input);
-    c.Set(cfg::kTaskFactory, factory);
     c.SetInt(cfg::kContainerCount, 2);
     return c;
+  }
+
+  static TaskFactory RepartitionTo(const std::string& topic) {
+    return [topic] { return std::make_unique<RepartitionTask>(topic); };
   }
 
   void Produce(int n) {
@@ -180,16 +182,14 @@ class LatencyPipelineTest : public ::testing::Test {
 };
 
 TEST_F(LatencyPipelineTest, StampSurvivesRepartitionAndPipelineWithOracleE2e) {
-  TaskFactoryRegistry::Instance().Register(
-      "lat-stage1", [] { return std::make_unique<RepartitionTask>("mid"); });
-  TaskFactoryRegistry::Instance().Register(
-      "lat-stage2", [] { return std::make_unique<RepartitionTask>("out"); });
   const int64_t ingest_us = 1'000'000 * 1000;  // first append, in micros
 
   Produce(10);  // ingest stamped at T0 by the external producer
 
-  JobRunner stage1(broker_, StageConfig("lat-s1", "in", "lat-stage1"), clock_);
-  JobRunner stage2(broker_, StageConfig("lat-s2", "mid", "lat-stage2"), clock_);
+  JobRunner stage1(broker_, StageConfig("lat-s1", "in"), RepartitionTo("mid"),
+                   clock_);
+  JobRunner stage2(broker_, StageConfig("lat-s2", "mid"), RepartitionTo("out"),
+                   clock_);
   ASSERT_TRUE(stage1.Start().ok());
   ASSERT_TRUE(stage2.Start().ok());
 
@@ -241,12 +241,10 @@ TEST_F(LatencyPipelineTest, StampSurvivesRepartitionAndPipelineWithOracleE2e) {
 }
 
 TEST_F(LatencyPipelineTest, StampingKillSwitchZeroesStampsAndE2e) {
-  TaskFactoryRegistry::Instance().Register(
-      "lat-off", [] { return std::make_unique<RepartitionTask>("out"); });
   Produce(5);
-  Config c = StageConfig("lat-off-job", "in", "lat-off");
+  Config c = StageConfig("lat-off-job", "in");
   c.SetBool(cfg::kLatencyStampingEnable, false);
-  JobRunner runner(broker_, c, clock_);
+  JobRunner runner(broker_, c, RepartitionTo("out"), clock_);
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_EQ(runner.RunThreadedUntilQuiescent(1).value(), 5);
   for (const IncomingMessage& m : FetchAll(*broker_, "out")) {
@@ -264,11 +262,9 @@ TEST_F(LatencyPipelineTest, StampingKillSwitchZeroesStampsAndE2e) {
 // Freshness lag + backlog gauges under a stalled consumer
 
 TEST_F(LatencyPipelineTest, StalledConsumerAgesFreshnessLag) {
-  TaskFactoryRegistry::Instance().Register(
-      "lat-stall", [] { return std::make_unique<RepartitionTask>("out"); });
-  Config c = StageConfig("lat-stall-job", "in", "lat-stall");
+  Config c = StageConfig("lat-stall-job", "in");
   c.SetInt(cfg::kContainerCount, 1);
-  JobRunner runner(broker_, c, clock_);
+  JobRunner runner(broker_, c, RepartitionTo("out"), clock_);
   ASSERT_TRUE(runner.Start().ok());
 
   Produce(5);
@@ -303,11 +299,9 @@ TEST_F(LatencyPipelineTest, StalledConsumerAgesFreshnessLag) {
 // Resource ledger reconciliation
 
 TEST_F(LatencyPipelineTest, LedgerReconcilesWithBrokerContents) {
-  TaskFactoryRegistry::Instance().Register(
-      "lat-ledger", [] { return std::make_unique<RepartitionTask>("out"); });
   Produce(50);
-  JobRunner runner(broker_, StageConfig("lat-ledger-job", "in", "lat-ledger"),
-                   clock_);
+  JobRunner runner(broker_, StageConfig("lat-ledger-job", "in"),
+                   RepartitionTo("out"), clock_);
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_EQ(runner.RunThreadedUntilQuiescent(1).value(), 50);
 

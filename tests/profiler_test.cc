@@ -405,8 +405,7 @@ TEST(CrashDumpTest, SupervisorDumpsRecorderOnContainerDeath) {
       return Status::Ok();
     }
   };
-  TaskFactoryRegistry::Instance().Register(
-      "crash-once", [] { return std::make_unique<CrashOnceTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<CrashOnceTask>(); };
 
   auto broker = std::make_shared<Broker>();
   ASSERT_TRUE(broker->CreateTopic("crash-in", {.num_partitions = 1}).ok());
@@ -417,12 +416,11 @@ TEST(CrashDumpTest, SupervisorDumpsRecorderOnContainerDeath) {
   Config c;
   c.Set(cfg::kJobName, "crash-job");
   c.Set(cfg::kTaskInputs, "crash-in");
-  c.Set(cfg::kTaskFactory, "crash-once");
   c.SetInt(cfg::kContainerCount, 1);
   c.SetInt(cfg::kContainerRestartMax, 3);
   c.SetInt(cfg::kContainerRestartBackoffMs, 1);
   c.Set(cfg::kFlightRecDumpPath, path);
-  JobRunner runner(broker, c);
+  JobRunner runner(broker, c, factory);
   ASSERT_TRUE(runner.Start().ok());
   auto ran = runner.RunThreadedUntilQuiescent(1);
   ASSERT_TRUE(ran.ok()) << ran.status().ToString();
@@ -474,8 +472,7 @@ TEST(StallWatchdogTest, WedgedContainerFiresStallAndRecovers) {
   std::string dump_path = ::testing::TempDir() + "/flightrec_stall_test.jsonl";
   std::remove(dump_path.c_str());
 
-  TaskFactoryRegistry::Instance().Register(
-      "wedge", [] { return std::make_unique<WedgeTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<WedgeTask>(); };
   auto clock = std::make_shared<ManualClock>(1'000'000);
   auto broker = std::make_shared<Broker>();
   ASSERT_TRUE(broker->CreateTopic("wedge-in", {.num_partitions = 1}).ok());
@@ -486,10 +483,9 @@ TEST(StallWatchdogTest, WedgedContainerFiresStallAndRecovers) {
   Config c;
   c.Set(cfg::kJobName, "wedge-job");
   c.Set(cfg::kTaskInputs, "wedge-in");
-  c.Set(cfg::kTaskFactory, "wedge");
   c.SetInt(cfg::kContainerCount, 1);
   c.SetInt(cfg::kCommitEveryMessages, 2);
-  JobRunner runner(broker, c, clock);
+  JobRunner runner(broker, c, factory, clock);
   ASSERT_TRUE(runner.Start().ok());
 
   // Phase 1: a healthy drain lays down batch_run + checkpoint events so the

@@ -309,8 +309,7 @@ TEST(ChangelogStickyErrorTest, UnhealthyStoreBlocksCommitAndSupervisorRecovers) 
    private:
     KeyValueStorePtr store_;
   };
-  TaskFactoryRegistry::Instance().Register(
-      "recovery-stateful", [] { return std::make_unique<RecoveryStatefulTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<RecoveryStatefulTask>(); };
 
   auto inner = std::make_shared<Broker>();
   ASSERT_TRUE(inner->CreateTopic("in", {.num_partitions = 2}).ok());
@@ -328,13 +327,12 @@ TEST(ChangelogStickyErrorTest, UnhealthyStoreBlocksCommitAndSupervisorRecovers) 
   Config c;
   c.Set(cfg::kJobName, "gate-job");
   c.Set(cfg::kTaskInputs, "in");
-  c.Set(cfg::kTaskFactory, "recovery-stateful");
   c.Set("stores.state.changelog", "state-cl-gate");
   c.SetInt(cfg::kContainerCount, 1);
   c.SetInt(cfg::kCommitEveryMessages, 10);
   c.SetInt(cfg::kContainerRestartMax, 3);
   c.SetInt(cfg::kContainerRestartBackoffMs, 1);
-  JobRunner runner(fb, c);
+  JobRunner runner(fb, c, factory);
   ASSERT_TRUE(runner.Start().ok());
 
   fb->FailNextAppends(1);  // one changelog write is lost mid-batch
@@ -430,16 +428,6 @@ TEST(CorruptionTest, ChangelogRestoreRetriesPastCorruptFetch) {
   EXPECT_EQ(store.Get(ToBytes("a")), ToBytes("1"));
   EXPECT_EQ(store.Get(ToBytes("b")), ToBytes("2"));
   EXPECT_GE(fb->injected_corruptions(), 1);
-}
-
-TEST(CorruptionTest, PolicyParsesCorruptKeysFromConfig) {
-  Config c;
-  c.Set(cfg::kFaultCorruptRate, "0.25");
-  c.Set(cfg::kFaultCorruptTopics, "Orders");
-  FaultPolicy policy = FaultPolicy::FromConfig(c);
-  EXPECT_DOUBLE_EQ(policy.corrupt_rate, 0.25);
-  EXPECT_EQ(policy.corrupt_topics, std::vector<std::string>{"Orders"});
-  EXPECT_TRUE(policy.any_faults());
 }
 
 // ---------------------------------------------------------------------------
@@ -810,6 +798,36 @@ TEST_F(RecoveryTest, SupervisorRestartsKilledContainerAndOutputMatchesOracle) {
   EXPECT_GE(views[0].restarts, 1);
 }
 
+// A destroyed executor releases everything its jobs held. Each runner owns
+// its job's task factory, and through it the job's task-side plan; the
+// supervisor hands the same factory to the containers it rebuilds. Once the
+// executor and the test's handle are gone, nothing may keep the environment,
+// and with it the broker, alive.
+TEST_F(RecoveryTest, DestroyedExecutorReleasesItsJobs) {
+  MakeEnv();
+  ProduceOrders(400);
+  executor_ = std::make_unique<QueryExecutor>(env_, SupervisedDefaults());
+  // A filter runs as one fused stage; the window runs interpreted.
+  for (const char* sql : {"SELECT STREAM * FROM Orders WHERE units > 5",
+                          kTumblingStream}) {
+    auto submitted = executor_->Execute(sql);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    JobRunner* job = executor_->job(submitted.value().job_index);
+    ASSERT_TRUE(job->container(0)->RunUntilCaughtUp(50).ok());
+    ASSERT_TRUE(job->KillContainer(0).ok());
+  }
+  auto ran = executor_->RunJobsUntilQuiescent();
+  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+  for (int i = 0; i < 2; ++i) EXPECT_GE(executor_->job(i)->ContainerRestarts(0), 1);
+
+  std::weak_ptr<SamzaSqlEnvironment> env = env_;
+  std::weak_ptr<Broker> broker = env_->broker;
+  executor_.reset();
+  env_.reset();
+  EXPECT_TRUE(env.expired());
+  EXPECT_TRUE(broker.expired());
+}
+
 // Tentpole scenario 2: crash after output flush but before the checkpoint
 // lands. Forced append failures are scoped to the checkpoint topic, so the
 // commit fails with outputs already flushed; replay produces duplicate
@@ -1045,10 +1063,6 @@ TEST_F(PoisonTest, UnknownPolicyIsRejectedAtStart) {
   EXPECT_EQ(ParseDeliveryMode("").value(), DeliveryMode::kAtLeastOnce);
   EXPECT_EQ(ParseDeliveryMode("at-least-once").value(), DeliveryMode::kAtLeastOnce);
   EXPECT_EQ(ParseDeliveryMode("exactly-once").value(), DeliveryMode::kExactlyOnce);
-  EXPECT_FALSE(ParseTaskCorruptPolicy("skip").ok());
-  EXPECT_EQ(ParseTaskCorruptPolicy("").value(), TaskCorruptPolicy::kFail);
-  EXPECT_EQ(ParseTaskCorruptPolicy("dead-letter").value(),
-            TaskCorruptPolicy::kDeadLetter);
 }
 
 // A dead-lettered record keeps the trace context of the message that carried

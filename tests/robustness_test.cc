@@ -157,8 +157,7 @@ class AloEchoTask : public StreamTask {
 };
 
 TEST(AtLeastOnceTest, CrashBetweenOutputFlushAndCheckpointReplaysDuplicates) {
-  TaskFactoryRegistry::Instance().Register(
-      "alo-echo", [] { return std::make_unique<AloEchoTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<AloEchoTask>(); };
 
   auto inner = std::make_shared<Broker>();
   ASSERT_TRUE(inner->CreateTopic("in", {.num_partitions = 2}).ok());
@@ -177,11 +176,10 @@ TEST(AtLeastOnceTest, CrashBetweenOutputFlushAndCheckpointReplaysDuplicates) {
   Config c;
   c.Set(cfg::kJobName, "alo-job");
   c.Set(cfg::kTaskInputs, "in");
-  c.Set(cfg::kTaskFactory, "alo-echo");
   c.Set(cfg::kCheckpointTopic, "__cp_alo");
   c.SetInt(cfg::kContainerCount, 1);
   c.SetInt(cfg::kCommitEveryMessages, 10);
-  JobRunner runner(fault, c);
+  JobRunner runner(fault, c, factory);
   ASSERT_TRUE(runner.Start().ok());
 
   // The first commit's checkpoint append fails (no retries configured), so
@@ -224,8 +222,7 @@ TEST(AtLeastOnceTest, CrashBetweenOutputFlushAndCheckpointReplaysDuplicates) {
 // drops them as duplicates, and the raw output — no dedup applied — is
 // byte-equal to a crash-free run: exactly one tag per input message.
 TEST(ExactlyOnceTest, CrashBetweenOutputFlushAndCheckpointDedupsAtBroker) {
-  TaskFactoryRegistry::Instance().Register(
-      "eo-echo", [] { return std::make_unique<AloEchoTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<AloEchoTask>(); };
 
   auto inner = std::make_shared<Broker>();
   ASSERT_TRUE(inner->CreateTopic("in", {.num_partitions = 2}).ok());
@@ -244,12 +241,11 @@ TEST(ExactlyOnceTest, CrashBetweenOutputFlushAndCheckpointDedupsAtBroker) {
   Config c;
   c.Set(cfg::kJobName, "eo-job");
   c.Set(cfg::kTaskInputs, "in");
-  c.Set(cfg::kTaskFactory, "eo-echo");
   c.Set(cfg::kCheckpointTopic, "__cp_eo");
   c.Set(cfg::kTaskDelivery, "exactly-once");
   c.SetInt(cfg::kContainerCount, 1);
   c.SetInt(cfg::kCommitEveryMessages, 10);
-  JobRunner runner(fault, c);
+  JobRunner runner(fault, c, factory);
   ASSERT_TRUE(runner.Start().ok());
 
   // The first transactional commit fails, crashing the container with its

@@ -148,11 +148,7 @@ class ForwardTask : public StreamTask {
 
 class RunnerReadyQueueTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    TaskFactoryRegistry::Instance().Register(
-        "forward", [] { return std::make_unique<ForwardTask>(); });
-    broker_ = std::make_shared<Broker>();
-  }
+  void SetUp() override { broker_ = std::make_shared<Broker>(); }
 
   void Topic(const std::string& name, int partitions) {
     ASSERT_TRUE(broker_->CreateTopic(name, {.num_partitions = partitions}).ok());
@@ -162,12 +158,12 @@ class RunnerReadyQueueTest : public ::testing::Test {
     Config c;
     c.Set(cfg::kJobName, name);
     c.Set(cfg::kTaskInputs, in);
-    c.Set(cfg::kTaskFactory, "forward");
     c.Set("forward.to", out);
     return c;
   }
 
   BrokerPtr broker_;
+  const TaskFactory forward_ = [] { return std::make_unique<ForwardTask>(); };
 };
 
 TEST_F(RunnerReadyQueueTest, EndlessInputDoesNotStarveTheNeighbourOnOneWorker) {
@@ -184,7 +180,7 @@ TEST_F(RunnerReadyQueueTest, EndlessInputDoesNotStarveTheNeighbourOnOneWorker) {
     std::lock_guard<std::mutex> lock(ForwardTask::Log().mu);
     ForwardTask::Log().partitions.clear();
   }
-  JobRunner runner(broker_, c);
+  JobRunner runner(broker_, c, forward_);
   ASSERT_TRUE(runner.Start().ok());
   auto ran = runner.RunThreadedUntilQuiescent(1);
   ASSERT_TRUE(ran.ok()) << ran.status().ToString();
@@ -217,7 +213,7 @@ TEST_F(RunnerReadyQueueTest, ChainedPipelineDoesNotQuiesceBeforeDownstreamDrains
       c.SetInt(cfg::kPollLatencyNanos, 1'000'000);
       c.Set(cfg::kPollLatencyModel, "sleep");
       c.SetInt(cfg::kMaxPollMessages, 16);
-      return std::make_unique<JobRunner>(broker_, c);
+      return std::make_unique<JobRunner>(broker_, c, forward_);
     };
     auto up = make("up-" + mid, "in", mid);
     auto down = make("down-" + out, mid, out);
@@ -253,11 +249,11 @@ TEST_F(RunnerReadyQueueTest, KillDuringPendingFetchNeverCommitsAndReplaysByteEqu
   for (int32_t p = 0; p < 2; ++p) Append(*broker_, {"in", p}, 100);
 
   // Reference: the same job, uninterrupted.
-  JobRunner reference(broker_, config("ref"));
+  JobRunner reference(broker_, config("ref"), forward_);
   ASSERT_TRUE(reference.Start().ok());
   ASSERT_TRUE(reference.RunThreadedUntilQuiescent().ok());
 
-  JobRunner runner(broker_, config("out"));
+  JobRunner runner(broker_, config("out"), forward_);
   ASSERT_TRUE(runner.Start().ok());
   std::shared_ptr<Container> victim = runner.container(0);
   auto first = victim->RunTurn();

@@ -184,11 +184,10 @@ class RunnerTest : public ::testing::Test {
     ASSERT_TRUE(broker_->CreateTopic("out", {.num_partitions = 4}).ok());
   }
 
-  Config BaseConfig(const std::string& factory) {
+  Config BaseConfig() {
     Config c;
     c.Set(cfg::kJobName, "test-job");
     c.Set(cfg::kTaskInputs, "in");
-    c.Set(cfg::kTaskFactory, factory);
     c.SetInt(cfg::kContainerCount, 2);
     return c;
   }
@@ -206,10 +205,9 @@ class RunnerTest : public ::testing::Test {
 };
 
 TEST_F(RunnerTest, ProcessesAllInputOnce) {
-  TaskFactoryRegistry::Instance().Register(
-      "echo", [] { return std::make_unique<EchoTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<EchoTask>(); };
   Produce(100);
-  JobRunner runner(broker_, BaseConfig("echo"));
+  JobRunner runner(broker_, BaseConfig(), factory);
   ASSERT_TRUE(runner.Start().ok());
   auto n = runner.RunThreadedUntilQuiescent(1);
   ASSERT_TRUE(n.ok()) << n.status().ToString();
@@ -219,10 +217,9 @@ TEST_F(RunnerTest, ProcessesAllInputOnce) {
 }
 
 TEST_F(RunnerTest, PicksUpLateInput) {
-  TaskFactoryRegistry::Instance().Register(
-      "echo2", [] { return std::make_unique<EchoTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<EchoTask>(); };
   Produce(10);
-  JobRunner runner(broker_, BaseConfig("echo2"));
+  JobRunner runner(broker_, BaseConfig(), factory);
   ASSERT_TRUE(runner.Start().ok());
   EXPECT_EQ(runner.RunThreadedUntilQuiescent(1).value(), 10);
   Produce(5);
@@ -231,10 +228,9 @@ TEST_F(RunnerTest, PicksUpLateInput) {
 }
 
 TEST_F(RunnerTest, OutputPreservesInputPartition) {
-  TaskFactoryRegistry::Instance().Register(
-      "echo3", [] { return std::make_unique<EchoTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<EchoTask>(); };
   Produce(64);
-  JobRunner runner(broker_, BaseConfig("echo3"));
+  JobRunner runner(broker_, BaseConfig(), factory);
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
   for (int p = 0; p < 4; ++p) {
@@ -243,14 +239,15 @@ TEST_F(RunnerTest, OutputPreservesInputPartition) {
   }
 }
 
-TEST_F(RunnerTest, MissingFactoryFailsStart) {
-  JobRunner runner(broker_, BaseConfig("no-such-factory"));
-  EXPECT_FALSE(runner.Start().ok());
+TEST_F(RunnerTest, EmptyFactoryFailsStart) {
+  JobRunner runner(broker_, BaseConfig(), TaskFactory());
+  Status st = runner.Start();
+  EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("task factory"), std::string::npos) << st.ToString();
 }
 
 TEST_F(RunnerTest, KillRestartReplayIsDeterministicAfterDedup) {
-  TaskFactoryRegistry::Instance().Register(
-      "echo4", [] { return std::make_unique<EchoTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<EchoTask>(); };
   Produce(200);
 
   // Reference: uninterrupted run.
@@ -268,9 +265,8 @@ TEST_F(RunnerTest, KillRestartReplayIsDeterministicAfterDedup) {
     Config c;
     c.Set(cfg::kJobName, "test-job");
     c.Set(cfg::kTaskInputs, "in");
-    c.Set(cfg::kTaskFactory, "echo4");
     c.SetInt(cfg::kContainerCount, 2);
-    JobRunner runner(broker2, c);
+    JobRunner runner(broker2, c, factory);
     ASSERT_TRUE(runner.Start().ok());
     ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
     for (const auto& s : ReadAll(*broker2, "out")) reference.insert(s);
@@ -278,9 +274,9 @@ TEST_F(RunnerTest, KillRestartReplayIsDeterministicAfterDedup) {
 
   // Faulty run: process a little, kill container 0 (uncommitted work is
   // replayed after restart), finish.
-  Config c = BaseConfig("echo4");
+  Config c = BaseConfig();
   c.SetInt(cfg::kCommitEveryMessages, 10);
-  JobRunner runner(broker_, c);
+  JobRunner runner(broker_, c, factory);
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_TRUE(runner.container(0)->RunUntilCaughtUp(37).ok());
   ASSERT_TRUE(runner.KillContainer(0).ok());
@@ -294,13 +290,12 @@ TEST_F(RunnerTest, KillRestartReplayIsDeterministicAfterDedup) {
 }
 
 TEST_F(RunnerTest, StatefulStoreSurvivesKillRestart) {
-  TaskFactoryRegistry::Instance().Register(
-      "stateful", [] { return std::make_unique<StatefulTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<StatefulTask>(); };
   Produce(120);
-  Config c = BaseConfig("stateful");
+  Config c = BaseConfig();
   c.Set("stores.state.changelog", "state-changelog");
   c.SetInt(cfg::kCommitEveryMessages, 25);
-  JobRunner runner(broker_, c);
+  JobRunner runner(broker_, c, factory);
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_TRUE(runner.container(0)->RunUntilCaughtUp(41).ok());
   ASSERT_TRUE(runner.KillContainer(0).ok());
@@ -331,8 +326,9 @@ TEST_F(RunnerTest, StatefulStoreSurvivesKillRestart) {
 TEST_F(RunnerTest, BootstrapStreamFullyDrainedFirst) {
   ASSERT_TRUE(broker_->CreateTopic("table", {.num_partitions = 4}).ok());
   auto rec = std::make_shared<Recording>();
-  TaskFactoryRegistry::Instance().Register(
-      "recording", [rec] { return std::make_unique<RecordingTask>(rec.get()); });
+  const TaskFactory factory = [rec] {
+    return std::make_unique<RecordingTask>(rec.get());
+  };
 
   Producer p(broker_);
   // Interleave table and stream writes.
@@ -341,11 +337,11 @@ TEST_F(RunnerTest, BootstrapStreamFullyDrainedFirst) {
     ASSERT_TRUE(p.Send("table", ToBytes("k" + std::to_string(i)), ToBytes("t")).ok());
   }
 
-  Config c = BaseConfig("recording");
+  Config c = BaseConfig();
   c.Set(cfg::kTaskInputs, "in,table");
   c.Set(cfg::kBootstrapInputs, "table");
   c.SetInt(cfg::kContainerCount, 1);  // single container: one global order
-  JobRunner runner(broker_, c);
+  JobRunner runner(broker_, c, factory);
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
 
@@ -363,13 +359,14 @@ TEST_F(RunnerTest, BootstrapStreamFullyDrainedFirst) {
 
 TEST_F(RunnerTest, WindowTimerFiresOnClock) {
   auto rec = std::make_shared<Recording>();
-  TaskFactoryRegistry::Instance().Register(
-      "windowed", [rec] { return std::make_unique<RecordingTask>(rec.get()); });
+  const TaskFactory factory = [rec] {
+    return std::make_unique<RecordingTask>(rec.get());
+  };
   auto clock = std::make_shared<ManualClock>(1000);
-  Config c = BaseConfig("windowed");
+  Config c = BaseConfig();
   c.SetInt(cfg::kWindowMs, 100);
   c.SetInt(cfg::kContainerCount, 1);
-  JobRunner runner(broker_, c, clock);
+  JobRunner runner(broker_, c, factory, clock);
   ASSERT_TRUE(runner.Start().ok());
   Produce(4);
   ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
@@ -386,12 +383,11 @@ TEST_F(RunnerTest, WindowTimerFiresOnClock) {
 }
 
 TEST_F(RunnerTest, ContainerMetricsExposedViaSharedRegistry) {
-  TaskFactoryRegistry::Instance().Register(
-      "metrics-echo", [] { return std::make_unique<EchoTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<EchoTask>(); };
   Produce(100);
-  Config c = BaseConfig("metrics-echo");
+  Config c = BaseConfig();
   c.SetInt(cfg::kCommitEveryMessages, 10);
-  JobRunner runner(broker_, c);
+  JobRunner runner(broker_, c, factory);
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
   ASSERT_TRUE(runner.Stop().ok());
@@ -423,12 +419,11 @@ TEST_F(RunnerTest, ContainerMetricsExposedViaSharedRegistry) {
 }
 
 TEST_F(RunnerTest, ChangelogWriteVolumeCounted) {
-  TaskFactoryRegistry::Instance().Register(
-      "metrics-stateful", [] { return std::make_unique<StatefulTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<StatefulTask>(); };
   Produce(40);
-  Config c = BaseConfig("metrics-stateful");
+  Config c = BaseConfig();
   c.Set("stores.state.changelog", "state-changelog-metrics");
-  JobRunner runner(broker_, c);
+  JobRunner runner(broker_, c, factory);
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
   MetricsSnapshot snap = runner.metrics_registry()->Snapshot();
@@ -442,17 +437,16 @@ TEST_F(RunnerTest, ChangelogWriteVolumeCounted) {
 }
 
 TEST_F(RunnerTest, ReporterEmitsJsonLinesOnInterval) {
-  TaskFactoryRegistry::Instance().Register(
-      "metrics-reporter-echo", [] { return std::make_unique<EchoTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<EchoTask>(); };
   Produce(20);
   auto clock = std::make_shared<ManualClock>(1000);
-  Config c = BaseConfig("metrics-reporter-echo");
+  Config c = BaseConfig();
   c.SetInt(cfg::kContainerCount, 1);
   c.SetInt(cfg::kMetricsReporterIntervalMs, 100);
   const std::string path = "reporter_test_metrics.jsonl";
   std::remove(path.c_str());
   c.Set(cfg::kMetricsReporterPath, path);
-  JobRunner runner(broker_, c, clock);
+  JobRunner runner(broker_, c, factory, clock);
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_TRUE(runner.RunThreadedUntilQuiescent(1).ok());
   {
@@ -481,8 +475,7 @@ TEST_F(RunnerTest, ReporterEmitsJsonLinesOnInterval) {
 // is claimed concurrently. The rotation arm rolls the file on every report:
 // `<path>` and `<path>.1` must hold whole reports, none written twice.
 TEST_F(RunnerTest, ReporterWritesEachMetricOncePerInterval) {
-  TaskFactoryRegistry::Instance().Register(
-      "metrics-reporter-once", [] { return std::make_unique<EchoTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<EchoTask>(); };
   auto read_lines = [](const std::string& file) {
     std::ifstream in(file);
     std::vector<std::string> lines;
@@ -500,13 +493,13 @@ TEST_F(RunnerTest, ReporterWritesEachMetricOncePerInterval) {
   auto run_job = [&](const std::string& path, int64_t max_bytes,
                      const std::string& checkpoint_topic) {
     auto clock = std::make_shared<ManualClock>(1000);
-    Config c = BaseConfig("metrics-reporter-once");
+    Config c = BaseConfig();
     c.SetInt(cfg::kContainerCount, 4);
     c.Set(cfg::kCheckpointTopic, checkpoint_topic);
     c.SetInt(cfg::kMetricsReporterIntervalMs, 100);
     c.Set(cfg::kMetricsReporterPath, path);
     c.SetInt(cfg::kMetricsReporterMaxBytes, max_bytes);
-    JobRunner runner(broker_, c, clock);
+    JobRunner runner(broker_, c, factory, clock);
     EXPECT_TRUE(runner.Start().ok());
     for (int interval = 0; interval < 3; ++interval) {
       clock->Advance(100);
@@ -561,10 +554,9 @@ TEST_F(RunnerTest, ReporterWritesEachMetricOncePerInterval) {
 }
 
 TEST_F(RunnerTest, ThreadedRunProcessesEverything) {
-  TaskFactoryRegistry::Instance().Register(
-      "echo5", [] { return std::make_unique<EchoTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<EchoTask>(); };
   Produce(500);
-  JobRunner runner(broker_, BaseConfig("echo5"));
+  JobRunner runner(broker_, BaseConfig(), factory);
   ASSERT_TRUE(runner.Start().ok());
   auto n = runner.RunThreadedUntilQuiescent();
   ASSERT_TRUE(n.ok()) << n.status().ToString();
@@ -581,12 +573,11 @@ TEST_F(RunnerTest, ShutdownRequestStopsProcessing) {
     }
     int count_ = 0;
   };
-  TaskFactoryRegistry::Instance().Register(
-      "shutdown", [] { return std::make_unique<ShutdownTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<ShutdownTask>(); };
   Produce(100);
-  Config c = BaseConfig("shutdown");
+  Config c = BaseConfig();
   c.SetInt(cfg::kContainerCount, 1);
-  JobRunner runner(broker_, c);
+  JobRunner runner(broker_, c, factory);
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_TRUE(runner.container(0)->RunUntilCaughtUp().ok());
   EXPECT_TRUE(runner.container(0)->ShutdownRequested());
@@ -596,13 +587,12 @@ TEST_F(RunnerTest, ShutdownRequestStopsProcessing) {
 // The exactly-once producers of one container's tasks draw their own retry
 // jitter: tasks that fail together do not back off in lockstep.
 TEST_F(RunnerTest, TasksOfOneContainerDrawDifferentRetryJitter) {
-  TaskFactoryRegistry::Instance().Register(
-      "eo-jitter", [] { return std::make_unique<EchoTask>(); });
-  Config c = BaseConfig("eo-jitter");
+  const TaskFactory factory = [] { return std::make_unique<EchoTask>(); };
+  Config c = BaseConfig();
   c.SetInt(cfg::kContainerCount, 1);
   c.Set(cfg::kTaskDelivery, "exactly-once");
   c.SetInt(cfg::kRetryMaxAttempts, 3);
-  JobRunner runner(broker_, c);
+  JobRunner runner(broker_, c, factory);
   ASSERT_TRUE(runner.Start().ok());
   std::shared_ptr<Container> container = runner.container(0);
   ASSERT_EQ(container->num_tasks(), 4u);
@@ -622,21 +612,20 @@ TEST_F(RunnerTest, TasksOfOneContainerDrawDifferentRetryJitter) {
 // followed by `<path>` is an unbroken tail of the reports both jobs wrote,
 // so no report since the last roll is lost or moved out of order.
 TEST_F(RunnerTest, JobsSharingAReporterPathRotateOnOneByteCount) {
-  TaskFactoryRegistry::Instance().Register(
-      "metrics-reporter-shared", [] { return std::make_unique<EchoTask>(); });
+  const TaskFactory factory = [] { return std::make_unique<EchoTask>(); };
   const std::string path = "reporter_shared_metrics.jsonl";
   std::remove(path.c_str());
   std::remove((path + ".1").c_str());
   constexpr int64_t kMaxBytes = 8192;
   auto clock = std::make_shared<ManualClock>(1000);
   auto make_job = [&](const std::string& name) {
-    Config c = BaseConfig("metrics-reporter-shared");
+    Config c = BaseConfig();
     c.Set(cfg::kJobName, name);
     c.SetInt(cfg::kContainerCount, 1);
     c.SetInt(cfg::kMetricsReporterIntervalMs, 100);
     c.Set(cfg::kMetricsReporterPath, path);
     c.SetInt(cfg::kMetricsReporterMaxBytes, kMaxBytes);
-    return std::make_unique<JobRunner>(broker_, c, clock);
+    return std::make_unique<JobRunner>(broker_, c, factory, clock);
   };
   std::unique_ptr<JobRunner> jobs[] = {make_job("job-a"), make_job("job-b")};
   for (auto& job : jobs) ASSERT_TRUE(job->Start().ok());

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail on dead intra-repo links in the documentation set.
+"""Fail on dead intra-repo links and undefined config keys in the docs.
 
 Scans the top-level docs (README.md, DESIGN.md, EXPERIMENTS.md,
 ROADMAP.md) and everything under docs/ for Markdown inline links
@@ -11,8 +11,15 @@ ROADMAP.md) and everything under docs/ for Markdown inline links
     stripped, spaces to hyphens, -N suffixes for duplicates).
 
 External links (http/https/mailto) are not fetched. Links inside fenced
-code blocks and inline code spans are ignored. Exit status is the number
-of dead links, so CI fails on any.
+code blocks and inline code spans are ignored.
+
+It also checks that the docs document no key the engine lacks: every
+backticked dotted key (`task.delivery`, `log.fsync.interval.ms`) in the
+first cell of a table row must appear as a string literal somewhere in
+src/. Crash-point names are string literals there too, so they count as
+defined; names with placeholders (`lag.<topic>.<partition>`) are skipped.
+
+Exit status is the number of problems found, so CI fails on any.
 
 Usage: python3 tools/check_docs_links.py [repo_root]
 """
@@ -28,6 +35,9 @@ HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 FENCE_RE = re.compile(r"^(```|~~~)")
 CODE_SPAN_RE = re.compile(r"`[^`]*`")
 EXTERNAL_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")
+CONFIG_KEY_RE = re.compile(r"^[a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+$")
+STRING_LITERAL_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+TABLE_CELL_SEP_RE = re.compile(r"(?<!\\)\|")
 
 
 def github_anchor(heading, seen):
@@ -75,6 +85,35 @@ def iter_links(path):
                 yield lineno, m.group(2)
 
 
+def source_literals(root):
+    """Every string literal in the C++ sources under src/."""
+    literals = set()
+    for dirpath, _, names in os.walk(os.path.join(root, "src")):
+        for name in names:
+            if name.endswith((".h", ".cc")):
+                with open(os.path.join(dirpath, name), encoding="utf-8") as f:
+                    literals.update(STRING_LITERAL_RE.findall(f.read()))
+    return literals
+
+
+def iter_table_keys(path):
+    """Yield (lineno, key) for config keys in the first cell of table rows."""
+    in_fence = False
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if FENCE_RE.match(line):
+                in_fence = not in_fence
+                continue
+            stripped = line.strip()
+            if in_fence or not stripped.startswith("|"):
+                continue
+            first_cell = TABLE_CELL_SEP_RE.split(stripped[1:])[0]
+            for span in CODE_SPAN_RE.findall(first_cell):
+                key = span.strip("`")
+                if CONFIG_KEY_RE.match(key):
+                    yield lineno, key
+
+
 def main():
     root = os.path.abspath(sys.argv[1] if len(sys.argv) > 1 else
                            os.path.join(os.path.dirname(__file__), ".."))
@@ -115,9 +154,21 @@ def main():
                           f"{os.path.relpath(dest, root)})")
                     errors += 1
 
-    print(f"checked {len(files)} file(s): "
-          f"{errors} dead link(s)" if errors else
-          f"checked {len(files)} file(s): all links ok")
+    literals = source_literals(root)
+    keys = 0
+    for path in files:
+        rel = os.path.relpath(path, root)
+        for lineno, key in iter_table_keys(path):
+            keys += 1
+            if key not in literals:
+                print(f"{rel}:{lineno}: undefined key: `{key}` "
+                      f"(no string literal \"{key}\" in src/)")
+                errors += 1
+
+    print(f"checked {len(files)} file(s), {keys} documented key(s): "
+          f"{errors} problem(s)" if errors else
+          f"checked {len(files)} file(s), {keys} documented key(s): "
+          f"all links and keys ok")
     return min(errors, 125)
 
 
