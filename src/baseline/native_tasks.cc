@@ -12,15 +12,6 @@ constexpr size_t kProductId = 1;
 constexpr size_t kOrderId = 2;
 constexpr size_t kUnits = 3;
 
-void AppendOrderedTs(Bytes& key, int64_t ts) {
-  uint64_t u = static_cast<uint64_t>(ts) ^ (1ull << 63);
-  for (int i = 7; i >= 0; --i) key.push_back(static_cast<uint8_t>(u >> (8 * i)));
-}
-
-void AppendFixed32(Bytes& key, uint32_t v) {
-  for (int i = 3; i >= 0; --i) key.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
 }  // namespace
 
 SchemaPtr NativeOrdersSchema() {

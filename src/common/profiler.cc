@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -292,6 +293,26 @@ void Profiler::ClearSamples() {
 void Profiler::Reset() {
   StopSampling();
   ClearSamples();
+}
+
+std::string RenderOperatorAttribution(
+    const std::map<std::string, int64_t>& attribution, int64_t total) {
+  char line[192];
+  std::snprintf(line, sizeof(line), "%-36s %10s %8s\n", "operator", "samples",
+                "cpu");
+  std::string out = line;
+  std::vector<std::pair<std::string, int64_t>> rows(attribution.begin(),
+                                                    attribution.end());
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
+  for (const auto& [label, samples] : rows) {
+    std::snprintf(line, sizeof(line), "%-36s %10lld %7.1f%%\n", label.c_str(),
+                  static_cast<long long>(samples),
+                  100.0 * static_cast<double>(samples) / static_cast<double>(total));
+    out += line;
+  }
+  return out;
 }
 
 }  // namespace sqs

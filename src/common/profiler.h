@@ -106,4 +106,10 @@ class ProfiledFrame {
   ProfiledFrame& operator=(const ProfiledFrame&) = delete;
 };
 
+// The per-operator CPU attribution table that SHOW PROFILE and EXPLAIN
+// ANALYZE print: a header line, then one row per label with its samples and
+// its share of `total`, largest share first.
+std::string RenderOperatorAttribution(
+    const std::map<std::string, int64_t>& attribution, int64_t total);
+
 }  // namespace sqs

@@ -184,34 +184,6 @@ std::string RenderAnalyzedPlan(const sql::LogicalNode& plan,
   return os.str();
 }
 
-// CPU attribution from the sampling profiler's burst: which operator label
-// was on top of each sampled thread's span stack. Complements the span
-// timings above — spans measure elapsed time per call, samples measure where
-// CPU time concentrates across the whole run.
-std::string RenderCpuAttribution() {
-  Profiler& prof = Profiler::Instance();
-  const int64_t total = prof.TotalSamples();
-  std::ostringstream os;
-  os << "cpu profile: " << total << " samples";
-  if (total <= 0) {
-    os << " (profiler idle)\n";
-    return os.str();
-  }
-  os << "\n";
-  // Largest share first so the hot operator leads the table.
-  std::map<std::string, int64_t> attribution = prof.OperatorAttribution();
-  std::vector<std::pair<std::string, int64_t>> rows(attribution.begin(),
-                                                    attribution.end());
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  });
-  for (const auto& [label, samples] : rows) {
-    os << "  " << label << " samples=" << samples
-       << " cpu=" << FmtPct(samples, total) << "\n";
-  }
-  return os.str();
-}
-
 // Wall-clock latency waterfall for the analyzed job (docs/LATENCY.md): where
 // a record's time went between its first broker append and the sink emit.
 // "broker queue wait" is the fetch-side dwell (append -> fetch), "container
@@ -561,8 +533,14 @@ Result<QueryExecutor::ExecutionResult> QueryExecutor::RunExplainAnalyze(
   result.text =
       RenderAnalyzedPlan(plan, tracer.Spans(), job_name, submitted.output_topic) +
       RenderLatencyWaterfall(job(submitted.job_index)->metrics_registry()->Snapshot(),
-                             job_name) +
-      RenderCpuAttribution();
+                             job_name);
+  // CPU attribution from the profiler's burst: spans measure elapsed time
+  // per call, samples where CPU time concentrates across the whole run.
+  const int64_t samples = prof.TotalSamples();
+  result.text += "cpu profile: " + std::to_string(samples) + " samples";
+  result.text += samples <= 0 ? " (profiler idle)\n"
+                              : "\n" + RenderOperatorAttribution(
+                                            prof.OperatorAttribution(), samples);
   result.schema = plan.schema;
   result.output_topic = submitted.output_topic;
   result.job_index = submitted.job_index;

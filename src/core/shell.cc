@@ -1,7 +1,6 @@
 #include "core/shell.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -17,6 +16,7 @@
 #include "common/profiler.h"
 #include "common/tracing.h"
 #include "http/monitor.h"
+#include "sql/lexer.h"
 #include "task/container.h"
 
 namespace sqs::core {
@@ -67,379 +67,333 @@ std::string Shell::FormatTable(const SchemaPtr& schema, const std::vector<Row>& 
   return os.str();
 }
 
+namespace {
+
+// The arguments of `SHOW <view> [JSON | <filter>]`: the JSON flag, else the
+// third word in its original case (job names are lower-case).
+struct ShowArgs {
+  bool json = false;
+  std::string filter;
+};
+
+// SHOW METRICS: the merged metrics of every submitted job.
+void ShowMetrics(QueryExecutor& executor, const ShowArgs& args, std::ostream& out) {
+  std::vector<MetricsSnapshot> snapshots;
+  for (size_t i = 0; i < executor.num_jobs(); ++i) {
+    JobRunner* job = executor.job(static_cast<int>(i));
+    if (job) snapshots.push_back(job->metrics_registry()->Snapshot());
+  }
+  MetricsSnapshot merged = MergeSnapshots(snapshots);
+  if (args.json) {
+    out << SnapshotToJsonLines(merged, SystemClock::Instance()->NowMillis());
+  } else {
+    out << SnapshotToTable(merged);
+  }
+}
+
+// SHOW JOBS: one row per submitted job with its resource ledger
+// (docs/LATENCY.md); the columns are the keys of the monitor's /jobs, which
+// the JSON form prints.
+void ShowJobs(QueryExecutor& executor, const ShowArgs& args, std::ostream& out) {
+  std::vector<MonitorJobView> views = executor.CollectJobViews();
+  if (args.json) {
+    out << executor.monitor().RenderJobsJson(views) << "\n";
+  } else if (views.empty()) {
+    out << "(no jobs submitted)\n";
+  } else {
+    out << RenderJobsTable(views);
+  }
+}
+
+// SHOW TRACE: per-span statistics of the process-wide span buffer.
+void ShowTrace(QueryExecutor&, const ShowArgs& args, std::ostream& out) {
+  Tracer& tracer = Tracer::Instance();
+  std::vector<Span> spans = tracer.Spans();
+  if (args.json) {
+    out << SpansToChromeTraceJson(spans) << "\n";
+    return;
+  }
+  std::string prefix = args.filter.empty() ? "" : args.filter + ".";
+  std::map<std::string, SpanStats> stats = ComputeSpanStats(spans, prefix);
+  std::set<uint64_t> traces;
+  int64_t in_scope = 0;
+  for (const Span& s : spans) {
+    if (!prefix.empty() && s.scope.compare(0, prefix.size(), prefix) != 0) {
+      continue;
+    }
+    traces.insert(s.trace_id);
+    ++in_scope;
+  }
+  char header[128];
+  std::snprintf(header, sizeof(header),
+                "traces=%zu spans=%lld recorded=%lld evicted=%lld "
+                "sample_rate=%g\n",
+                traces.size(), static_cast<long long>(in_scope),
+                static_cast<long long>(tracer.recorded_total()),
+                static_cast<long long>(tracer.evicted()),
+                tracer.sample_rate());
+  out << header;
+  std::snprintf(header, sizeof(header), "%-28s %10s %14s %14s\n", "span",
+                "count", "incl_us", "self_us");
+  out << header;
+  for (const auto& [name, st] : stats) {
+    std::snprintf(header, sizeof(header), "%-28s %10lld %14.1f %14.1f\n",
+                  name.c_str(), static_cast<long long>(st.count),
+                  static_cast<double>(st.inclusive_ns) / 1000.0,
+                  static_cast<double>(st.self_ns) / 1000.0);
+    out << header;
+  }
+}
+
+// SHOW HISTORY: the monitor's metrics history ring with per-series rates
+// and sparklines.
+void ShowHistory(QueryExecutor& executor, const ShowArgs& args, std::ostream& out) {
+  MetricsHistory& history = executor.monitor().history();
+  if (args.json) {
+    out << history.ToJson() << "\n";
+    return;
+  }
+  std::string prefix = args.filter.empty() ? "" : args.filter + ".";
+  std::vector<std::string> keys = history.Keys();
+  char header[192];
+  std::snprintf(header, sizeof(header), "%-44s %12s %12s  %s\n", "series",
+                "last", "rate/s", "sparkline");
+  out << header;
+  size_t shown = 0;
+  for (const std::string& key : keys) {
+    if (!prefix.empty() && key.compare(0, prefix.size(), prefix) != 0) continue;
+    std::vector<MetricsHistory::Point> points = history.Series(key);
+    if (points.empty()) continue;
+    std::snprintf(header, sizeof(header), "%-44s %12.6g %12.6g  %s\n",
+                  key.c_str(), points.back().value, history.RatePerSec(key),
+                  AsciiSparkline(points).c_str());
+    out << header;
+    ++shown;
+  }
+  if (shown == 0) {
+    out << "(no history samples"
+        << (args.filter.empty() ? "" : " for " + args.filter)
+        << " — run !run or scrape the monitor to tick)\n";
+  }
+}
+
+// SHOW ALERTS: the alert engine's current state.
+void ShowAlerts(QueryExecutor& executor, const ShowArgs& args, std::ostream& out) {
+  MonitorServer& monitor = executor.monitor();
+  if (args.json) {
+    out << monitor.alerts().ToJson(SystemClock::Instance()->NowMillis()) << "\n";
+    return;
+  }
+  if (!monitor.rules_status().ok()) {
+    out << "alert rules disabled: " << monitor.rules_status().message() << "\n";
+    return;
+  }
+  if (monitor.alerts().empty()) {
+    out << "(no alert rules configured — set alert.rules)\n";
+    return;
+  }
+  char header[256];
+  std::snprintf(header, sizeof(header), "%-10s %-44s %12s %6s  %s\n", "state",
+                "rule", "value", "fired", "subject");
+  out << header;
+  for (const AlertStatus& status : monitor.alerts().Statuses()) {
+    std::snprintf(header, sizeof(header), "%-10s %-44s %12.6g %6lld  %s\n",
+                  AlertStateName(status.state), status.rule.text.c_str(),
+                  status.value, static_cast<long long>(status.fired_count),
+                  status.subject.c_str());
+    out << header;
+  }
+}
+
+// SHOW DLQ: dead-letter queues — record count per DLQ topic plus the
+// provenance (task, origin offset, error, trace) of the most recently
+// dead-lettered record.
+void ShowDlq(QueryExecutor& executor, const ShowArgs& args, std::ostream& out) {
+  const EnvironmentPtr& env = executor.env();
+  // DLQ topics: each submitted job's configured (or default `<job>.dlq`)
+  // topic, plus any broker topic following the `.dlq` convention (e.g.
+  // from a job submitted in an earlier shell session).
+  std::map<std::string, std::string> dlq_topics;  // topic -> owning job
+  for (size_t i = 0; i < executor.num_jobs(); ++i) {
+    JobRunner* job = executor.job(static_cast<int>(i));
+    if (!job) continue;
+    const std::string& name = job->job_name();
+    if (!args.filter.empty() && name != args.filter) continue;
+    dlq_topics[job->config().Get(cfg::kTaskDlqTopic, name + ".dlq")] = name;
+  }
+  if (args.filter.empty()) {
+    const std::string suffix = ".dlq";
+    for (const std::string& topic : env->broker->Topics()) {
+      if (topic.size() > suffix.size() &&
+          topic.compare(topic.size() - suffix.size(), suffix.size(), suffix) == 0) {
+        dlq_topics.emplace(topic, topic.substr(0, topic.size() - suffix.size()));
+      }
+    }
+  }
+  bool any = false;
+  for (const auto& [topic, job_name] : dlq_topics) {
+    if (!env->broker->HasTopic(topic)) continue;
+    auto size = env->broker->TopicSize(topic);
+    if (!size.ok()) continue;
+    any = true;
+    // Most recent record across partitions (by append timestamp).
+    bool have_last = false;
+    int64_t last_offset = 0;
+    int64_t last_ts = -1;
+    StreamPartition last_sp;
+    DeadLetterRecord last;
+    auto parts = env->broker->NumPartitions(topic);
+    int32_t nparts = parts.ok() ? parts.value() : 0;
+    for (int32_t p = 0; p < nparts; ++p) {
+      StreamPartition sp{topic, p};
+      auto end = env->broker->EndOffset(sp);
+      if (!end.ok() || end.value() == 0) continue;
+      auto fetched = env->broker->Fetch(sp, end.value() - 1, 1);
+      if (!fetched.ok() || fetched.value().empty()) continue;
+      const IncomingMessage& m = fetched.value().front();
+      if (m.message.timestamp < last_ts) continue;
+      auto decoded = DecodeDeadLetter(m.message.value);
+      if (!decoded.ok()) continue;
+      have_last = true;
+      last_ts = m.message.timestamp;
+      last_sp = sp;
+      last_offset = m.offset;
+      last = std::move(decoded).value();
+    }
+    if (args.json) {
+      out << "{\"topic\":\"" << JsonEscape(topic) << "\",\"job\":\""
+          << JsonEscape(job_name) << "\",\"records\":" << size.value();
+      if (have_last) {
+        char trace_hex[32];
+        std::snprintf(trace_hex, sizeof(trace_hex), "%016llx",
+                      static_cast<unsigned long long>(last.trace.trace_id));
+        out << ",\"last\":{\"task\":\"" << JsonEscape(last.task_name)
+            << "\",\"origin\":\"" << JsonEscape(last.origin.ToString())
+            << "\",\"offset\":" << last.offset << ",\"error\":\""
+            << JsonEscape(last.error) << "\",\"trace_id\":\"" << trace_hex
+            << "\",\"sampled\":" << (last.trace.sampled ? "true" : "false")
+            << "}";
+      }
+      out << "}\n";
+    } else {
+      out << topic << "  (job " << job_name << "): " << size.value()
+          << " record(s)\n";
+      if (have_last) {
+        out << "  last: task=" << last.task_name
+            << " origin=" << last.origin.ToString() << "@" << last.offset
+            << " dlq=" << last_sp.ToString() << "@" << last_offset;
+        if (last.trace.valid()) {
+          char trace_hex[32];
+          std::snprintf(trace_hex, sizeof(trace_hex), "%016llx",
+                        static_cast<unsigned long long>(last.trace.trace_id));
+          out << " trace=" << trace_hex;
+        }
+        out << "\n  error: " << last.error << "\n";
+      }
+    }
+  }
+  if (!any) {
+    out << "(no dead-letter topics"
+        << (args.filter.empty() ? "" : " for " + args.filter) << ")\n";
+  }
+}
+
+// SHOW PROFILE: the sampling profiler's accumulated samples — per-operator
+// CPU attribution plus collapsed stacks (flamegraph input).
+void ShowProfile(QueryExecutor&, const ShowArgs& args, std::ostream& out) {
+  Profiler& prof = Profiler::Instance();
+  const int64_t total = prof.TotalSamples();
+  std::map<std::string, int64_t> attribution = prof.OperatorAttribution();
+  if (args.json) {
+    out << "{\"ts_ms\":" << SystemClock::Instance()->NowMillis()
+        << ",\"samples\":" << total
+        << ",\"sampling\":" << (prof.sampling() ? "true" : "false")
+        << ",\"operators\":[";
+    bool first = true;
+    for (const auto& [label, samples] : attribution) {
+      if (!first) out << ",";
+      first = false;
+      out << "{\"label\":\"" << JsonEscape(label) << "\",\"samples\":" << samples
+          << "}";
+    }
+    out << "]}\n";
+    return;
+  }
+  out << "samples=" << total << " sampling=" << (prof.sampling() ? "on" : "off");
+  if (prof.sampling()) out << " hz=" << prof.hz();
+  out << "\n";
+  if (total == 0) {
+    out << "(no samples — set profile.hz, run EXPLAIN ANALYZE, or GET "
+           "/debug/profile)\n";
+    return;
+  }
+  out << RenderOperatorAttribution(attribution, total)
+      << "collapsed stacks (flamegraph.pl input):\n" << prof.CollapsedStacks();
+}
+
+// SHOW EVENTS: the flight recorder's merged rings, seq-ordered.
+void ShowEvents(QueryExecutor&, const ShowArgs& args, std::ostream& out) {
+  FlightRecorder& rec = FlightRecorder::Instance();
+  if (args.json) {
+    out << rec.DumpJsonLines();
+    return;
+  }
+  std::vector<FlightEvent> events = rec.Snapshot(args.filter);
+  out << "events=" << events.size() << " recorded=" << rec.recorded()
+      << " dropped=" << rec.dropped() << "\n";
+  char line[256];
+  std::snprintf(line, sizeof(line), "%8s %-18s %-32s %10s %10s  %s\n", "seq",
+                "type", "scope", "a", "b", "detail");
+  out << line;
+  for (const FlightEvent& e : events) {
+    std::snprintf(line, sizeof(line), "%8llu %-18s %-32s %10lld %10lld  %s\n",
+                  static_cast<unsigned long long>(e.seq),
+                  FlightEventTypeName(e.type), e.scope,
+                  static_cast<long long>(e.a), static_cast<long long>(e.b),
+                  e.detail);
+    out << line;
+  }
+}
+
+// The inspection views: `SHOW <view> [JSON | <job>]` statements the shell
+// answers before SQL parsing (they are not part of the query grammar).
+// !help prints its SHOW lines from this table.
+struct ShowView {
+  const char* name;
+  bool filtered;  // takes a `<job>` filter besides JSON
+  const char* help;
+  void (*render)(QueryExecutor&, const ShowArgs&, std::ostream&);
+};
+constexpr ShowView kShowViews[] = {
+    {"METRICS", false, "job/task/operator metrics of submitted jobs", ShowMetrics},
+    {"JOBS", false, "per-job resource ledger; JSON: the monitor's /jobs", ShowJobs},
+    {"TRACE", true, "per-span statistics; JSON: Chrome trace format", ShowTrace},
+    {"HISTORY", true, "metrics history ring: rates + sparklines", ShowHistory},
+    {"ALERTS", false, "threshold alert states (alert.rules)", ShowAlerts},
+    {"DLQ", true, "dead-letter queues: counts + last-error provenance", ShowDlq},
+    {"PROFILE", false, "sampling profiler: operator CPU + collapsed stacks",
+     ShowProfile},
+    {"EVENTS", true, "flight-recorder ring: engine events, seq-ordered",
+     ShowEvents},
+};
+
+}  // namespace
+
 void Shell::ExecuteBuffered(std::ostream& out) {
   std::string statement;
   statement.swap(buffer_);
   if (statement.find_first_not_of(" \t\r\n;") == std::string::npos) return;
-  // SHOW METRICS [JSON]: shell-side metrics inspection over all submitted
-  // jobs, handled before SQL parsing (it is not part of the query grammar).
-  {
-    std::string upper;
-    upper.reserve(statement.size());
-    for (char c : statement) {
-      upper.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
-    }
-    std::istringstream words(upper);
-    std::string w1, w2, w3;
-    words >> w1 >> w2 >> w3;
-    if (w1 == "SHOW" && w2 == "METRICS") {
-      std::vector<MetricsSnapshot> snapshots;
-      for (size_t i = 0; i < executor_->num_jobs(); ++i) {
-        JobRunner* job = executor_->job(static_cast<int>(i));
-        if (job) snapshots.push_back(job->metrics_registry()->Snapshot());
-      }
-      MetricsSnapshot merged = MergeSnapshots(snapshots);
-      if (w3 == "JSON") {
-        out << SnapshotToJsonLines(merged, SystemClock::Instance()->NowMillis());
-      } else {
-        out << SnapshotToTable(merged);
-      }
-      return;
-    }
-    // SHOW JOBS [JSON]: one row per submitted job with its live resource
-    // ledger — rows/bytes through it, CPU busy time, e2e latency
-    // percentiles, freshness lag, backlog, state size, DLQ drops, restarts,
-    // uptime (docs/LATENCY.md). JSON form is the monitor's /jobs payload.
-    if (w1 == "SHOW" && w2 == "JOBS") {
-      if (w3 == "JSON") {
-        out << executor_->monitor().RenderJobsJson(executor_->CollectJobViews())
-            << "\n";
-        return;
-      }
-      std::vector<MonitorJobView> views = executor_->CollectJobViews();
-      if (views.empty()) {
-        out << "(no jobs submitted)\n";
-        return;
-      }
-      char row[320];
-      std::snprintf(row, sizeof(row),
-                    "%-24s %5s %9s %9s %11s %8s %9s %9s %9s %8s %9s %9s %5s "
-                    "%4s %8s\n",
-                    "job", "cont", "rows_in", "rows_out", "bytes_out",
-                    "busy_ms", "e2e_p50us", "e2e_p95us", "e2e_p99us",
-                    "fresh_ms", "backlog", "state", "dlq", "rst", "up_ms");
-      out << row;
-      for (const MonitorJobView& view : views) {
-        ResourceLedger ledger = ComputeResourceLedger(view);
-        char cont[16];
-        std::snprintf(cont, sizeof(cont), "%zu/%zu", view.containers_running,
-                      view.containers_total);
-        std::snprintf(row, sizeof(row),
-                      "%-24s %5s %9lld %9lld %11lld %8lld %9lld %9lld %9lld "
-                      "%8lld %9lld %9lld %5lld %4lld %8lld\n",
-                      view.name.c_str(), cont,
-                      static_cast<long long>(ledger.rows_in),
-                      static_cast<long long>(ledger.rows_out),
-                      static_cast<long long>(ledger.bytes_out),
-                      static_cast<long long>(ledger.cpu_busy_ns / 1000000),
-                      static_cast<long long>(ledger.e2e.p50),
-                      static_cast<long long>(ledger.e2e.p95),
-                      static_cast<long long>(ledger.e2e.p99),
-                      static_cast<long long>(ledger.freshness_lag_ms),
-                      static_cast<long long>(ledger.backlog_bytes),
-                      static_cast<long long>(ledger.state_bytes),
-                      static_cast<long long>(ledger.dlq_drops),
-                      static_cast<long long>(view.restarts),
-                      static_cast<long long>(view.uptime_ms));
-        out << row;
-      }
-      return;
-    }
-    // SHOW TRACE [JSON | <job>]: inspect the process-wide span buffer.
-    if (w1 == "SHOW" && w2 == "TRACE") {
-      Tracer& tracer = Tracer::Instance();
-      std::vector<Span> spans = tracer.Spans();
-      if (w3 == "JSON") {
-        out << SpansToChromeTraceJson(spans) << "\n";
-        return;
-      }
-      // Job filter needs the original-case word (job names are lower-case).
-      std::string job_filter;
-      {
-        std::istringstream orig(statement);
-        std::string o1, o2;
-        orig >> o1 >> o2 >> job_filter;
-      }
-      std::string prefix = job_filter.empty() ? "" : job_filter + ".";
-      std::map<std::string, SpanStats> stats = ComputeSpanStats(spans, prefix);
-      std::set<uint64_t> traces;
-      int64_t in_scope = 0;
-      for (const Span& s : spans) {
-        if (!prefix.empty() && s.scope.compare(0, prefix.size(), prefix) != 0) {
-          continue;
-        }
-        traces.insert(s.trace_id);
-        ++in_scope;
-      }
-      char header[128];
-      std::snprintf(header, sizeof(header),
-                    "traces=%zu spans=%lld recorded=%lld evicted=%lld "
-                    "sample_rate=%g\n",
-                    traces.size(), static_cast<long long>(in_scope),
-                    static_cast<long long>(tracer.recorded_total()),
-                    static_cast<long long>(tracer.evicted()),
-                    tracer.sample_rate());
-      out << header;
-      std::snprintf(header, sizeof(header), "%-28s %10s %14s %14s\n", "span",
-                    "count", "incl_us", "self_us");
-      out << header;
-      for (const auto& [name, st] : stats) {
-        std::snprintf(header, sizeof(header), "%-28s %10lld %14.1f %14.1f\n",
-                      name.c_str(), static_cast<long long>(st.count),
-                      static_cast<double>(st.inclusive_ns) / 1000.0,
-                      static_cast<double>(st.self_ns) / 1000.0);
-        out << header;
-      }
-      return;
-    }
-    // SHOW HISTORY [JSON | <job>]: the monitor's metrics history ring with
-    // per-series rates and sparklines.
-    if (w1 == "SHOW" && w2 == "HISTORY") {
-      MetricsHistory& history = executor_->monitor().history();
-      if (w3 == "JSON") {
-        out << history.ToJson() << "\n";
-        return;
-      }
-      std::string job_filter;
-      {
-        std::istringstream orig(statement);
-        std::string o1, o2;
-        orig >> o1 >> o2 >> job_filter;
-      }
-      while (!job_filter.empty() && job_filter.back() == ';') job_filter.pop_back();
-      std::string prefix = job_filter.empty() ? "" : job_filter + ".";
-      std::vector<std::string> keys = history.Keys();
-      char header[192];
-      std::snprintf(header, sizeof(header), "%-44s %12s %12s  %s\n", "series",
-                    "last", "rate/s", "sparkline");
-      out << header;
-      size_t shown = 0;
-      for (const std::string& key : keys) {
-        if (!prefix.empty() && key.compare(0, prefix.size(), prefix) != 0) continue;
-        std::vector<MetricsHistory::Point> points = history.Series(key);
-        if (points.empty()) continue;
-        std::snprintf(header, sizeof(header), "%-44s %12.6g %12.6g  %s\n",
-                      key.c_str(), points.back().value, history.RatePerSec(key),
-                      AsciiSparkline(points).c_str());
-        out << header;
-        ++shown;
-      }
-      if (shown == 0) {
-        out << "(no history samples"
-            << (job_filter.empty() ? "" : " for " + job_filter)
-            << " — run !run or scrape the monitor to tick)\n";
-      }
-      return;
-    }
-    // SHOW ALERTS [JSON]: current alert engine state.
-    if (w1 == "SHOW" && w2 == "ALERTS") {
-      MonitorServer& monitor = executor_->monitor();
-      if (w3 == "JSON") {
-        out << monitor.alerts().ToJson(SystemClock::Instance()->NowMillis())
-            << "\n";
-        return;
-      }
-      if (!monitor.rules_status().ok()) {
-        out << "alert rules disabled: " << monitor.rules_status().message() << "\n";
-        return;
-      }
-      if (monitor.alerts().empty()) {
-        out << "(no alert rules configured — set alert.rules)\n";
-        return;
-      }
-      char header[256];
-      std::snprintf(header, sizeof(header), "%-10s %-44s %12s %6s  %s\n",
-                    "state", "rule", "value", "fired", "subject");
-      out << header;
-      for (const AlertStatus& status : monitor.alerts().Statuses()) {
-        std::snprintf(header, sizeof(header), "%-10s %-44s %12.6g %6lld  %s\n",
-                      AlertStateName(status.state), status.rule.text.c_str(),
-                      status.value, static_cast<long long>(status.fired_count),
-                      status.subject.c_str());
-        out << header;
-      }
-      return;
-    }
-    // SHOW DLQ [<job> | JSON]: dead-letter queues — record count per DLQ
-    // topic plus the provenance (task, origin offset, error, trace) of the
-    // most recently dead-lettered record.
-    if (w1 == "SHOW" && w2 == "DLQ") {
-      std::string job_filter;
-      if (!w3.empty() && w3 != "JSON") {
-        std::istringstream orig(statement);
-        std::string o1, o2;
-        orig >> o1 >> o2 >> job_filter;
-      }
-      // DLQ topics: each submitted job's configured (or default `<job>.dlq`)
-      // topic, plus any broker topic following the `.dlq` convention (e.g.
-      // from a job submitted in an earlier shell session).
-      std::map<std::string, std::string> dlq_topics;  // topic -> owning job
-      for (size_t i = 0; i < executor_->num_jobs(); ++i) {
-        JobRunner* job = executor_->job(static_cast<int>(i));
-        if (!job) continue;
-        const std::string& name = job->job_name();
-        if (!job_filter.empty() && name != job_filter) continue;
-        dlq_topics[job->config().Get(cfg::kTaskDlqTopic, name + ".dlq")] = name;
-      }
-      if (job_filter.empty()) {
-        const std::string suffix = ".dlq";
-        for (const std::string& topic : env_->broker->Topics()) {
-          if (topic.size() > suffix.size() &&
-              topic.compare(topic.size() - suffix.size(), suffix.size(),
-                            suffix) == 0) {
-            dlq_topics.emplace(topic, topic.substr(0, topic.size() - suffix.size()));
-          }
-        }
-      }
-      bool any = false;
-      for (const auto& [topic, job_name] : dlq_topics) {
-        if (!env_->broker->HasTopic(topic)) continue;
-        auto size = env_->broker->TopicSize(topic);
-        if (!size.ok()) continue;
-        any = true;
-        // Most recent record across partitions (by append timestamp).
-        bool have_last = false;
-        int64_t last_offset = 0;
-        int64_t last_ts = -1;
-        StreamPartition last_sp;
-        DeadLetterRecord last;
-        auto parts = env_->broker->NumPartitions(topic);
-        int32_t nparts = parts.ok() ? parts.value() : 0;
-        for (int32_t p = 0; p < nparts; ++p) {
-          StreamPartition sp{topic, p};
-          auto end = env_->broker->EndOffset(sp);
-          if (!end.ok() || end.value() == 0) continue;
-          auto fetched = env_->broker->Fetch(sp, end.value() - 1, 1);
-          if (!fetched.ok() || fetched.value().empty()) continue;
-          const IncomingMessage& m = fetched.value().front();
-          if (m.message.timestamp < last_ts) continue;
-          auto decoded = DecodeDeadLetter(m.message.value);
-          if (!decoded.ok()) continue;
-          have_last = true;
-          last_ts = m.message.timestamp;
-          last_sp = sp;
-          last_offset = m.offset;
-          last = std::move(decoded).value();
-        }
-        if (w3 == "JSON") {
-          out << "{\"topic\":\"" << JsonEscape(topic) << "\",\"job\":\""
-              << JsonEscape(job_name) << "\",\"records\":" << size.value();
-          if (have_last) {
-            char trace_hex[32];
-            std::snprintf(trace_hex, sizeof(trace_hex), "%016llx",
-                          static_cast<unsigned long long>(last.trace.trace_id));
-            out << ",\"last\":{\"task\":\"" << JsonEscape(last.task_name)
-                << "\",\"origin\":\"" << JsonEscape(last.origin.ToString())
-                << "\",\"offset\":" << last.offset << ",\"error\":\""
-                << JsonEscape(last.error) << "\",\"trace_id\":\""
-                << trace_hex << "\",\"sampled\":"
-                << (last.trace.sampled ? "true" : "false") << "}";
-          }
-          out << "}\n";
-        } else {
-          out << topic << "  (job " << job_name << "): " << size.value()
-              << " record(s)\n";
-          if (have_last) {
-            out << "  last: task=" << last.task_name
-                << " origin=" << last.origin.ToString() << "@" << last.offset
-                << " dlq=" << last_sp.ToString() << "@" << last_offset;
-            if (last.trace.valid()) {
-              char trace_hex[32];
-              std::snprintf(trace_hex, sizeof(trace_hex), "%016llx",
-                            static_cast<unsigned long long>(last.trace.trace_id));
-              out << " trace=" << trace_hex;
-            }
-            out << "\n  error: " << last.error << "\n";
-          }
-        }
-      }
-      if (!any) {
-        out << "(no dead-letter topics"
-            << (job_filter.empty() ? "" : " for " + job_filter) << ")\n";
-      }
-      return;
-    }
-    // SHOW PROFILE [JSON]: the sampling profiler's accumulated samples —
-    // per-operator CPU attribution plus collapsed stacks (flamegraph input).
-    if (w1 == "SHOW" && w2 == "PROFILE") {
-      Profiler& prof = Profiler::Instance();
-      const int64_t total = prof.TotalSamples();
-      std::map<std::string, int64_t> attribution = prof.OperatorAttribution();
-      if (w3 == "JSON") {
-        out << "{\"ts_ms\":" << SystemClock::Instance()->NowMillis()
-            << ",\"samples\":" << total << ",\"sampling\":"
-            << (prof.sampling() ? "true" : "false") << ",\"operators\":[";
-        bool first = true;
-        for (const auto& [label, samples] : attribution) {
-          if (!first) out << ",";
-          first = false;
-          out << "{\"label\":\"" << JsonEscape(label)
-              << "\",\"samples\":" << samples << "}";
-        }
-        out << "]}\n";
-        return;
-      }
-      out << "samples=" << total << " sampling="
-          << (prof.sampling() ? "on" : "off");
-      if (prof.sampling()) out << " hz=" << prof.hz();
-      out << "\n";
-      if (total == 0) {
-        out << "(no samples — set profile.hz, run EXPLAIN ANALYZE, or GET "
-               "/debug/profile)\n";
-        return;
-      }
-      char line[192];
-      std::snprintf(line, sizeof(line), "%-36s %10s %8s\n", "operator",
-                    "samples", "cpu");
-      out << line;
-      // Largest CPU share first.
-      std::vector<std::pair<std::string, int64_t>> rows(attribution.begin(),
-                                                        attribution.end());
-      std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-        return a.second != b.second ? a.second > b.second : a.first < b.first;
-      });
-      for (const auto& [label, samples] : rows) {
-        std::snprintf(line, sizeof(line), "%-36s %10lld %7.1f%%\n",
-                      label.c_str(), static_cast<long long>(samples),
-                      100.0 * static_cast<double>(samples) /
-                          static_cast<double>(total));
-        out << line;
-      }
-      out << "collapsed stacks (flamegraph.pl input):\n" << prof.CollapsedStacks();
-      return;
-    }
-    // SHOW EVENTS [<job> | JSON]: the flight recorder's merged rings.
-    if (w1 == "SHOW" && w2 == "EVENTS") {
-      FlightRecorder& rec = FlightRecorder::Instance();
-      if (w3 == "JSON") {
-        out << rec.DumpJsonLines();
-        return;
-      }
-      std::string scope_filter;
-      {
-        std::istringstream orig(statement);
-        std::string o1, o2;
-        orig >> o1 >> o2 >> scope_filter;
-      }
-      while (!scope_filter.empty() && scope_filter.back() == ';') {
-        scope_filter.pop_back();
-      }
-      std::vector<FlightEvent> events = rec.Snapshot(scope_filter);
-      out << "events=" << events.size() << " recorded=" << rec.recorded()
-          << " dropped=" << rec.dropped() << "\n";
-      char line[256];
-      std::snprintf(line, sizeof(line), "%8s %-18s %-32s %10s %10s  %s\n",
-                    "seq", "type", "scope", "a", "b", "detail");
-      out << line;
-      for (const FlightEvent& e : events) {
-        std::snprintf(line, sizeof(line),
-                      "%8llu %-18s %-32s %10lld %10lld  %s\n",
-                      static_cast<unsigned long long>(e.seq),
-                      FlightEventTypeName(e.type), e.scope,
-                      static_cast<long long>(e.a), static_cast<long long>(e.b),
-                      e.detail);
-        out << line;
-      }
+  std::istringstream words(statement);
+  std::string w1, w2, w3;
+  words >> w1 >> w2 >> w3;
+  if (sql::ToUpper(w1) == "SHOW") {
+    const std::string view = sql::ToUpper(w2);
+    for (const ShowView& v : kShowViews) {
+      if (view != v.name) continue;
+      ShowArgs args;
+      args.json = sql::ToUpper(w3) == "JSON";
+      if (!args.json) args.filter = w3;
+      v.render(*executor_, args, out);
       return;
     }
   }
@@ -477,31 +431,22 @@ void Shell::MetaCommand(const std::string& command, std::ostream& out) {
     out << "statements end with ';'. meta commands:\n"
            "  !tables               list streams, tables and views\n"
            "  !describe <name>      show a source's schema\n"
-           "  !jobs                 list submitted streaming jobs\n"
            "  !run                  drive all jobs until caught up\n"
            "  !output <topic> [n]   show up to n rows from an output stream\n"
            "  !quit                 exit\n"
-           "statements:\n"
-           "  SHOW METRICS;         job/task/operator metrics of submitted jobs\n"
-           "  SHOW METRICS JSON;    the same snapshot as JSON lines\n"
-           "  SHOW JOBS;            per-job resource ledger: rows, bytes, CPU,\n"
-           "                        e2e latency, freshness lag, state, uptime\n"
-           "  SHOW JOBS JSON;       the same as the monitor's /jobs payload\n"
-           "  SHOW TRACE [<job>];   per-span statistics from the trace buffer\n"
-           "  SHOW TRACE JSON;      buffered spans as Chrome trace format\n"
-           "  SHOW HISTORY [<job>]; metrics history ring: rates + sparklines\n"
-           "  SHOW HISTORY JSON;    the history ring as JSON\n"
-           "  SHOW ALERTS [JSON];   threshold alert states (alert.rules)\n"
-           "  SHOW DLQ [<job>];     dead-letter queues: counts + last-error provenance\n"
-           "  SHOW DLQ JSON;        the same, one JSON object per DLQ topic\n"
-           "  SHOW PROFILE [JSON];  sampling profiler: per-operator CPU attribution\n"
-           "                        + collapsed stacks (flamegraph input)\n"
-           "  SHOW EVENTS [<job>];  flight-recorder ring: engine events, seq-ordered\n"
-           "  SHOW EVENTS JSON;     the same as JSON lines\n"
-           "  EXPLAIN ANALYZE <q>;  run a streaming query fully sampled and\n"
-           "                        annotate its plan with span statistics\n"
-           "                        + sampled CPU attribution\n"
-           "(see docs/METRICS.md, docs/TRACING.md, docs/MONITORING.md, docs/PROFILING.md)\n";
+           "statements:\n";
+    for (const ShowView& v : kShowViews) {
+      const std::string usage = std::string("SHOW ") + v.name +
+                                (v.filtered ? " [JSON | <job>];" : " [JSON];");
+      char line[160];
+      std::snprintf(line, sizeof(line), "  %-29s %s\n", usage.c_str(), v.help);
+      out << line;
+    }
+    out << "  EXPLAIN ANALYZE <q>;          run a streaming query fully sampled and\n"
+           "                                annotate its plan with span statistics\n"
+           "                                + sampled CPU attribution\n"
+           "(see docs/METRICS.md, docs/TRACING.md, docs/MONITORING.md, "
+           "docs/PROFILING.md)\n";
     return;
   }
   if (cmd == "!tables") {
@@ -525,15 +470,6 @@ void Shell::MetaCommand(const std::string& command, std::ostream& out) {
     out << source.value().schema->ToString() << "\n";
     if (!source.value().rowtime_column.empty()) {
       out << "rowtime column: " << source.value().rowtime_column << "\n";
-    }
-    return;
-  }
-  if (cmd == "!jobs") {
-    for (size_t i = 0; i < executor_->num_jobs(); ++i) {
-      JobRunner* job = executor_->job(static_cast<int>(i));
-      if (!job) continue;
-      out << "job " << i << ": " << job->job_model().job_name << "  containers="
-          << job->NumContainers() << "  processed=" << job->TotalProcessed() << "\n";
     }
     return;
   }

@@ -2,7 +2,9 @@
 // query executor (the SqlLine + JDBC-driver role). Supports:
 //   - SQL statements terminated by ';' (SELECT / SELECT STREAM /
 //     CREATE VIEW / INSERT INTO / EXPLAIN);
-//   - meta commands: !tables, !describe <name>, !jobs, !run, !quit, !help.
+//   - meta commands: !tables, !describe <name>, !run, !output, !quit, !help;
+//   - inspection views, `SHOW <view> [JSON | <job>];` (METRICS, JOBS, TRACE,
+//     HISTORY, ALERTS, DLQ, PROFILE, EVENTS), answered before SQL parsing.
 // Batch results render as aligned tables; streaming submissions report the
 // job and output topic; `!run` drives all submitted jobs to quiescence and
 // `!output <topic> [n]` samples an output stream.

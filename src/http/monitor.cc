@@ -378,6 +378,17 @@ constexpr LedgerField kLedgerFields[] = {
     {"uptime_ms", "gauge", "Wall-clock ms since job start", &ResourceLedger::uptime_ms},
 };
 
+// The e2e latency summary's members, nested under `e2e_latency_us` in /jobs.
+struct E2eField {
+  const char* key;
+  int64_t HistogramStats::* member;
+};
+constexpr E2eField kE2eFields[] = {
+    {"count", &HistogramStats::count}, {"p50", &HistogramStats::p50},
+    {"p95", &HistogramStats::p95},     {"p99", &HistogramStats::p99},
+    {"max", &HistogramStats::max},
+};
+
 // The e2e latency distribution renders as a quantile-labeled summary.
 std::string RenderJobLedgers(const std::vector<MonitorJobView>& views) {
   if (views.empty()) return "";
@@ -438,12 +449,53 @@ std::string MonitorServer::RenderJobsJson(
     for (const LedgerField& field : kLedgerFields) {
       os << ",\"" << field.key << "\":" << ledger.*field.member;
     }
-    os << ",\"e2e_latency_us\":{\"count\":" << ledger.e2e.count
-       << ",\"p50\":" << ledger.e2e.p50 << ",\"p95\":" << ledger.e2e.p95
-       << ",\"p99\":" << ledger.e2e.p99 << ",\"max\":" << ledger.e2e.max
-       << "}}";
+    const char* sep = ",\"e2e_latency_us\":{";
+    for (const E2eField& field : kE2eFields) {
+      os << sep << "\"" << field.key << "\":" << ledger.e2e.*field.member;
+      sep = ",";
+    }
+    os << "}}";
   }
   os << "]}";
+  return os.str();
+}
+
+std::string RenderJobsTable(const std::vector<MonitorJobView>& views) {
+  std::vector<std::string> header = {"name", "containers_total",
+                                     "containers_running", "processed"};
+  for (const LedgerField& field : kLedgerFields) header.push_back(field.key);
+  for (const E2eField& field : kE2eFields) {
+    header.push_back(std::string("e2e_latency_us.") + field.key);
+  }
+  std::vector<std::vector<std::string>> lines = {header};
+  for (const MonitorJobView& view : views) {
+    const ResourceLedger ledger = ComputeResourceLedger(view);
+    std::vector<std::string> row = {view.name, std::to_string(view.containers_total),
+                                    std::to_string(view.containers_running),
+                                    std::to_string(view.processed)};
+    for (const LedgerField& field : kLedgerFields) {
+      row.push_back(std::to_string(ledger.*field.member));
+    }
+    for (const E2eField& field : kE2eFields) {
+      row.push_back(std::to_string(ledger.e2e.*field.member));
+    }
+    lines.push_back(std::move(row));
+  }
+  std::vector<size_t> widths(header.size(), 0);
+  for (const auto& line : lines) {
+    for (size_t c = 0; c < line.size(); ++c) {
+      widths[c] = std::max(widths[c], line[c].size());
+    }
+  }
+  // The name column is left-aligned, the numbers right-aligned.
+  std::ostringstream os;
+  for (const auto& line : lines) {
+    os << line[0] << std::string(widths[0] - line[0].size(), ' ');
+    for (size_t c = 1; c < line.size(); ++c) {
+      os << ' ' << std::string(widths[c] - line[c].size(), ' ') << line[c];
+    }
+    os << '\n';
+  }
   return os.str();
 }
 

@@ -7,9 +7,11 @@
 //   GET /readyz    readiness: 200 only while all containers of all submitted
 //                  jobs are running AND max consumer lag is under the
 //                  configured threshold; 503 otherwise
-//   GET /jobs      submitted jobs as JSON (containers, processed counts)
+//   GET /jobs      each submitted job's resource ledger as JSON
 //   GET /history   the metrics history ring as JSON (?job=<name> filters)
 //   GET /alerts    alert engine state as JSON
+//   GET /debug/profile  a profile burst as collapsed stacks
+//   GET /debug/events   the flight recorder's rings as JSON lines
 //
 // Behind the endpoints sit a MetricsHistory ring and an AlertEngine, both
 // advanced by Tick() on the same injected clock the MetricsReporter uses, so
@@ -71,8 +73,8 @@ struct MonitorJobView {
 // metrics snapshot (docs/LATENCY.md "Resource ledger"): what the job has
 // consumed (CPU, rows/bytes through it, state), how far behind it is
 // (freshness/backlog), and its end-to-end latency distribution. This is the
-// substrate a multi-tenant front door's per-tenant quotas will meter
-// against (ROADMAP item 2).
+// substrate a multi-tenant front door's per-tenant quotas would meter
+// against (ROADMAP, Deferred).
 struct ResourceLedger {
   int64_t cpu_busy_ns = 0;      // Σ container busy_ns timers
   int64_t rows_in = 0;          // Σ container processed counters
@@ -93,6 +95,11 @@ struct ResourceLedger {
 // the container-scoped instruments, so restarts — fresh container scopes —
 // keep accumulating).
 ResourceLedger ComputeResourceLedger(const MonitorJobView& view);
+
+// SHOW JOBS: a text table with one row per job whose column names are the
+// keys of that job's /jobs object (the `e2e_latency_us` members as
+// `e2e_latency_us.<member>`), so the table and the JSON read one ledger.
+std::string RenderJobsTable(const std::vector<MonitorJobView>& views);
 
 using MonitorJobsProvider = std::function<std::vector<MonitorJobView>()>;
 

@@ -7,15 +7,6 @@ namespace sqs::ops {
 
 namespace {
 
-void AppendOrderedTs(Bytes& key, int64_t ts) {
-  uint64_t u = static_cast<uint64_t>(ts) ^ (1ull << 63);
-  for (int i = 7; i >= 0; --i) key.push_back(static_cast<uint8_t>(u >> (8 * i)));
-}
-
-void AppendFixed32(Bytes& key, uint32_t v) {
-  for (int i = 3; i >= 0; --i) key.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
 bool Truthy(const Value& v) { return v.kind() == TypeKind::kBool && v.as_bool(); }
 
 // 2^53: every integer up to here is exactly representable as a double.

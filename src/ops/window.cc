@@ -9,23 +9,6 @@ namespace sqs::ops {
 
 namespace {
 
-// Fixed-width big-endian offset-binary encoding of a timestamp so bytewise
-// key order == time order.
-void AppendOrderedTs(Bytes& key, int64_t ts) {
-  uint64_t u = static_cast<uint64_t>(ts) ^ (1ull << 63);
-  for (int i = 7; i >= 0; --i) key.push_back(static_cast<uint8_t>(u >> (8 * i)));
-}
-
-int64_t DecodeOrderedTs(const Bytes& key, size_t pos) {
-  uint64_t u = 0;
-  for (int i = 0; i < 8; ++i) u = (u << 8) | key[pos + static_cast<size_t>(i)];
-  return static_cast<int64_t>(u ^ (1ull << 63));
-}
-
-void AppendFixed32(Bytes& key, uint32_t v) {
-  for (int i = 3; i >= 0; --i) key.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
 Value EvalArg(const std::optional<sql::CompiledExpr>& arg, const Row& row) {
   return arg ? arg->Eval(row) : Value(int64_t{1});
 }

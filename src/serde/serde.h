@@ -11,6 +11,7 @@
 // All serdes converge on Row (vector<Value>) + Schema.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -105,5 +106,24 @@ Result<Value> DeserializeTaggedValue(BytesReader& in);
 // bytewise in the same order as Value::Compare for same-kind scalars.
 Bytes EncodeOrderedKey(const Value& v);
 Bytes EncodeOrderedKey(const Row& values);
+
+// Fixed-width parts of the window and join state keys. A timestamp (or
+// offset) is 8 big-endian bytes of offset binary, so bytewise order is
+// numeric order; a partition is 4 big-endian bytes. Inline because the
+// window and the join build a key per message.
+inline void AppendOrderedTs(Bytes& key, int64_t ts) {
+  uint64_t u = static_cast<uint64_t>(ts) ^ (1ull << 63);
+  for (int i = 7; i >= 0; --i) key.push_back(static_cast<uint8_t>(u >> (8 * i)));
+}
+
+inline int64_t DecodeOrderedTs(const Bytes& key, size_t pos) {
+  uint64_t u = 0;
+  for (int i = 0; i < 8; ++i) u = (u << 8) | key[pos + static_cast<size_t>(i)];
+  return static_cast<int64_t>(u ^ (1ull << 63));
+}
+
+inline void AppendFixed32(Bytes& key, uint32_t v) {
+  for (int i = 3; i >= 0; --i) key.push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
 
 }  // namespace sqs

@@ -5,6 +5,7 @@
 
 #include "serde/serde.h"
 #include "sql/functions.h"
+#include "sql/lexer.h"
 
 namespace sqs::sql {
 
@@ -193,9 +194,7 @@ Value EvalScalarFunc(ScalarFunc fn, const std::vector<Value>& args) {
     }
     case ScalarFunc::kUpper: {
       if (args[0].is_null()) return Value::Null();
-      std::string s = args[0].as_string();
-      for (char& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-      return Value(std::move(s));
+      return Value(ToUpper(args[0].as_string()));
     }
     case ScalarFunc::kLower: {
       if (args[0].is_null()) return Value::Null();

@@ -1,17 +1,9 @@
 #include "sql/functions.h"
 
-#include <cctype>
-
 #include "sql/expr.h"
+#include "sql/lexer.h"
 
 namespace sqs::sql {
-
-namespace {
-std::string ToUpper(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return s;
-}
-}  // namespace
 
 FunctionRegistry& FunctionRegistry::Instance() {
   static FunctionRegistry registry;

@@ -22,12 +22,12 @@ const std::unordered_set<std::string>& Keywords() {
   return kw;
 }
 
+}  // namespace
+
 std::string ToUpper(std::string s) {
   for (char& c : s) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
   return s;
 }
-
-}  // namespace
 
 bool IsReservedKeyword(const std::string& word) { return Keywords().count(word) > 0; }
 

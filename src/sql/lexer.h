@@ -43,4 +43,8 @@ Result<std::vector<Token>> Lex(const std::string& input);
 // True if `word` (already upper-cased) is a reserved keyword.
 bool IsReservedKeyword(const std::string& word);
 
+// ASCII upper case: keywords, function names and the shell's SHOW views
+// match case-insensitively through it.
+std::string ToUpper(std::string s);
+
 }  // namespace sqs::sql

@@ -528,8 +528,7 @@ class Parser {
     if (!Check(TokenType::kIdentifier) && !Check(TokenType::kKeyword)) {
       return Err("expected type name");
     }
-    std::string type_name = Advance().text;
-    for (char& c : type_name) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    std::string type_name = ToUpper(Advance().text);
     if (type_name == "INTEGER" || type_name == "INT") {
       e->cast_type = FieldType::Int32();
     } else if (type_name == "BIGINT") {
@@ -568,7 +567,7 @@ class Parser {
   }
 
   Result<ExprPtr> ParseFunctionCall(std::string name) {
-    for (char& c : name) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    name = ToUpper(std::move(name));
     SQS_RETURN_IF_ERROR(Expect(TokenType::kLParen, "("));
     auto e = std::make_unique<Expr>();
     e->kind = ExprKind::kFuncCall;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <sstream>
 
 #include "common/tracing.h"
@@ -88,7 +89,7 @@ TEST_F(ShellTest, TablesAndDescribe) {
 TEST_F(ShellTest, StreamingFlow) {
   std::string out = Feed("SELECT STREAM orderId FROM Orders WHERE units > 95;");
   EXPECT_NE(out.find("job samzasql-query-0 submitted"), std::string::npos);
-  out = Feed("!jobs");
+  out = Feed("SHOW JOBS;");
   EXPECT_NE(out.find("samzasql-query-0"), std::string::npos);
   out = Feed("!run");
   EXPECT_NE(out.find("processed"), std::string::npos);
@@ -133,6 +134,72 @@ TEST_F(ShellTest, ShowJobsTableAndJsonReportTheProcessedCount) {
   ASSERT_EQ(jobs.size(), 1u);
   EXPECT_EQ(jobs[0].as_map().at("name").as_string(), "samzasql-query-0");
   EXPECT_EQ(jobs[0].as_map().at("rows_in").ToInt64(), processed);
+}
+
+// SHOW JOBS is the /jobs ledger: for every key of the job's /jobs object
+// (SHOW JOBS JSON) the table has a column of that name holding the same
+// value; the members of the nested `e2e_latency_us` object are the columns
+// `e2e_latency_us.<member>`. A manual clock keeps uptime and freshness lag
+// equal between the two reads.
+TEST(ShellJobsTest, ShowJobsColumnsAreTheJobsLedgerKeys) {
+  auto clock = std::make_shared<ManualClock>(1'000'000);
+  EnvironmentPtr env = SamzaSqlEnvironment::Make(clock);
+  ASSERT_TRUE(workload::SetupPaperSources(*env, 2).ok());
+  workload::OrdersGenerator gen(*env, {});
+  ASSERT_TRUE(gen.Produce(200).ok());
+  Config defaults;
+  defaults.SetInt(cfg::kContainerCount, 1);
+  Shell shell(env, defaults);
+  auto feed = [&shell](const std::string& line) {
+    std::ostringstream out;
+    shell.ProcessLine(line, out);
+    return out.str();
+  };
+  feed("SELECT STREAM orderId FROM Orders WHERE units > 95;");
+  clock->Advance(250);
+  EXPECT_NE(feed("!run").find("processed 200 message(s)"), std::string::npos);
+  clock->Advance(250);
+
+  std::istringstream table(feed("SHOW JOBS;"));
+  auto words = [](const std::string& line) {
+    std::istringstream in(line);
+    std::vector<std::string> out;
+    for (std::string word; in >> word;) out.push_back(word);
+    return out;
+  };
+  std::string line;
+  ASSERT_TRUE(std::getline(table, line));
+  const std::vector<std::string> header = words(line);
+  ASSERT_TRUE(std::getline(table, line));
+  const std::vector<std::string> row = words(line);
+  ASSERT_EQ(row.size(), header.size()) << line;
+  std::map<std::string, std::string> columns;
+  for (size_t c = 0; c < header.size(); ++c) columns[header[c]] = row[c];
+
+  auto json = ParseJson(feed("SHOW JOBS JSON;"));
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const ValueArray& jobs = json.value().as_map().at("jobs").as_array();
+  ASSERT_EQ(jobs.size(), 1u);
+  auto text = [](const Value& v) {
+    return v.kind() == TypeKind::kString ? v.as_string()
+                                         : std::to_string(v.ToInt64());
+  };
+  std::map<std::string, std::string> keys;
+  for (const auto& [key, value] : jobs[0].as_map()) {
+    if (value.kind() != TypeKind::kMap) {
+      keys[key] = text(value);
+      continue;
+    }
+    for (const auto& [member, v] : value.as_map()) keys[key + "." + member] = text(v);
+  }
+  EXPECT_EQ(keys.at("uptime_ms"), "500");  // since submission
+  EXPECT_NE(keys.at("bytes_in"), "0");
+  for (const auto& [key, value] : keys) {
+    auto column = columns.find(key);
+    ASSERT_NE(column, columns.end()) << "no SHOW JOBS column " << key;
+    EXPECT_EQ(column->second, value) << key;
+  }
+  EXPECT_EQ(columns.size(), keys.size());
 }
 
 TEST_F(ShellTest, ShowMetricsWithNoJobsIsEmpty) {
