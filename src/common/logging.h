@@ -49,9 +49,6 @@ class Logger {
   void Log(LogLevel level, std::string_view component, std::string_view msg,
            const LogFields& fields = {});
 
-  // Legacy single-string entry point (component "app").
-  void Log(LogLevel level, const std::string& msg) { Log(level, "app", msg); }
-
   // Flush the sink stream. Part of the crash-forensics path: the fatal
   // signal / terminate handlers call this before writing the flight
   // recorder dump so buffered records are not lost with the process.
@@ -94,12 +91,5 @@ void ApplyLogConfig(const Config& config);
   SQS_LOGC(::sqs::LogLevel::kWarn, component, expr, ##__VA_ARGS__)
 #define SQS_ERRORC(component, expr, ...) \
   SQS_LOGC(::sqs::LogLevel::kError, component, expr, ##__VA_ARGS__)
-
-// Legacy component-less macros (component "app").
-#define SQS_LOG(lvl, expr) SQS_LOGC(lvl, "app", expr)
-#define SQS_DEBUG(expr) SQS_LOG(::sqs::LogLevel::kDebug, expr)
-#define SQS_INFO(expr) SQS_LOG(::sqs::LogLevel::kInfo, expr)
-#define SQS_WARN(expr) SQS_LOG(::sqs::LogLevel::kWarn, expr)
-#define SQS_ERROR(expr) SQS_LOG(::sqs::LogLevel::kError, expr)
 
 }  // namespace sqs

@@ -85,7 +85,7 @@ Status ChangelogBackedStore::Restore(int64_t up_to) {
   // Replayed state matches the changelog exactly — any sticky write failure
   // from the previous incarnation is moot now.
   health_ = Status::Ok();
-  SQS_DEBUG("restored " << restored << " changelog entries from " << sp_.ToString());
+  SQS_DEBUGC("kv", "restored " << restored << " changelog entries from " << sp_.ToString());
   return Status::Ok();
 }
 

@@ -107,19 +107,7 @@ Result<OperatorPtr> Builder::BuildNode(const sql::LogicalNode& node) {
       SQS_ASSIGN_OR_RETURN(child, BuildNode(*node.inputs[0]));
       AddStores(SlidingWindowOperator::RequiredStores(prefix, node.window_calls.size()));
       std::vector<sql::WindowCallSpec> calls;
-      for (const auto& c : node.window_calls) {
-        sql::WindowCallSpec copy;
-        copy.kind = c.kind;
-        if (c.arg) copy.arg = c.arg->Clone();
-        for (const auto& p : c.partition_by) copy.partition_by.push_back(p->Clone());
-        copy.ts_index = c.ts_index;
-        copy.range_based = c.range_based;
-        copy.preceding_ms = c.preceding_ms;
-        copy.preceding_rows = c.preceding_rows;
-        copy.output_name = c.output_name;
-        copy.type = c.type;
-        calls.push_back(std::move(copy));
-      }
+      for (const auto& c : node.window_calls) calls.push_back(c.Clone());
       auto op = std::make_shared<SlidingWindowOperator>(std::move(calls), prefix);
       child->SetNext(op, 0);
       Register(prefix, op);
@@ -136,15 +124,7 @@ Result<OperatorPtr> Builder::BuildNode(const sql::LogicalNode& node) {
       std::vector<sql::ExprPtr> groups;
       for (const auto& g : node.group_exprs) groups.push_back(g->Clone());
       std::vector<sql::AggCallSpec> aggs;
-      for (const auto& a : node.aggs) {
-        sql::AggCallSpec copy;
-        copy.kind = a.kind;
-        copy.udaf_id = a.udaf_id;
-        if (a.arg) copy.arg = a.arg->Clone();
-        copy.output_name = a.output_name;
-        copy.type = a.type;
-        aggs.push_back(std::move(copy));
-      }
+      for (const auto& a : node.aggs) aggs.push_back(a.Clone());
       auto op = std::make_shared<WindowAggregateOperator>(
           std::move(groups), node.group_window, std::move(aggs), prefix,
           config_.grace_ms);

@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "sql/accumulator.h"
 
 namespace sqs::ops {
 
@@ -42,6 +41,9 @@ Status SlidingWindowOperator::Init(OperatorContext& ctx) {
   for (size_t i = 0; i < calls_.size(); ++i) {
     const sql::WindowCallSpec& spec = calls_[i];
     CallRuntime rt;
+    SQS_ASSIGN_OR_RETURN(kind, sql::FunctionRegistry::Instance().GetBuiltinAggregate(
+                                   spec.func_id));
+    rt.kind = kind;
     if (spec.arg) {
       SQS_ASSIGN_OR_RETURN(compiled, sql::CompiledExpr::Compile(*spec.arg));
       rt.arg = std::move(compiled);
@@ -97,19 +99,18 @@ Result<Value> SlidingWindowOperator::ProcessCall(size_t /*index*/,
   auto agg_bytes = rt.aggs->Get(prefix);
   int64_t bound = std::numeric_limits<int64_t>::min();
   int64_t window_count = 0;
-  sql::AggState state(spec.kind);
+  sql::AggState state(rt.kind);
   if (agg_bytes) {
     BytesReader reader(*agg_bytes);
     SQS_ASSIGN_OR_RETURN(b, reader.ReadVarint());
     bound = b;
     SQS_ASSIGN_OR_RETURN(count, reader.ReadVarint());
     window_count = count;
-    SQS_ASSIGN_OR_RETURN(decoded, sql::AggState::Decode(spec.kind, reader));
-    state = std::move(decoded);
+    SQS_RETURN_IF_ERROR(state.DecodeFrom(reader));
   }
 
   const bool duplicate = rt.messages->Get(msg_key).has_value();
-  const bool need_recompute = !sql::AggState::SupportsRemove(spec.kind);
+  const bool need_recompute = !sql::AggState::SupportsRemove(rt.kind);
 
   if (duplicate) {
     // Replayed tuple (restore + replay after a failure): recompute its
@@ -121,7 +122,7 @@ Result<Value> SlidingWindowOperator::ProcessCall(size_t /*index*/,
     if (!spec.range_based) {
       // ROWS windows purge eagerly (bounded count, not time); replays are
       // absorbed idempotently but recompute over the retained rows.
-      sql::AggState fresh(spec.kind);
+      sql::AggState fresh(rt.kind);
       Bytes upper = prefix;
       AppendOrderedTs(upper, std::numeric_limits<int64_t>::max());
       rt.messages->Range(prefix, upper, [&](const Bytes&, const Bytes& v) {
@@ -132,7 +133,7 @@ Result<Value> SlidingWindowOperator::ProcessCall(size_t /*index*/,
       });
       return fresh.Result();
     }
-    sql::AggState fresh(spec.kind);
+    sql::AggState fresh(rt.kind);
     Bytes lower = prefix;
     AppendOrderedTs(lower, ts - spec.preceding_ms);
     Bytes upper = msg_key;
@@ -219,7 +220,7 @@ Result<Value> SlidingWindowOperator::ProcessCall(size_t /*index*/,
   Value result;
   if (need_recompute) {
     // MIN/MAX (no retraction): recompute over the logical window.
-    sql::AggState fresh(spec.kind);
+    sql::AggState fresh(rt.kind);
     Bytes lower = prefix;
     if (spec.range_based) {
       AppendOrderedTs(lower, ts - spec.preceding_ms);
@@ -241,7 +242,7 @@ Result<Value> SlidingWindowOperator::ProcessCall(size_t /*index*/,
   BytesWriter agg_writer(32);
   agg_writer.WriteVarint(bound);
   agg_writer.WriteVarint(window_count);
-  state.EncodeTo(agg_writer);
+  SQS_RETURN_IF_ERROR(state.EncodeTo(agg_writer));
   rt.aggs->Put(prefix, agg_writer.Take());
   return result;
 }
@@ -286,7 +287,12 @@ Status WindowAggregateOperator::Init(OperatorContext& ctx) {
     compiled_groups_.push_back(std::move(compiled));
   }
   compiled_args_.clear();
+  accumulators_.clear();
+  BytesWriter empty;
   for (const auto& a : aggs_) {
+    SQS_ASSIGN_OR_RETURN(fn, sql::FunctionRegistry::Instance().GetAggregate(a.func_id));
+    accumulators_.push_back(fn->factory());
+    SQS_RETURN_IF_ERROR(accumulators_.back()->EncodeTo(empty));
     if (a.arg) {
       SQS_ASSIGN_OR_RETURN(compiled, sql::CompiledExpr::Compile(*a.arg));
       compiled_args_.push_back(std::move(compiled));
@@ -294,6 +300,7 @@ Status WindowAggregateOperator::Init(OperatorContext& ctx) {
       compiled_args_.push_back(std::nullopt);
     }
   }
+  empty_state_ = empty.Take();
   state_ = ctx.task->GetStore(store_prefix_ + "-state");
   bookkeep_ = ctx.task->GetStore(store_prefix_ + "-meta");
   if (!state_ || !bookkeep_) {
@@ -325,10 +332,9 @@ Status WindowAggregateOperator::EmitWindow(const Bytes& state_key,
   for (const Value& g : group_row_value.as_array()) out.row.push_back(g);
   out.row.push_back(Value(window_start));
   out.row.push_back(Value(window_start + window_.retain_ms));
-  for (const auto& agg : aggs_) {
-    SQS_ASSIGN_OR_RETURN(acc,
-                         sql::AnyAccumulator::Decode(agg.kind, agg.udaf_id, reader));
-    out.row.push_back(acc.Result());
+  for (const auto& acc : accumulators_) {
+    SQS_RETURN_IF_ERROR(acc->DecodeFrom(reader));
+    out.row.push_back(acc->Result());
   }
   return EmitNext(std::move(out), ctx);
 }
@@ -419,31 +425,23 @@ Status WindowAggregateOperator::DoProcess(const TupleEvent& event, OperatorConte
     AppendOrderedTs(key, start);
     key.insert(key.end(), group_key.begin(), group_key.end());
 
-    std::vector<sql::AnyAccumulator> states;
+    // State layout: group row (tagged) + one accumulator per aggregate; a
+    // new window starts from the accumulators' empty encodings.
     auto existing = state_->Get(key);
+    BytesReader reader(existing ? *existing : empty_state_);
     if (existing) {
-      BytesReader reader(*existing);
       SQS_ASSIGN_OR_RETURN(group_row, DeserializeTaggedValue(reader));
       (void)group_row;
-      for (const auto& agg : aggs_) {
-        SQS_ASSIGN_OR_RETURN(acc,
-                             sql::AnyAccumulator::Decode(agg.kind, agg.udaf_id, reader));
-        states.push_back(std::move(acc));
-      }
-    } else {
-      for (const auto& agg : aggs_) {
-        SQS_ASSIGN_OR_RETURN(acc, sql::AnyAccumulator::Make(agg.kind, agg.udaf_id));
-        states.push_back(std::move(acc));
-      }
     }
     for (size_t i = 0; i < aggs_.size(); ++i) {
-      states[i].Add(EvalArg(compiled_args_[i], event.row));
+      SQS_RETURN_IF_ERROR(accumulators_[i]->DecodeFrom(reader));
+      accumulators_[i]->Add(EvalArg(compiled_args_[i], event.row));
     }
     BytesWriter writer(64);
     SQS_RETURN_IF_ERROR(SerializeTaggedValue(Value(ValueArray(group_values.begin(),
                                                               group_values.end())),
                                              writer));
-    for (const auto& st : states) st.EncodeTo(writer);
+    for (const auto& acc : accumulators_) SQS_RETURN_IF_ERROR(acc->EncodeTo(writer));
     state_->Put(key, writer.Take());
   }
 

@@ -22,11 +22,13 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 
 #include "kv/store.h"
 #include "ops/operator.h"
 #include "sql/expr.h"
+#include "sql/functions.h"
 #include "sql/logical.h"
 
 namespace sqs::ops {
@@ -56,6 +58,7 @@ class SlidingWindowOperator : public Operator {
 
  private:
   struct CallRuntime {
+    sql::AggKind kind = sql::AggKind::kSum;
     std::optional<sql::CompiledExpr> arg;  // empty for COUNT(*)
     std::vector<sql::CompiledExpr> partition_by;
     KeyValueStorePtr messages;  // (pkey, ts, part, offset) -> tagged arg value
@@ -117,6 +120,10 @@ class WindowAggregateOperator : public Operator {
 
   std::vector<sql::CompiledExpr> compiled_groups_;
   std::vector<std::optional<sql::CompiledExpr>> compiled_args_;
+  // One accumulator per aggregate, built at Init and reused: each window's
+  // state is decoded into it, updated and encoded back.
+  std::vector<std::unique_ptr<sql::Accumulator>> accumulators_;
+  Bytes empty_state_;  // the accumulators' encodings before any Add
   KeyValueStorePtr state_;     // (window_start, group key) -> agg states
   KeyValueStorePtr bookkeep_;  // watermark + per-partition applied offsets
   int64_t watermark_ = INT64_MIN;

@@ -88,7 +88,8 @@ struct Expr {
   std::vector<std::unique_ptr<Expr>> children;
 
   // --- validator annotations ---
-  int resolved_index = -1;        // kColumnRef: index into the input row
+  int resolved_index = -1;        // kColumnRef: index into the input row;
+                                  // calls: function table id
   FieldType resolved_type;        // result type after validation
 
   std::string ToString() const;

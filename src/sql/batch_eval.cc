@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "sql/accumulator.h"
+#include "sql/functions.h"
 
 namespace sqs::sql {
 
@@ -37,8 +37,13 @@ Result<std::vector<Row>> EvalAggregate(const LogicalNode& node,
   const bool windowed = node.group_window.type != GroupWindowSpec::Type::kNone;
   const GroupWindowSpec& win = node.group_window;
 
+  std::vector<const Function*> fns;
+  for (const AggCallSpec& spec : node.aggs) {
+    SQS_ASSIGN_OR_RETURN(fn, FunctionRegistry::Instance().GetAggregate(spec.func_id));
+    fns.push_back(fn);
+  }
   struct GroupAgg {
-    std::vector<AnyAccumulator> states;
+    std::vector<std::unique_ptr<Accumulator>> states;
     int64_t window_start = 0;
   };
   std::map<GroupKey, GroupAgg> groups;
@@ -65,19 +70,16 @@ Result<std::vector<Row>> EvalAggregate(const LogicalNode& node,
       auto it = groups.find(key);
       if (it == groups.end()) {
         GroupAgg agg;
-        for (const AggCallSpec& spec : node.aggs) {
-          SQS_ASSIGN_OR_RETURN(acc, AnyAccumulator::Make(spec.kind, spec.udaf_id));
-          agg.states.push_back(std::move(acc));
-        }
+        for (const Function* fn : fns) agg.states.push_back(fn->factory());
         agg.window_start = start;
         it = groups.emplace(std::move(key), std::move(agg)).first;
       }
       for (size_t i = 0; i < node.aggs.size(); ++i) {
         const AggCallSpec& spec = node.aggs[i];
         if (spec.arg) {
-          it->second.states[i].Add(EvalExpr(*spec.arg, row));
+          it->second.states[i]->Add(EvalExpr(*spec.arg, row));
         } else {
-          it->second.states[i].Add(Value(int64_t{1}));  // COUNT(*)
+          it->second.states[i]->Add(Value(int64_t{1}));  // COUNT(*)
         }
       }
     }
@@ -92,7 +94,7 @@ Result<std::vector<Row>> EvalAggregate(const LogicalNode& node,
       row.push_back(Value(agg.window_start));
       row.push_back(Value(agg.window_start + win.retain_ms));
     }
-    for (const AnyAccumulator& st : agg.states) row.push_back(st.Result());
+    for (const auto& st : agg.states) row.push_back(st->Result());
     out.push_back(std::move(row));
   }
   return out;
@@ -101,14 +103,20 @@ Result<std::vector<Row>> EvalAggregate(const LogicalNode& node,
 Result<std::vector<Row>> EvalSlidingWindow(const LogicalNode& node,
                                            const std::vector<Row>& input) {
   // Naive O(n^2)-per-partition reference implementation.
+  std::vector<AggKind> kinds;
+  for (const WindowCallSpec& call : node.window_calls) {
+    SQS_ASSIGN_OR_RETURN(kind, FunctionRegistry::Instance().GetBuiltinAggregate(call.func_id));
+    kinds.push_back(kind);
+  }
   std::vector<Row> out;
   out.reserve(input.size());
   for (const Row& row : input) {
     Row extended = row;
-    for (const WindowCallSpec& call : node.window_calls) {
+    for (size_t c = 0; c < node.window_calls.size(); ++c) {
+      const WindowCallSpec& call = node.window_calls[c];
       Row pkey;
       for (const auto& p : call.partition_by) pkey.push_back(EvalExpr(*p, row));
-      AggState state(call.kind);
+      AggState state(kinds[c]);
 
       if (call.range_based) {
         int64_t ts = row[static_cast<size_t>(call.ts_index)].ToInt64();

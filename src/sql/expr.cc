@@ -1,11 +1,6 @@
 #include "sql/expr.h"
 
-#include <cctype>
-#include <cmath>
-
-#include "serde/serde.h"
 #include "sql/functions.h"
-#include "sql/lexer.h"
 
 namespace sqs::sql {
 
@@ -13,16 +8,6 @@ namespace {
 
 bool IsTruthy(const Value& v) {
   return v.kind() == TypeKind::kBool && v.as_bool();
-}
-
-FieldType NumericResultType(const FieldType& a, const FieldType& b) {
-  if (a.kind == TypeKind::kDouble || b.kind == TypeKind::kDouble) {
-    return FieldType::Double();
-  }
-  if (a.kind == TypeKind::kInt64 || b.kind == TypeKind::kInt64) {
-    return FieldType::Int64();
-  }
-  return FieldType::Int32();
 }
 
 Value NumericBinary(BinaryOp op, const Value& l, const Value& r) {
@@ -71,6 +56,16 @@ Value NumericBinary(BinaryOp op, const Value& l, const Value& r) {
 }
 
 }  // namespace
+
+FieldType NumericResultType(const FieldType& a, const FieldType& b) {
+  if (a.kind == TypeKind::kDouble || b.kind == TypeKind::kDouble) {
+    return FieldType::Double();
+  }
+  if (a.kind == TypeKind::kInt64 || b.kind == TypeKind::kInt64) {
+    return FieldType::Int64();
+  }
+  return FieldType::Int32();
+}
 
 Value EvalBinaryOp(BinaryOp op, const Value& l, const Value& r) {
   switch (op) {
@@ -126,268 +121,6 @@ Result<int64_t> FloorTimestampTo(int64_t ts_millis, const std::string& unit) {
   int64_t q = ts_millis / m;
   if (ts_millis < 0 && ts_millis % m != 0) --q;  // floor toward -inf
   return q * m;
-}
-
-Result<ScalarFunc> LookupScalarFunc(const std::string& name, size_t arity) {
-  if (name == "FLOOR" && arity == 1) return ScalarFunc::kFloor;
-  if (name == "FLOOR" && arity == 2) return ScalarFunc::kFloorTo;
-  if (name == "CEIL" && arity == 1) return ScalarFunc::kCeil;
-  if (name == "ABS" && arity == 1) return ScalarFunc::kAbs;
-  if (name == "MOD" && arity == 2) return ScalarFunc::kMod;
-  if (name == "GREATEST" && arity >= 2) return ScalarFunc::kGreatest;
-  if (name == "LEAST" && arity >= 2) return ScalarFunc::kLeast;
-  if (name == "UPPER" && arity == 1) return ScalarFunc::kUpper;
-  if (name == "LOWER" && arity == 1) return ScalarFunc::kLower;
-  if (name == "CHAR_LENGTH" && arity == 1) return ScalarFunc::kCharLength;
-  if (name == "SUBSTRING" && (arity == 2 || arity == 3)) return ScalarFunc::kSubstring;
-  if (name == "CONCAT" && arity >= 1) return ScalarFunc::kConcat;
-  if (name == "COALESCE" && arity >= 1) return ScalarFunc::kCoalesce;
-  if (name == "SQRT" && arity == 1) return ScalarFunc::kSqrt;
-  if (name == "POWER" && arity == 2) return ScalarFunc::kPower;
-  return Status::ValidationError("unknown function " + name + "/" +
-                                 std::to_string(arity));
-}
-
-Value EvalScalarFunc(ScalarFunc fn, const std::vector<Value>& args) {
-  switch (fn) {
-    case ScalarFunc::kFloor: {
-      const Value& v = args[0];
-      if (v.is_null()) return Value::Null();
-      if (v.kind() == TypeKind::kDouble) return Value(std::floor(v.as_double()));
-      return v;
-    }
-    case ScalarFunc::kFloorTo: {
-      if (args[0].is_null()) return Value::Null();
-      auto r = FloorTimestampTo(args[0].ToInt64(), args[1].as_string());
-      return r.ok() ? Value(r.value()) : Value::Null();
-    }
-    case ScalarFunc::kCeil: {
-      const Value& v = args[0];
-      if (v.is_null()) return Value::Null();
-      if (v.kind() == TypeKind::kDouble) return Value(std::ceil(v.as_double()));
-      return v;
-    }
-    case ScalarFunc::kAbs: {
-      const Value& v = args[0];
-      if (v.is_null()) return Value::Null();
-      if (v.kind() == TypeKind::kDouble) return Value(std::abs(v.as_double()));
-      if (v.kind() == TypeKind::kInt32) return Value(static_cast<int32_t>(std::abs(v.as_int32())));
-      return Value(std::abs(v.ToInt64()));
-    }
-    case ScalarFunc::kMod:
-      return NumericBinary(BinaryOp::kMod, args[0], args[1]);
-    case ScalarFunc::kGreatest: {
-      Value best = Value::Null();
-      for (const Value& v : args) {
-        if (v.is_null()) return Value::Null();
-        if (best.is_null() || best.Compare(v) < 0) best = v;
-      }
-      return best;
-    }
-    case ScalarFunc::kLeast: {
-      Value best = Value::Null();
-      for (const Value& v : args) {
-        if (v.is_null()) return Value::Null();
-        if (best.is_null() || best.Compare(v) > 0) best = v;
-      }
-      return best;
-    }
-    case ScalarFunc::kUpper: {
-      if (args[0].is_null()) return Value::Null();
-      return Value(ToUpper(args[0].as_string()));
-    }
-    case ScalarFunc::kLower: {
-      if (args[0].is_null()) return Value::Null();
-      std::string s = args[0].as_string();
-      for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-      return Value(std::move(s));
-    }
-    case ScalarFunc::kCharLength:
-      if (args[0].is_null()) return Value::Null();
-      return Value(static_cast<int32_t>(args[0].as_string().size()));
-    case ScalarFunc::kSubstring: {
-      if (args[0].is_null() || args[1].is_null()) return Value::Null();
-      const std::string& s = args[0].as_string();
-      int64_t from = args[1].ToInt64();  // 1-based, SQL style
-      int64_t len = args.size() == 3 && !args[2].is_null()
-                        ? args[2].ToInt64()
-                        : static_cast<int64_t>(s.size());
-      if (from < 1) from = 1;
-      if (from > static_cast<int64_t>(s.size()) || len <= 0) return Value(std::string());
-      return Value(s.substr(static_cast<size_t>(from - 1),
-                            static_cast<size_t>(std::min<int64_t>(
-                                len, static_cast<int64_t>(s.size()) - (from - 1)))));
-    }
-    case ScalarFunc::kConcat: {
-      std::string out;
-      for (const Value& v : args) {
-        if (!v.is_null()) out += v.ToString();
-      }
-      return Value(std::move(out));
-    }
-    case ScalarFunc::kCoalesce:
-      for (const Value& v : args) {
-        if (!v.is_null()) return v;
-      }
-      return Value::Null();
-    case ScalarFunc::kSqrt:
-      if (args[0].is_null()) return Value::Null();
-      return Value(std::sqrt(args[0].ToDouble()));
-    case ScalarFunc::kPower:
-      if (args[0].is_null() || args[1].is_null()) return Value::Null();
-      return Value(std::pow(args[0].ToDouble(), args[1].ToDouble()));
-  }
-  return Value::Null();
-}
-
-Result<FieldType> ScalarFuncType(const std::string& name,
-                                 const std::vector<FieldType>& args) {
-  SQS_ASSIGN_OR_RETURN(fn, LookupScalarFunc(name, args.size()));
-  switch (fn) {
-    case ScalarFunc::kFloor:
-    case ScalarFunc::kCeil:
-    case ScalarFunc::kAbs:
-      return args[0];
-    case ScalarFunc::kFloorTo:
-      return FieldType::Int64();
-    case ScalarFunc::kMod:
-      return FieldType::Int64();
-    case ScalarFunc::kGreatest:
-    case ScalarFunc::kLeast: {
-      FieldType t = args[0];
-      for (const FieldType& a : args) t = NumericResultType(t, a);
-      // Non-numeric GREATEST/LEAST keep the first argument's type.
-      if (args[0].kind == TypeKind::kString) return args[0];
-      return t;
-    }
-    case ScalarFunc::kUpper:
-    case ScalarFunc::kLower:
-    case ScalarFunc::kSubstring:
-    case ScalarFunc::kConcat:
-      return FieldType::String();
-    case ScalarFunc::kCharLength:
-      return FieldType::Int32();
-    case ScalarFunc::kCoalesce:
-      return args[0];
-    case ScalarFunc::kSqrt:
-    case ScalarFunc::kPower:
-      return FieldType::Double();
-  }
-  return Status::Internal("unhandled function type");
-}
-
-Result<AggKind> LookupAggFunc(const std::string& name) {
-  if (name == "COUNT") return AggKind::kCount;
-  if (name == "SUM") return AggKind::kSum;
-  if (name == "MIN") return AggKind::kMin;
-  if (name == "MAX") return AggKind::kMax;
-  if (name == "AVG") return AggKind::kAvg;
-  if (name == "START") return AggKind::kStart;
-  if (name == "END") return AggKind::kEnd;
-  return Status::ValidationError("unknown aggregate " + name);
-}
-
-bool IsAggFuncName(const std::string& name) { return LookupAggFunc(name).ok(); }
-
-void AggState::Add(const Value& v) {
-  if (v.is_null()) return;
-  ++count_;
-  switch (kind_) {
-    case AggKind::kSum:
-    case AggKind::kAvg:
-      if (v.kind() == TypeKind::kDouble) {
-        is_double_ = true;
-        sum_d_ += v.as_double();
-      } else {
-        sum_i_ += v.ToInt64();
-        sum_d_ += static_cast<double>(v.ToInt64());
-      }
-      break;
-    case AggKind::kMin:
-      if (extreme_.is_null() || v.Compare(extreme_) < 0) extreme_ = v;
-      break;
-    case AggKind::kMax:
-      if (extreme_.is_null() || v.Compare(extreme_) > 0) extreme_ = v;
-      break;
-    default:
-      break;
-  }
-}
-
-void AggState::Remove(const Value& v) {
-  if (v.is_null()) return;
-  --count_;
-  if (kind_ == AggKind::kSum || kind_ == AggKind::kAvg) {
-    if (v.kind() == TypeKind::kDouble) {
-      sum_d_ -= v.as_double();
-    } else {
-      sum_i_ -= v.ToInt64();
-      sum_d_ -= static_cast<double>(v.ToInt64());
-    }
-  }
-}
-
-Value AggState::Result() const {
-  switch (kind_) {
-    case AggKind::kCount:
-      return Value(count_);
-    case AggKind::kSum:
-      if (count_ == 0) return Value::Null();
-      return is_double_ ? Value(sum_d_) : Value(sum_i_);
-    case AggKind::kAvg:
-      if (count_ == 0) return Value::Null();
-      return Value(sum_d_ / static_cast<double>(count_));
-    case AggKind::kMin:
-    case AggKind::kMax:
-      return extreme_;
-    case AggKind::kStart:
-    case AggKind::kEnd:
-      return extreme_;  // set via Add of the bound value by the operator
-  }
-  return Value::Null();
-}
-
-void AggState::EncodeTo(BytesWriter& out) const {
-  out.WriteVarint(count_);
-  out.WriteVarint(sum_i_);
-  out.WriteDouble(sum_d_);
-  out.WriteBool(is_double_);
-  Status st = SerializeTaggedValue(extreme_, out);
-  if (!st.ok()) throw std::runtime_error("agg state encode: " + st.ToString());
-}
-
-::sqs::Result<AggState> AggState::Decode(AggKind kind, BytesReader& in) {
-  AggState state(kind);
-  SQS_ASSIGN_OR_RETURN(count, in.ReadVarint());
-  state.count_ = count;
-  SQS_ASSIGN_OR_RETURN(sum_i, in.ReadVarint());
-  state.sum_i_ = sum_i;
-  SQS_ASSIGN_OR_RETURN(sum_d, in.ReadDouble());
-  state.sum_d_ = sum_d;
-  SQS_ASSIGN_OR_RETURN(is_double, in.ReadBool());
-  state.is_double_ = is_double;
-  SQS_ASSIGN_OR_RETURN(extreme, DeserializeTaggedValue(in));
-  state.extreme_ = std::move(extreme);
-  return state;
-}
-
-Result<FieldType> AggResultType(AggKind kind, const FieldType& arg) {
-  switch (kind) {
-    case AggKind::kCount:
-      return FieldType::Int64();
-    case AggKind::kSum:
-      if (arg.kind == TypeKind::kDouble) return FieldType::Double();
-      return FieldType::Int64();
-    case AggKind::kAvg:
-      return FieldType::Double();
-    case AggKind::kMin:
-    case AggKind::kMax:
-      return arg;
-    case AggKind::kStart:
-    case AggKind::kEnd:
-      return FieldType::Int64();
-  }
-  return Status::Internal("unhandled aggregate type");
 }
 
 // ---------------------------------------------------------------------------
@@ -486,15 +219,19 @@ Status ResolveExpr(Expr& expr, const ColumnResolver& resolver, bool allow_aggreg
       }
       return Status::Ok();
 
-    case ExprKind::kFuncCall: {
-      // Aggregates parsed as plain calls become kAggCall here.
-      if (IsAggFuncName(expr.func_name)) {
+    case ExprKind::kFuncCall:
+    case ExprKind::kAggCall: {
+      const Function* fn = FunctionRegistry::Instance().Find(expr.func_name);
+      if (fn && fn->is_aggregate()) {
+        // Aggregates parsed as plain calls become kAggCall here.
         if (!allow_aggregates) {
           return Status::ValidationError("aggregate " + expr.func_name +
                                          " not allowed in this context");
         }
-        expr.kind = ExprKind::kAggCall;
-        SQS_ASSIGN_OR_RETURN(kind, LookupAggFunc(expr.func_name));
+        if (fn->user_defined && (expr.star_arg || expr.children.size() != 1)) {
+          return Status::ValidationError("user-defined aggregate " + expr.func_name +
+                                         " takes exactly one argument");
+        }
         FieldType arg = FieldType::Int64();
         if (!expr.star_arg) {
           if (expr.children.size() != 1) {
@@ -502,31 +239,12 @@ Status ResolveExpr(Expr& expr, const ColumnResolver& resolver, bool allow_aggreg
           }
           SQS_RETURN_IF_ERROR(ResolveExpr(*expr.children[0], resolver, false));
           arg = expr.children[0]->resolved_type;
-        } else if (kind != AggKind::kCount) {
+        } else if (fn->builtin_agg != AggKind::kCount) {
           return Status::ValidationError("'*' argument only valid for COUNT");
         }
-        SQS_ASSIGN_OR_RETURN(rt, AggResultType(kind, arg));
-        expr.resolved_type = rt;
-        return Status::Ok();
-      }
-      // User-defined aggregate? Becomes a kAggCall carrying the UDAF id in
-      // resolved_index.
-      if (FunctionRegistry::Instance().HasAggregate(expr.func_name)) {
-        if (!allow_aggregates) {
-          return Status::ValidationError("aggregate " + expr.func_name +
-                                         " not allowed in this context");
-        }
-        if (expr.star_arg || expr.children.size() != 1) {
-          return Status::ValidationError("user-defined aggregate " + expr.func_name +
-                                         " takes exactly one argument");
-        }
-        SQS_RETURN_IF_ERROR(ResolveExpr(*expr.children[0], resolver, false));
-        auto& registry = FunctionRegistry::Instance();
-        SQS_ASSIGN_OR_RETURN(id, registry.LookupAggregate(expr.func_name));
-        SQS_ASSIGN_OR_RETURN(rt, registry.AggregateResultType(
-                                     id, expr.children[0]->resolved_type));
+        SQS_ASSIGN_OR_RETURN(rt, fn->type_fn({arg}));
         expr.kind = ExprKind::kAggCall;
-        expr.resolved_index = id;
+        expr.resolved_index = fn->id;
         expr.resolved_type = rt;
         return Status::Ok();
       }
@@ -535,36 +253,18 @@ Status ResolveExpr(Expr& expr, const ColumnResolver& resolver, bool allow_aggreg
         SQS_RETURN_IF_ERROR(ResolveExpr(*child, resolver, allow_aggregates));
         arg_types.push_back(child->resolved_type);
       }
-      auto builtin = ScalarFuncType(expr.func_name, arg_types);
-      if (builtin.ok()) {
-        expr.resolved_type = builtin.value();
-        return Status::Ok();
+      const size_t arity = arg_types.size();
+      if (fn && fn->user_defined && (arity < fn->min_arity || arity > fn->max_arity)) {
+        return Status::ValidationError(
+            "UDF " + fn->name + " takes " + std::to_string(fn->min_arity) + ".." +
+            std::to_string(fn->max_arity) + " arguments, got " + std::to_string(arity));
       }
-      // User-defined scalar function? The registry id is stashed in
-      // resolved_index (unused for function calls).
-      auto& registry = FunctionRegistry::Instance();
-      if (registry.Has(expr.func_name)) {
-        SQS_ASSIGN_OR_RETURN(rt, registry.ResultType(expr.func_name, arg_types));
-        SQS_ASSIGN_OR_RETURN(id, registry.Lookup(expr.func_name, arg_types.size()));
-        expr.resolved_index = id;
-        expr.resolved_type = rt;
-        return Status::Ok();
+      if (!fn || arity < fn->min_arity || arity > fn->max_arity) {
+        return Status::ValidationError("unknown function " + expr.func_name + "/" +
+                                       std::to_string(arity));
       }
-      return builtin.status();
-    }
-
-    case ExprKind::kAggCall: {
-      if (!allow_aggregates) {
-        return Status::ValidationError("aggregate " + expr.func_name +
-                                       " not allowed in this context");
-      }
-      SQS_ASSIGN_OR_RETURN(kind, LookupAggFunc(expr.func_name));
-      FieldType arg = FieldType::Int64();
-      if (!expr.children.empty()) {
-        SQS_RETURN_IF_ERROR(ResolveExpr(*expr.children[0], resolver, false));
-        arg = expr.children[0]->resolved_type;
-      }
-      SQS_ASSIGN_OR_RETURN(rt, AggResultType(kind, arg));
+      SQS_ASSIGN_OR_RETURN(rt, fn->type_fn(arg_types));
+      expr.resolved_index = fn->id;
       expr.resolved_type = rt;
       return Status::Ok();
     }
@@ -574,18 +274,22 @@ Status ResolveExpr(Expr& expr, const ColumnResolver& resolver, bool allow_aggreg
         return Status::ValidationError(
             "windowed aggregate not allowed in this context");
       }
-      SQS_ASSIGN_OR_RETURN(kind, LookupAggFunc(expr.func_name));
+      const Function* fn = FunctionRegistry::Instance().Find(expr.func_name);
+      if (!fn || !fn->builtin_agg) {
+        return Status::ValidationError("unknown aggregate " + expr.func_name);
+      }
       FieldType arg = FieldType::Int64();
       if (!expr.children.empty()) {
         SQS_RETURN_IF_ERROR(ResolveExpr(*expr.children[0], resolver, false));
         arg = expr.children[0]->resolved_type;
-      } else if (kind != AggKind::kCount && !expr.star_arg) {
+      } else if (fn->builtin_agg != AggKind::kCount && !expr.star_arg) {
         return Status::ValidationError(expr.func_name + " needs an argument");
       }
       for (auto& p : expr.window->partition_by) {
         SQS_RETURN_IF_ERROR(ResolveExpr(*p, resolver, false));
       }
-      SQS_ASSIGN_OR_RETURN(rt, AggResultType(kind, arg));
+      SQS_ASSIGN_OR_RETURN(rt, fn->type_fn({arg}));
+      expr.resolved_index = fn->id;
       expr.resolved_type = rt;
       return Status::Ok();
     }
@@ -675,15 +379,12 @@ Value EvalExpr(const Expr& expr, const Row& input) {
       return Value(-v.ToInt64());
     }
     case ExprKind::kFuncCall: {
+      const Function* fn = FunctionRegistry::Instance().Get(expr.resolved_index);
+      if (!fn || !fn->eval_fn) return Value::Null();
       std::vector<Value> args;
       args.reserve(expr.children.size());
       for (const auto& child : expr.children) args.push_back(EvalExpr(*child, input));
-      auto fn = LookupScalarFunc(expr.func_name, expr.children.size());
-      if (fn.ok()) return EvalScalarFunc(fn.value(), args);
-      if (expr.resolved_index >= 0) {
-        return FunctionRegistry::Instance().Eval(expr.resolved_index, args);
-      }
-      return Value::Null();
+      return fn->eval_fn(args);
     }
     case ExprKind::kCase: {
       size_t pairs = (expr.children.size() - (expr.has_else ? 1 : 0)) / 2;
@@ -769,10 +470,9 @@ void CollectColumnIndices(const Expr& expr, std::vector<int>& indices) {
 bool ContainsAggregate(const Expr& expr) {
   if (expr.kind == ExprKind::kAggCall || expr.kind == ExprKind::kWindowCall) return true;
   // A FuncCall with an aggregate name is an unresolved aggregate.
-  if (expr.kind == ExprKind::kFuncCall &&
-      (IsAggFuncName(expr.func_name) ||
-       FunctionRegistry::Instance().HasAggregate(expr.func_name))) {
-    return true;
+  if (expr.kind == ExprKind::kFuncCall) {
+    const Function* fn = FunctionRegistry::Instance().Find(expr.func_name);
+    if (fn && fn->is_aggregate()) return true;
   }
   for (const auto& child : expr.children) {
     if (ContainsAggregate(*child)) return true;
@@ -812,17 +512,14 @@ Status CompiledExpr::Emit(const Expr& expr) {
       code_.push_back({OpCode::kUnary, static_cast<int32_t>(expr.unary_op), 0});
       return Status::Ok();
     case ExprKind::kFuncCall: {
-      auto fn = LookupScalarFunc(expr.func_name, expr.children.size());
-      if (!fn.ok() && expr.resolved_index < 0) return fn.status();
-      for (const auto& child : expr.children) SQS_RETURN_IF_ERROR(Emit(*child));
-      if (fn.ok()) {
-        code_.push_back({OpCode::kFunc, static_cast<int32_t>(expr.children.size()),
-                         static_cast<int32_t>(fn.value())});
-      } else {
-        // User-defined function: resolved_index carries the registry id.
-        code_.push_back({OpCode::kUdf, static_cast<int32_t>(expr.children.size()),
-                         expr.resolved_index});
+      const Function* fn = FunctionRegistry::Instance().Get(expr.resolved_index);
+      if (!fn || !fn->eval_fn) {
+        return Status::Internal("compiling unresolved function " + expr.func_name);
       }
+      for (const auto& child : expr.children) SQS_RETURN_IF_ERROR(Emit(*child));
+      functions_.push_back(fn);
+      code_.push_back({OpCode::kCall, static_cast<int32_t>(expr.children.size()),
+                       static_cast<int32_t>(functions_.size() - 1)});
       return Status::Ok();
     }
     case ExprKind::kCase: {
@@ -935,25 +632,14 @@ Value CompiledExpr::Eval(const Row& input) const {
         ++pc;
         break;
       }
-      case OpCode::kFunc: {
+      case OpCode::kCall: {
         size_t argc = static_cast<size_t>(insn.a);
         std::vector<Value> args(argc);
         for (size_t i = argc; i > 0; --i) {
           args[i - 1] = std::move(stack.back());
           stack.pop_back();
         }
-        stack.push_back(EvalScalarFunc(static_cast<ScalarFunc>(insn.b), args));
-        ++pc;
-        break;
-      }
-      case OpCode::kUdf: {
-        size_t argc = static_cast<size_t>(insn.a);
-        std::vector<Value> args(argc);
-        for (size_t i = argc; i > 0; --i) {
-          args[i - 1] = std::move(stack.back());
-          stack.pop_back();
-        }
-        stack.push_back(FunctionRegistry::Instance().Eval(insn.b, args));
+        stack.push_back(functions_[static_cast<size_t>(insn.b)]->eval_fn(args));
         ++pc;
         break;
       }

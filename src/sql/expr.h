@@ -24,10 +24,14 @@
 
 namespace sqs::sql {
 
+struct Function;
+
 // Resolves column refs / infers types for `expr` in place. `resolver` maps
 // (qualifier, column) -> (input row index, type); it returns NotFound for
-// unknown columns. Aggregate/window calls are rejected unless
-// `allow_aggregates` (the planner handles those contexts specially).
+// unknown columns. Each function call is looked up once in the function
+// table (sql/functions.h) and the entry's id stored in `resolved_index`.
+// Aggregate/window calls are rejected unless `allow_aggregates` (the planner
+// handles those contexts specially).
 using ColumnResolver =
     std::function<Result<std::pair<int, FieldType>>(const std::string& qualifier,
                                                     const std::string& column)>;
@@ -76,12 +80,11 @@ class CompiledExpr {
     kLoadConst,    // push constants[a]
     kBinary,       // pop rhs, lhs; push lhs <a:BinaryOp> rhs
     kUnary,        // pop v; push <a:UnaryOp> v
-    kFunc,         // pop a args (b = function id); push result
+    kCall,         // pop a args; push functions_[b] applied to them
     kJumpIfFalse,  // pop cond; if !true jump to a   (CASE / AND short-circuit)
     kJump,         // jump to a
     kIsNull,       // pop v; push v.is_null() (a: negated)
     kCast,         // pop v; push cast to kind a
-    kUdf,          // pop a args (b = FunctionRegistry id); push result
     kPop,          // discard top
   };
   struct Insn {
@@ -95,66 +98,19 @@ class CompiledExpr {
 
   std::vector<Insn> code_;
   std::vector<Value> constants_;
+  // Entries of the function table this program calls (entries never move).
+  std::vector<const Function*> functions_;
   friend class CompiledExprTestPeer;
 };
-
-// Scalar function ids shared by the interpreter and compiler.
-enum class ScalarFunc : int32_t {
-  kFloor, kFloorTo, kCeil, kAbs, kMod, kGreatest, kLeast, kUpper, kLower,
-  kCharLength, kSubstring, kConcat, kCoalesce, kSqrt, kPower,
-};
-Result<ScalarFunc> LookupScalarFunc(const std::string& name, size_t arity);
-Value EvalScalarFunc(ScalarFunc fn, const std::vector<Value>& args);
-
-// Type of a scalar function result given argument types.
-Result<FieldType> ScalarFuncType(const std::string& name,
-                                 const std::vector<FieldType>& args);
 
 // Floor a timestamp (epoch millis) to the unit ("HOUR", "MINUTE", ...).
 Result<int64_t> FloorTimestampTo(int64_t ts_millis, const std::string& unit);
 
-// ---------------------------------------------------------------------------
-// Aggregate functions (used by aggregate/window operators and batch eval).
-// ---------------------------------------------------------------------------
+// Binary operator semantics shared by the interpreter, the compiled
+// programs and the built-in functions (MOD).
+Value EvalBinaryOp(BinaryOp op, const Value& l, const Value& r);
 
-enum class AggKind { kCount, kSum, kMin, kMax, kAvg, kStart, kEnd };
-
-Result<AggKind> LookupAggFunc(const std::string& name);
-bool IsAggFuncName(const std::string& name);
-
-// Incremental aggregate state. START/END track window bounds and are fed by
-// the operator, not by Add().
-class AggState {
- public:
-  explicit AggState(AggKind kind) : kind_(kind) {}
-
-  void Add(const Value& v);
-  // Retract a previously added value (sliding-window purge). Only valid for
-  // COUNT/SUM/AVG; MIN/MAX windows recompute instead (see SlidingWindowOp).
-  void Remove(const Value& v);
-  static bool SupportsRemove(AggKind kind) {
-    return kind == AggKind::kCount || kind == AggKind::kSum || kind == AggKind::kAvg;
-  }
-
-  Value Result() const;
-  AggKind kind() const { return kind_; }
-
-  // Serialization for changelog-backed window state (fault tolerance).
-  void EncodeTo(BytesWriter& out) const;
-  static ::sqs::Result<AggState> Decode(AggKind kind, BytesReader& in);
-
-  int64_t count() const { return count_; }
-
- private:
-  AggKind kind_;
-  int64_t count_ = 0;       // non-null values seen
-  int64_t sum_i_ = 0;       // integer sum
-  double sum_d_ = 0;        // double sum
-  bool is_double_ = false;  // any double fed in
-  Value extreme_;           // MIN/MAX current
-};
-
-// Aggregate result type given the argument type.
-Result<FieldType> AggResultType(AggKind kind, const FieldType& arg);
+// Result type of arithmetic over two numeric types.
+FieldType NumericResultType(const FieldType& a, const FieldType& b);
 
 }  // namespace sqs::sql

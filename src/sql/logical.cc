@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "sql/functions.h"
+
 namespace sqs::sql {
 
 namespace {
@@ -17,17 +19,10 @@ const char* KindName(LogicalKind kind) {
   return "?";
 }
 
-const char* AggName(AggKind kind) {
-  switch (kind) {
-    case AggKind::kCount: return "COUNT";
-    case AggKind::kSum: return "SUM";
-    case AggKind::kMin: return "MIN";
-    case AggKind::kMax: return "MAX";
-    case AggKind::kAvg: return "AVG";
-    case AggKind::kStart: return "START";
-    case AggKind::kEnd: return "END";
-  }
-  return "?";
+const std::string& FunctionName(int32_t id) {
+  static const std::string kUnknown = "?";
+  const Function* fn = FunctionRegistry::Instance().Get(id);
+  return fn ? fn->name : kUnknown;
 }
 }  // namespace
 
@@ -66,7 +61,7 @@ std::string LogicalNode::ToString(int indent) const {
       os << " aggs=[";
       for (size_t i = 0; i < aggs.size(); ++i) {
         if (i) os << ", ";
-        os << AggName(aggs[i].kind) << "("
+        os << FunctionName(aggs[i].func_id) << "("
            << (aggs[i].arg ? aggs[i].arg->ToString() : "*") << ")";
       }
       os << "])";
@@ -77,7 +72,7 @@ std::string LogicalNode::ToString(int indent) const {
       for (size_t i = 0; i < window_calls.size(); ++i) {
         const WindowCallSpec& w = window_calls[i];
         if (i) os << ", ";
-        os << AggName(w.kind) << "(" << (w.arg ? w.arg->ToString() : "*") << ") OVER ";
+        os << FunctionName(w.func_id) << "(" << (w.arg ? w.arg->ToString() : "*") << ") OVER ";
         if (w.range_based) {
           os << "RANGE " << w.preceding_ms << "ms";
         } else {
@@ -109,6 +104,29 @@ std::string LogicalNode::ToString(int indent) const {
   return os.str();
 }
 
+AggCallSpec AggCallSpec::Clone() const {
+  AggCallSpec copy;
+  copy.func_id = func_id;
+  if (arg) copy.arg = arg->Clone();
+  copy.output_name = output_name;
+  copy.type = type;
+  return copy;
+}
+
+WindowCallSpec WindowCallSpec::Clone() const {
+  WindowCallSpec copy;
+  copy.func_id = func_id;
+  if (arg) copy.arg = arg->Clone();
+  for (const auto& p : partition_by) copy.partition_by.push_back(p->Clone());
+  copy.ts_index = ts_index;
+  copy.range_based = range_based;
+  copy.preceding_ms = preceding_ms;
+  copy.preceding_rows = preceding_rows;
+  copy.output_name = output_name;
+  copy.type = type;
+  return copy;
+}
+
 LogicalNodePtr CloneLogical(const LogicalNode& node) {
   auto copy = std::make_shared<LogicalNode>();
   copy->kind = node.kind;
@@ -121,28 +139,8 @@ LogicalNodePtr CloneLogical(const LogicalNode& node) {
   for (const auto& e : node.exprs) copy->exprs.push_back(e->Clone());
   for (const auto& g : node.group_exprs) copy->group_exprs.push_back(g->Clone());
   copy->group_window = node.group_window;
-  for (const auto& a : node.aggs) {
-    AggCallSpec spec;
-    spec.kind = a.kind;
-    spec.udaf_id = a.udaf_id;
-    if (a.arg) spec.arg = a.arg->Clone();
-    spec.output_name = a.output_name;
-    spec.type = a.type;
-    copy->aggs.push_back(std::move(spec));
-  }
-  for (const auto& w : node.window_calls) {
-    WindowCallSpec spec;
-    spec.kind = w.kind;
-    if (w.arg) spec.arg = w.arg->Clone();
-    for (const auto& p : w.partition_by) spec.partition_by.push_back(p->Clone());
-    spec.ts_index = w.ts_index;
-    spec.range_based = w.range_based;
-    spec.preceding_ms = w.preceding_ms;
-    spec.preceding_rows = w.preceding_rows;
-    spec.output_name = w.output_name;
-    spec.type = w.type;
-    copy->window_calls.push_back(std::move(spec));
-  }
+  for (const auto& a : node.aggs) copy->aggs.push_back(a.Clone());
+  for (const auto& w : node.window_calls) copy->window_calls.push_back(w.Clone());
   copy->join_type = node.join_type;
   copy->equi_keys = node.equi_keys;
   copy->left_ts_index = node.left_ts_index;

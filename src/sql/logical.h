@@ -44,17 +44,18 @@ struct GroupWindowSpec {
 };
 
 struct AggCallSpec {
-  AggKind kind = AggKind::kCount;
-  int32_t udaf_id = -1;     // >= 0: user-defined aggregate (FunctionRegistry)
+  int32_t func_id = -1;     // aggregate entry in the function table
   ExprPtr arg;              // null for COUNT(*) and START/END
   std::string output_name;
   FieldType type;
+
+  AggCallSpec Clone() const;
 };
 
 // One analytic (OVER) aggregate computed by the sliding-window operator
 // (paper §3.7, §4.3). The operator appends one column per call.
 struct WindowCallSpec {
-  AggKind kind = AggKind::kSum;
+  int32_t func_id = -1;               // built-in aggregate in the function table
   ExprPtr arg;                        // aggregated expression (input-resolved)
   std::vector<ExprPtr> partition_by;  // PARTITION BY expressions
   int ts_index = -1;                  // ORDER BY column (must be the rowtime)
@@ -63,6 +64,8 @@ struct WindowCallSpec {
   int64_t preceding_rows = 0;
   std::string output_name;
   FieldType type;
+
+  WindowCallSpec Clone() const;
 };
 
 enum class JoinType {

@@ -1,7 +1,10 @@
 #include "sql/planner.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
+
+#include "sql/functions.h"
 
 namespace sqs::sql {
 
@@ -79,6 +82,15 @@ bool IsGroupWindowCall(const Expr& e) {
     return true;
   }
   return false;
+}
+
+// START/END of the group window, when the resolved aggregate call is one.
+std::optional<AggKind> WindowBound(const Expr& e) {
+  const Function* fn = FunctionRegistry::Instance().Get(e.resolved_index);
+  if (fn && (fn->builtin_agg == AggKind::kStart || fn->builtin_agg == AggKind::kEnd)) {
+    return fn->builtin_agg;
+  }
+  return std::nullopt;
 }
 
 Result<int64_t> LiteralMillis(const Expr& e, const char* what) {
@@ -361,16 +373,12 @@ Result<ExprPtr> SelectPlanner::RewriteOverAggregate(
   }
 
   if (e.kind == ExprKind::kAggCall) {
-    auto kind_r = LookupAggFunc(e.func_name);  // fails for UDAFs: fine, they
-                                               // match by printed key below
-    if (kind_r.ok() &&
-        (kind_r.value() == AggKind::kStart || kind_r.value() == AggKind::kEnd)) {
+    if (auto bound = WindowBound(e)) {
       if (!windowed) {
         return Status::ValidationError(e.func_name +
                                        " requires a windowed GROUP BY (TUMBLE/HOP)");
       }
-      size_t idx = kind_r.value() == AggKind::kStart ? window_start_idx
-                                                     : window_start_idx + 1;
+      size_t idx = *bound == AggKind::kStart ? window_start_idx : window_start_idx + 1;
       return MakeIndexRef(static_cast<int>(idx), FieldType::Int64());
     }
     for (size_t i = 0; i < agg.aggs.size(); ++i) {
@@ -516,23 +524,13 @@ Result<LogicalNodePtr> SelectPlanner::PlanAggregate(LogicalNodePtr input) {
   // Walk resolved trees, registering distinct aggregate calls.
   std::function<Status(const Expr&)> collect = [&](const Expr& e) -> Status {
     if (e.kind == ExprKind::kAggCall) {
-      auto kind = LookupAggFunc(e.func_name);
-      if (kind.ok() &&
-          (kind.value() == AggKind::kStart || kind.value() == AggKind::kEnd)) {
-        return Status::Ok();  // mapped to window bound columns
-      }
+      if (WindowBound(e)) return Status::Ok();  // mapped to window bound columns
       std::string key = e.ToString();
       for (const std::string& k : agg_keys) {
         if (k == key) return Status::Ok();
       }
       AggCallSpec spec;
-      if (kind.ok()) {
-        spec.kind = kind.value();
-      } else {
-        // User-defined aggregate: the resolver stashed the registry id.
-        if (e.resolved_index < 0) return kind.status();
-        spec.udaf_id = e.resolved_index;
-      }
+      spec.func_id = e.resolved_index;
       if (!e.star_arg && !e.children.empty()) spec.arg = e.children[0]->Clone();
       spec.type = e.resolved_type;
       spec.output_name = "a" + std::to_string(agg_keys.size());
@@ -620,8 +618,7 @@ Result<LogicalNodePtr> SelectPlanner::PlanSlidingWindow(LogicalNodePtr input) {
         }
       }
       WindowCallSpec spec;
-      SQS_ASSIGN_OR_RETURN(kind, LookupAggFunc(e.func_name));
-      spec.kind = kind;
+      spec.func_id = e.resolved_index;
       if (!e.children.empty()) spec.arg = e.children[0]->Clone();
       for (const auto& p : e.window->partition_by) spec.partition_by.push_back(p->Clone());
       // ORDER BY column must be the stream's rowtime for RANGE windows.

@@ -243,7 +243,7 @@ struct JobRunner::PipelineRun {
       return Push(u);
     }
     if (!detached && !job->Supervised()) {
-      SQS_ERROR("container failed: " << r.status().ToString());
+      SQS_ERRORC("runner", "container failed: " << r.status().ToString());
       lock.lock();
       return FailWith(r.status());
     }

@@ -283,13 +283,6 @@ TEST_F(LoggingTest, RecordsBelowLevelAreDropped) {
   EXPECT_EQ(Drain(), "");
 }
 
-TEST_F(LoggingTest, LegacyMacrosRouteToAppComponent) {
-  SQS_WARN("old style " << 42);
-  std::string line = Drain();
-  EXPECT_NE(line.find("[app]"), std::string::npos) << line;
-  EXPECT_NE(line.find("old style 42"), std::string::npos);
-}
-
 TEST_F(LoggingTest, ApplyLogConfigMapsKeysAndIgnoresAbsentOnes) {
   Config config;
   config.Set("log.level", "debug");

@@ -1,10 +1,12 @@
-// User-defined scalar function tests: registry rules, planner visibility,
+// User-defined function tests: registry rules, planner visibility,
 // interpreter + compiled evaluation, constant folding, and end-to-end use
 // in a streaming query.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "core/executor.h"
-#include "sql/accumulator.h"
 #include "sql/functions.h"
 #include "sql/optimizer.h"
 #include "sql/parser.h"
@@ -44,6 +46,48 @@ void RegisterTestUdfs() {
   (void)done;
 }
 
+// SUMSQ(x): sum of squares, with serializable state.
+class SumSqAccumulator : public Accumulator {
+ public:
+  void Add(const Value& v) override {
+    if (v.is_null()) return;
+    double d = v.ToDouble();
+    sum_ += d * d;
+  }
+  Value Result() const override { return Value(sum_); }
+  Status EncodeTo(BytesWriter& out) const override {
+    out.WriteDouble(sum_);
+    return Status::Ok();
+  }
+  Status DecodeFrom(BytesReader& in) override {
+    SQS_ASSIGN_OR_RETURN(s, in.ReadDouble());
+    sum_ = s;
+    return Status::Ok();
+  }
+
+ private:
+  double sum_ = 0;
+};
+
+void RegisterSumSq() {
+  static bool done = [] {
+    AggregateUdf udaf;
+    udaf.name = "SUMSQ";
+    udaf.type_fn = [](const FieldType& arg) -> Result<FieldType> {
+      if (arg.kind == TypeKind::kString) {
+        return Status::ValidationError("SUMSQ needs a numeric argument");
+      }
+      return FieldType::Double();
+    };
+    udaf.factory = [] { return std::make_unique<SumSqAccumulator>(); };
+    if (!FunctionRegistry::Instance().RegisterAggregate(std::move(udaf)).ok()) {
+      std::abort();
+    }
+    return true;
+  }();
+  (void)done;
+}
+
 ColumnResolver UnitsResolver() {
   return [](const std::string&,
             const std::string& c) -> Result<std::pair<int, FieldType>> {
@@ -70,6 +114,43 @@ TEST(UdfTest, RegistryRejectsCollisions) {
                                [](const std::vector<Value>&) { return Value::Null(); })
                 .code(),
             ErrorCode::kAlreadyExists);
+  // A UDF named like an existing UDAF.
+  RegisterSumSq();
+  EXPECT_EQ(reg.RegisterScalar("SUMSQ", 1, FieldType::Double(),
+                               [](const std::vector<Value>&) { return Value::Null(); })
+                .code(),
+            ErrorCode::kAlreadyExists);
+}
+
+// Registration appends to the table while compiled programs call earlier
+// entries without a lock (run under TSan in CI).
+TEST(UdfTest, RegistrationDoesNotDisturbCompiledCalls) {
+  RegisterTestUdfs();
+  auto e = ParseExpression("DOUBLE_IT(units)").value();
+  ASSERT_TRUE(ResolveExpr(*e, UnitsResolver(), false).ok());
+  auto compiled = CompiledExpr::Compile(*e).value();
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> evaluators;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < 2; ++t) {
+    evaluators.emplace_back([&] {
+      Row row = {Value(int32_t{21})};
+      while (!stop.load()) {
+        if (compiled.Eval(row) != Value(int64_t{42})) ++mismatches;
+      }
+    });
+  }
+  static std::atomic<int> next{0};
+  for (int i = 0; i < 200; ++i) {
+    std::string name = "RACE_FN_" + std::to_string(next++);
+    EXPECT_TRUE(FunctionRegistry::Instance()
+                    .RegisterScalar(name, 1, FieldType::Int64(),
+                                    [](const std::vector<Value>& args) { return args[0]; })
+                    .ok());
+  }
+  stop = true;
+  for (auto& t : evaluators) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(UdfTest, ResolvesAndEvaluatesInterpreted) {
@@ -153,47 +234,6 @@ TEST(UdfTest, EndToEndInStreamingQuery) {
   }
 }
 
-// --- user-defined aggregates ---
-
-// SUMSQ(x): sum of squares, with serializable state.
-class SumSqAccumulator : public UdafAccumulator {
- public:
-  void Add(const Value& v) override {
-    if (v.is_null()) return;
-    double d = v.ToDouble();
-    sum_ += d * d;
-  }
-  Value Result() const override { return Value(sum_); }
-  void EncodeTo(BytesWriter& out) const override { out.WriteDouble(sum_); }
-  Status DecodeFrom(BytesReader& in) override {
-    SQS_ASSIGN_OR_RETURN(s, in.ReadDouble());
-    sum_ = s;
-    return Status::Ok();
-  }
-
- private:
-  double sum_ = 0;
-};
-
-void RegisterSumSq() {
-  static bool done = [] {
-    AggregateUdf udaf;
-    udaf.name = "SUMSQ";
-    udaf.type_fn = [](const FieldType& arg) -> Result<FieldType> {
-      if (arg.kind == TypeKind::kString) {
-        return Status::ValidationError("SUMSQ needs a numeric argument");
-      }
-      return FieldType::Double();
-    };
-    udaf.factory = [] { return std::make_unique<SumSqAccumulator>(); };
-    if (!FunctionRegistry::Instance().RegisterAggregate(std::move(udaf)).ok()) {
-      std::abort();
-    }
-    return true;
-  }();
-  (void)done;
-}
-
 TEST(UdafTest, RegistryRejectsCollisions) {
   RegisterSumSq();
   auto& reg = FunctionRegistry::Instance();
@@ -207,22 +247,29 @@ TEST(UdafTest, RegistryRejectsCollisions) {
   dup2.type_fn = [](const FieldType&) -> Result<FieldType> { return FieldType::Double(); };
   dup2.factory = [] { return std::make_unique<SumSqAccumulator>(); };
   EXPECT_EQ(reg.RegisterAggregate(std::move(dup2)).code(), ErrorCode::kAlreadyExists);
+  // A built-in scalar of another arity: POWER takes two arguments.
+  AggregateUdf power;
+  power.name = "POWER";
+  power.type_fn = [](const FieldType&) -> Result<FieldType> { return FieldType::Double(); };
+  power.factory = [] { return std::make_unique<SumSqAccumulator>(); };
+  EXPECT_EQ(reg.RegisterAggregate(std::move(power)).code(), ErrorCode::kAlreadyExists);
 }
 
 TEST(UdafTest, AccumulatorStateRoundTrips) {
   RegisterSumSq();
-  auto& reg = FunctionRegistry::Instance();
-  int32_t id = reg.LookupAggregate("SUMSQ").value();
-  auto acc = AnyAccumulator::Make(AggKind::kCount, id).value();
-  acc.Add(Value(int64_t{3}));
-  acc.Add(Value(int64_t{4}));
-  EXPECT_EQ(acc.Result(), Value(25.0));
+  const Function* sumsq = FunctionRegistry::Instance().Find("SUMSQ");
+  ASSERT_NE(sumsq, nullptr);
+  auto acc = sumsq->factory();
+  acc->Add(Value(int64_t{3}));
+  acc->Add(Value(int64_t{4}));
+  EXPECT_EQ(acc->Result(), Value(25.0));
   BytesWriter writer;
-  acc.EncodeTo(writer);
+  ASSERT_TRUE(acc->EncodeTo(writer).ok());
   Bytes bytes = writer.Take();
   BytesReader reader(bytes);
-  auto restored = AnyAccumulator::Decode(AggKind::kCount, id, reader).value();
-  EXPECT_EQ(restored.Result(), Value(25.0));
+  auto restored = sumsq->factory();
+  ASSERT_TRUE(restored->DecodeFrom(reader).ok());
+  EXPECT_EQ(restored->Result(), Value(25.0));
 }
 
 TEST(UdafTest, BatchGroupByUsesUdaf) {

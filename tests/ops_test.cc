@@ -227,7 +227,7 @@ TEST_F(OpsTest, MetricIdOverridesScopeSegment) {
 
 sql::WindowCallSpec SumWindowCall(SchemaPtr schema, int64_t window_ms) {
   sql::WindowCallSpec spec;
-  spec.kind = sql::AggKind::kSum;
+  spec.func_id = sql::FunctionRegistry::Instance().Find("SUM")->id;
   spec.arg = ResolvedExpr("val", schema);
   spec.partition_by.push_back(ResolvedExpr("key", schema));
   spec.ts_index = 0;
@@ -344,7 +344,7 @@ TEST_F(OpsTest, WindowAggregateEmitsOnWatermarkAndDiscardsLate) {
   groups.push_back(ResolvedExpr("key", schema));
   std::vector<sql::AggCallSpec> aggs;
   sql::AggCallSpec count;
-  count.kind = sql::AggKind::kCount;
+  count.func_id = sql::FunctionRegistry::Instance().Find("COUNT")->id;
   count.type = FieldType::Int64();
   aggs.push_back(std::move(count));
   WindowAggregateOperator agg(std::move(groups), win, std::move(aggs), "agg");
@@ -389,7 +389,7 @@ TEST_F(OpsTest, HoppingAggregateAssignsTupleToMultipleWindows) {
   win.retain_ms = 100;
   std::vector<sql::AggCallSpec> aggs;
   sql::AggCallSpec count;
-  count.kind = sql::AggKind::kCount;
+  count.func_id = sql::FunctionRegistry::Instance().Find("COUNT")->id;
   count.type = FieldType::Int64();
   aggs.push_back(std::move(count));
   WindowAggregateOperator agg({}, win, std::move(aggs), "agg");

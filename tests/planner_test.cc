@@ -4,6 +4,7 @@
 #include <set>
 
 #include "sql/batch_eval.h"
+#include "sql/functions.h"
 #include "sql/optimizer.h"
 #include "sql/parser.h"
 #include "sql/planner.h"
@@ -13,6 +14,11 @@ namespace sqs::sql {
 namespace {
 
 using testutil::PaperCatalog;
+
+std::string FunctionName(int32_t id) {
+  const Function* fn = FunctionRegistry::Instance().Get(id);
+  return fn ? fn->name : "";
+}
 
 class PlannerTest : public ::testing::Test {
  protected:
@@ -117,7 +123,7 @@ TEST_F(PlannerTest, TumbleAggregateShape) {
   EXPECT_EQ(agg.group_window.retain_ms, 3600000);
   EXPECT_EQ(agg.group_window.ts_index, 0);
   ASSERT_EQ(agg.aggs.size(), 1u);
-  EXPECT_EQ(agg.aggs[0].kind, AggKind::kCount);
+  EXPECT_EQ(FunctionName(agg.aggs[0].func_id), "COUNT");
   // Output: [window_start, window_end, count]; project selects start + count.
   EXPECT_EQ(agg.schema->num_fields(), 3u);
 }
@@ -144,8 +150,8 @@ TEST_F(PlannerTest, FloorGroupByBecomesTumble) {
   EXPECT_EQ(agg.group_window.emit_ms, 3600000);
   ASSERT_EQ(agg.group_exprs.size(), 1u);  // productId (window handled apart)
   ASSERT_EQ(agg.aggs.size(), 2u);
-  EXPECT_EQ(agg.aggs[0].kind, AggKind::kCount);
-  EXPECT_EQ(agg.aggs[1].kind, AggKind::kSum);
+  EXPECT_EQ(FunctionName(agg.aggs[0].func_id), "COUNT");
+  EXPECT_EQ(FunctionName(agg.aggs[1].func_id), "SUM");
 }
 
 TEST_F(PlannerTest, NonGroupedColumnInSelectFails) {
@@ -185,7 +191,7 @@ TEST_F(PlannerTest, SlidingWindowShape) {
   const LogicalNode& win = *plan->inputs[0];
   ASSERT_EQ(win.kind, LogicalKind::kSlidingWindow);
   ASSERT_EQ(win.window_calls.size(), 1u);
-  EXPECT_EQ(win.window_calls[0].kind, AggKind::kSum);
+  EXPECT_EQ(FunctionName(win.window_calls[0].func_id), "SUM");
   EXPECT_TRUE(win.window_calls[0].range_based);
   EXPECT_EQ(win.window_calls[0].preceding_ms, 300000);
   EXPECT_EQ(win.window_calls[0].ts_index, 0);

@@ -4,6 +4,7 @@
 #include <random>
 
 #include "sql/expr.h"
+#include "sql/functions.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 
@@ -392,7 +393,26 @@ TEST(CompiledExprTest, MatchesInterpreterOnRandomRows) {
       "COALESCE(NULL, a) % 7",
       "ABS(a - b) + FLOOR(d)",
       "NOT (a = b) OR s IS NULL",
+      "CEIL(d) + CEIL(a)",
+      "MOD(a, b)",
+      "UPPER(s) || LOWER(UPPER(s))",
+      "CHAR_LENGTH(s || s)",
+      "SUBSTRING(s || 'xyz', 2) || SUBSTRING(s, 1, 1)",
+      "CONCAT(s, a, NULL)",
+      "SQRT(d) + POWER(d, 2)",
+      "FLOOR(a TO SECOND)",
   };
+  // Every built-in scalar function is covered above.
+  auto& table = FunctionRegistry::Instance();
+  for (int32_t id = 0; id < table.size(); ++id) {
+    const Function* fn = table.Get(id);
+    if (fn->user_defined || fn->is_aggregate()) continue;
+    bool listed = false;
+    for (const char* text : exprs) {
+      listed = listed || std::string(text).find(fn->name + "(") != std::string::npos;
+    }
+    EXPECT_TRUE(listed) << fn->name << " missing from the expression list";
+  }
   std::mt19937_64 rng(99);
   for (const char* text : exprs) {
     auto e = ParseExpression(text).value();
