@@ -133,18 +133,6 @@ Broker::EpochCell* Broker::FindEpochCell(uint64_t pid) const {
   return it == shard.cells.end() ? nullptr : it->second.get();
 }
 
-namespace {
-
-// Extends the partition's cumulative byte ledger for one appended message.
-// Caller holds part->mu.
-void ExtendByteLedger(std::vector<int64_t>& cum_bytes, int64_t bytes_base,
-                      int64_t msg_bytes) {
-  int64_t prev = cum_bytes.empty() ? bytes_base : cum_bytes.back();
-  cum_bytes.push_back(prev + msg_bytes);
-}
-
-}  // namespace
-
 void Broker::Spin(int64_t nanos) const {
   int64_t until = MonotonicNanos() + nanos;
   while (MonotonicNanos() < until) {
@@ -155,8 +143,6 @@ void Broker::Spin(int64_t nanos) const {
 
 Result<int64_t> Broker::Append(const StreamPartition& sp, Message message) {
   SQS_ASSIGN_OR_RETURN(part, GetPartition(sp));
-  int64_t msg_bytes = static_cast<int64_t>(message.key.size()) +
-                      static_cast<int64_t>(message.value.size());
   // Commit barrier (docs/DURABILITY.md): a record on a barrier topic (the
   // checkpoint topics) must never be durable while data it covers is still
   // in page cache, so every dirty partition log is synced before this
@@ -211,7 +197,7 @@ Result<int64_t> Broker::Append(const StreamPartition& sp, Message message) {
             std::to_string(st.last_seq));
       }
     }
-    int64_t offset = part->log_start + static_cast<int64_t>(part->entries.size());
+    int64_t offset = part->log_start + static_cast<int64_t>(part->records.size());
     // Disk before heap: a record the disk refused was never appended (a
     // failed write or sync rolls the frame back off the file), so a failed
     // append leaves no durable state for a retry to collide with.
@@ -221,18 +207,16 @@ Result<int64_t> Broker::Append(const StreamPartition& sp, Message message) {
     }
     st.last_seq = message.sequence;
     st.last_offset = offset;
-    part->entries.push_back(std::move(message));
-    ExtendByteLedger(part->cum_bytes, part->bytes_base, msg_bytes);
+    part->records.Append(message);
     return offset;
   }
   std::lock_guard<std::mutex> lock(part->mu);
-  int64_t offset = part->log_start + static_cast<int64_t>(part->entries.size());
+  int64_t offset = part->log_start + static_cast<int64_t>(part->records.size());
   if (part->dlog) {
     SQS_RETURN_IF_ERROR(
         part->dlog->Append(offset, message, part->fsync_barrier));
   }
-  part->entries.push_back(std::move(message));
-  ExtendByteLedger(part->cum_bytes, part->bytes_base, msg_bytes);
+  part->records.Append(message);
   return offset;
 }
 
@@ -256,18 +240,19 @@ Result<std::vector<IncomingMessage>> Broker::Fetch(const StreamPartition& sp,
                               " below log start " + std::to_string(part->log_start) +
                               " for " + sp.ToString());
   }
-  int64_t end = part->log_start + static_cast<int64_t>(part->entries.size());
+  int64_t end = part->log_start + static_cast<int64_t>(part->records.size());
   std::vector<IncomingMessage> out;
   if (offset >= end) return out;
   int64_t n = std::min<int64_t>(max_messages, end - offset);
-  out.reserve(static_cast<size_t>(n));
+  out.resize(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
-    IncomingMessage m;
+    IncomingMessage& m = out[static_cast<size_t>(i)];
     m.origin = sp;
     m.offset = offset + i;
-    // Copy: models the byte transfer a real fetch performs.
-    m.message = part->entries[static_cast<size_t>(offset + i - part->log_start)];
-    out.push_back(std::move(m));
+    // Decode into a fresh Message: a real fetch likewise hands the consumer
+    // its own copy of the record bytes.
+    part->records.Read(static_cast<size_t>(offset + i - part->log_start),
+                       &m.message);
   }
   return out;
 }
@@ -275,7 +260,7 @@ Result<std::vector<IncomingMessage>> Broker::Fetch(const StreamPartition& sp,
 Result<int64_t> Broker::EndOffset(const StreamPartition& sp) const {
   SQS_ASSIGN_OR_RETURN(part, GetPartition(sp));
   std::lock_guard<std::mutex> lock(part->mu);
-  return part->log_start + static_cast<int64_t>(part->entries.size());
+  return part->log_start + static_cast<int64_t>(part->records.size());
 }
 
 Result<int64_t> Broker::BeginOffset(const StreamPartition& sp) const {
@@ -299,15 +284,12 @@ Status Broker::EnforceRetention(const std::string& topic) {
     SQS_ASSIGN_OR_RETURN(part, GetPartition({topic, p}));
     std::lock_guard<std::mutex> lock(part->mu);
     int64_t excess =
-        static_cast<int64_t>(part->entries.size()) - config.retention_messages;
+        static_cast<int64_t>(part->records.size()) - config.retention_messages;
     if (excess > 0) {
-      part->entries.erase(part->entries.begin(), part->entries.begin() + excess);
-      part->bytes_base = part->cum_bytes[static_cast<size_t>(excess) - 1];
-      part->cum_bytes.erase(part->cum_bytes.begin(),
-                            part->cum_bytes.begin() + excess);
+      part->records.DropFront(static_cast<size_t>(excess));
       part->log_start += excess;
       if (part->dlog) {
-        SQS_RETURN_IF_ERROR(part->dlog->Rewrite(part->entries, part->log_start));
+        SQS_RETURN_IF_ERROR(part->dlog->Rewrite(part->records, part->log_start));
       }
     }
   }
@@ -331,38 +313,13 @@ Status Broker::Compact(const std::string& topic) {
     // Keep only the last occurrence of each key, preserving order. Offsets
     // of survivors are not preserved individually (matching Kafka semantics
     // would require per-entry offsets); instead we rebase the log so the
-    // *suffix* keeps its relative order and the log start advances. This is
-    // sufficient for changelog restore, the only use of compacted topics.
-    std::map<Bytes, size_t> last;
-    for (size_t i = 0; i < part->entries.size(); ++i) {
-      last[part->entries[i].key] = i;
-    }
-    std::vector<Message> kept;
-    kept.reserve(last.size());
-    for (size_t i = 0; i < part->entries.size(); ++i) {
-      if (last[part->entries[i].key] == i) kept.push_back(std::move(part->entries[i]));
-    }
-    part->log_start += static_cast<int64_t>(part->entries.size() - kept.size());
-    part->entries = std::move(kept);
-    // Rebuild the byte ledger: survivors keep their true sizes, and
-    // bytes_base absorbs everything compacted away so the cumulative totals
-    // stay monotone across the rebase.
-    int64_t total =
-        part->cum_bytes.empty() ? part->bytes_base : part->cum_bytes.back();
-    int64_t kept_bytes = 0;
-    for (const Message& m : part->entries) {
-      kept_bytes += static_cast<int64_t>(m.key.size()) +
-                    static_cast<int64_t>(m.value.size());
-    }
-    part->bytes_base = total - kept_bytes;
-    part->cum_bytes.clear();
-    for (const Message& m : part->entries) {
-      ExtendByteLedger(part->cum_bytes, part->bytes_base,
-                       static_cast<int64_t>(m.key.size()) +
-                           static_cast<int64_t>(m.value.size()));
-    }
+    // *suffix* keeps its relative order and the log start advances: each
+    // survivor moves up by the number of records removed after it, and the
+    // end offset stays put. This is sufficient for changelog restore, the
+    // only use of compacted topics.
+    part->log_start += static_cast<int64_t>(part->records.KeepLastPerKey());
     if (part->dlog) {
-      SQS_RETURN_IF_ERROR(part->dlog->Rewrite(part->entries, part->log_start));
+      SQS_RETURN_IF_ERROR(part->dlog->Rewrite(part->records, part->log_start));
     }
   }
   return Status::Ok();
@@ -373,19 +330,13 @@ Result<PartitionBacklog> Broker::BacklogFrom(const StreamPartition& sp,
   SQS_ASSIGN_OR_RETURN(part, GetPartition(sp));
   std::lock_guard<std::mutex> lock(part->mu);
   PartitionBacklog out;
-  int64_t end = part->log_start + static_cast<int64_t>(part->entries.size());
+  int64_t end = part->log_start + static_cast<int64_t>(part->records.size());
   int64_t from = std::max(offset, part->log_start);
   if (from >= end) return out;
+  size_t first = static_cast<size_t>(from - part->log_start);
   out.messages = end - from;
-  int64_t total =
-      part->cum_bytes.empty() ? part->bytes_base : part->cum_bytes.back();
-  int64_t before = from == part->log_start
-                       ? part->bytes_base
-                       : part->cum_bytes[static_cast<size_t>(
-                             from - part->log_start - 1)];
-  out.bytes = total - before;
-  out.oldest_append_ms =
-      part->entries[static_cast<size_t>(from - part->log_start)].timestamp;
+  out.bytes = part->records.PayloadBytesFrom(first);
+  out.oldest_append_ms = part->records.Timestamp(first);
   return out;
 }
 
@@ -395,7 +346,7 @@ Result<int64_t> Broker::TopicSize(const std::string& topic) const {
   for (int32_t p = 0; p < nparts; ++p) {
     SQS_ASSIGN_OR_RETURN(part, GetPartition({topic, p}));
     std::lock_guard<std::mutex> lock(part->mu);
-    total += static_cast<int64_t>(part->entries.size());
+    total += static_cast<int64_t>(part->records.size());
   }
   return total;
 }
@@ -447,10 +398,26 @@ Status Broker::WirePartition(const std::string& topic_name,
   const std::string scope =
       topic_name + "[" + std::to_string(partition) + "]";
   auto dlog = std::make_shared<DurablePartitionLog>(dir, MakeSegmentOptions(scope));
-  std::vector<std::pair<int64_t, Message>> records;
+  RecordLog records;
+  int64_t first_offset = -1;
+  std::map<uint64_t, ProducerSeqState> producers;
+  auto rebuild = [&](int64_t offset, const RecordView& record) {
+    if (first_offset < 0) first_offset = offset;
+    const Message& meta = record.meta;
+    if (meta.producer_id != 0 && meta.sequence >= 0) {
+      // Rebuild exactly-once dedup state: sequences ascend within a pid,
+      // so the last record scanned is the producer's frontier.
+      ProducerSeqState& st = producers[meta.producer_id];
+      if (meta.sequence > st.last_seq) {
+        st.last_seq = meta.sequence;
+        st.last_offset = offset;
+      }
+    }
+    records.Append(record);
+  };
   int64_t base_offset = -1;
   SegmentRecovery recovery;
-  SQS_RETURN_IF_ERROR(dlog->Open(&records, &base_offset, &recovery));
+  SQS_RETURN_IF_ERROR(dlog->Open(rebuild, &base_offset, &recovery));
   if (recovery.truncated_bytes > 0 || recovery.dropped_segments > 0) {
     SQS_INFOC("broker", "durable log repaired at recovery", {"partition", scope},
              {"truncated_bytes", std::to_string(recovery.truncated_bytes)},
@@ -459,38 +426,16 @@ Status Broker::WirePartition(const std::string& topic_name,
 
   std::lock_guard<std::mutex> lock(part->mu);
   if (replace_heap) {
-    part->entries.clear();
-    part->cum_bytes.clear();
-    part->producers.clear();
-    part->bytes_base = 0;
     // An empty partition still recovers its log-start offset from the
     // segment file name (retention can empty a partition without resetting
     // its offsets).
     part->log_start =
-        records.empty() ? std::max<int64_t>(base_offset, 0) : records.front().first;
-    part->entries.reserve(records.size());
-    for (auto& [offset, message] : records) {
-      int64_t msg_bytes = static_cast<int64_t>(message.key.size()) +
-                          static_cast<int64_t>(message.value.size());
-      if (message.producer_id != 0 && message.sequence >= 0) {
-        // Rebuild exactly-once dedup state: sequences ascend within a pid,
-        // so the last record scanned is the producer's frontier.
-        ProducerSeqState& st = part->producers[message.producer_id];
-        if (message.sequence > st.last_seq) {
-          st.last_seq = message.sequence;
-          st.last_offset = offset;
-        }
-      }
-      part->entries.push_back(std::move(message));
-      ExtendByteLedger(part->cum_bytes, part->bytes_base, msg_bytes);
-    }
+        records.empty() ? std::max<int64_t>(base_offset, 0) : first_offset;
+    part->records = std::move(records);
+    part->producers = std::move(producers);
   } else {
     // Bootstrap: the heap contents predate durability; dump them.
-    for (size_t i = 0; i < part->entries.size(); ++i) {
-      SQS_RETURN_IF_ERROR(dlog->Append(
-          part->log_start + static_cast<int64_t>(i), part->entries[i]));
-    }
-    if (dlog->dirty()) SQS_RETURN_IF_ERROR(dlog->Sync());
+    SQS_RETURN_IF_ERROR(dlog->AppendAll(part->records, part->log_start));
   }
   part->dlog = std::move(dlog);
   part->fsync_barrier = config.fsync_barrier;

@@ -15,6 +15,7 @@
 #include "common/status.h"
 #include "log/durable_log.h"
 #include "log/message.h"
+#include "log/record_log.h"
 
 namespace sqs {
 
@@ -123,9 +124,8 @@ class Broker {
 
   // Backlog (messages, payload bytes, oldest append time) at/after `offset`.
   // An offset below the log start clamps to it — retained-away data no
-  // longer contributes to backlog. O(1): payload bytes come from a
-  // cumulative per-partition byte ledger maintained by Append / retention /
-  // compaction, not from walking entries.
+  // longer contributes to backlog. O(1): payload bytes come from the record
+  // log's cumulative byte ledger, not from walking records.
   virtual Result<PartitionBacklog> BacklogFrom(const StreamPartition& sp,
                                                int64_t offset) const;
 
@@ -169,14 +169,8 @@ class Broker {
   struct Partition {
     mutable std::mutex mu;
     int64_t log_start = 0;
-    std::vector<Message> entries;  // entries[i] has offset log_start + i
+    RecordLog records;  // record i has offset log_start + i
     std::map<uint64_t, ProducerSeqState> producers;  // by pid
-    // Absolute cumulative payload bytes: cum_bytes[i] counts every key+value
-    // byte ever appended up to and including entries[i], including bytes of
-    // since-retained entries (bytes_base). BacklogFrom subtracts two ledger
-    // values to price any suffix in O(1).
-    std::vector<int64_t> cum_bytes;
-    int64_t bytes_base = 0;  // cumulative bytes before entries[0]
     // Disk image of this partition (null while durability is off). Written
     // under `mu`; shared_ptr so the handle moves without the header needing
     // the complete type's destructor at every use site.

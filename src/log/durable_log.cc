@@ -59,52 +59,52 @@ std::string TopicDirName(const std::string& topic) {
   return out;
 }
 
-Bytes EncodeLogRecord(int64_t offset, const Message& message) {
-  BytesWriter w(32 + message.key.size() + message.value.size());
+namespace {
+
+// LogRecord v1: version, offset, key, value, then the meta fields.
+Bytes EncodeLogRecord(int64_t offset, const Message& meta, ByteSpan key,
+                      ByteSpan value) {
+  BytesWriter w(32 + key.size() + value.size());
   w.WriteByte(kLogRecordVersion);
   w.WriteVarint(offset);
-  w.WriteBytes(message.key);
-  w.WriteBytes(message.value);
-  w.WriteVarint(message.timestamp);
-  w.WriteVarint(message.ingest_us);
-  w.WriteVarint(message.append_us);
-  w.WriteVarint(static_cast<int64_t>(message.producer_id));
-  w.WriteVarint(message.producer_epoch);
-  w.WriteVarint(message.sequence);
-  w.WriteFixed32(message.crc);
-  w.WriteBool(message.has_crc);
+  w.WriteVarint(static_cast<int64_t>(key.size()));
+  w.WriteRaw(key.data(), key.size());
+  w.WriteVarint(static_cast<int64_t>(value.size()));
+  w.WriteRaw(value.data(), value.size());
+  WriteMetaFields(w, meta);
   return w.Take();
 }
 
-Result<std::pair<int64_t, Message>> DecodeLogRecord(const Bytes& payload) {
-  BytesReader r(payload);
-  SQS_ASSIGN_OR_RETURN(version, r.ReadByte());
+// Decode in place: `out`'s key and value point into `payload`. Returns the
+// record's offset.
+Result<int64_t> DecodeLogRecord(const Bytes& payload, RecordView* out) {
+  FieldReader r(payload.data(), payload.data() + payload.size());
+  uint8_t version = 0;
+  if (!r.Byte(&version)) return Status::SerdeError("empty log record");
   if (version != kLogRecordVersion) {
     return Status::SerdeError("unknown log record version " +
                               std::to_string(version));
   }
-  SQS_ASSIGN_OR_RETURN(offset, r.ReadVarint());
-  Message m;
-  SQS_ASSIGN_OR_RETURN(key, r.ReadBytes());
-  m.key = std::move(key);
-  SQS_ASSIGN_OR_RETURN(value, r.ReadBytes());
-  m.value = std::move(value);
-  SQS_ASSIGN_OR_RETURN(timestamp, r.ReadVarint());
-  m.timestamp = timestamp;
-  SQS_ASSIGN_OR_RETURN(ingest_us, r.ReadVarint());
-  m.ingest_us = ingest_us;
-  SQS_ASSIGN_OR_RETURN(append_us, r.ReadVarint());
-  m.append_us = append_us;
-  SQS_ASSIGN_OR_RETURN(producer_id, r.ReadVarint());
-  m.producer_id = static_cast<uint64_t>(producer_id);
-  SQS_ASSIGN_OR_RETURN(producer_epoch, r.ReadVarint());
-  m.producer_epoch = static_cast<int32_t>(producer_epoch);
-  SQS_ASSIGN_OR_RETURN(sequence, r.ReadVarint());
-  m.sequence = sequence;
-  SQS_ASSIGN_OR_RETURN(crc, r.ReadFixed32());
-  m.crc = crc;
-  SQS_ASSIGN_OR_RETURN(has_crc, r.ReadBool());
-  m.has_crc = has_crc;
+  int64_t offset = 0;
+  if (!r.Varint(&offset) || !r.LengthPrefixed(&out->key) ||
+      !r.LengthPrefixed(&out->value) || !ReadMetaFields(r, &out->meta)) {
+    return Status::SerdeError("truncated log record");
+  }
+  return offset;
+}
+
+}  // namespace
+
+Bytes EncodeLogRecord(int64_t offset, const Message& message) {
+  return EncodeLogRecord(offset, message, message.key, message.value);
+}
+
+Result<std::pair<int64_t, Message>> DecodeLogRecord(const Bytes& payload) {
+  RecordView record;
+  SQS_ASSIGN_OR_RETURN(offset, DecodeLogRecord(payload, &record));
+  Message m = std::move(record.meta);
+  m.key.assign(record.key.begin(), record.key.end());
+  m.value.assign(record.value.begin(), record.value.end());
   return std::make_pair(offset, std::move(m));
 }
 
@@ -172,37 +172,48 @@ Result<ProducerMetaRecord> DecodeProducerMeta(const Bytes& payload) {
 DurablePartitionLog::DurablePartitionLog(std::string dir, SegmentLogOptions options)
     : segments_(std::move(dir), std::move(options)) {}
 
-Status DurablePartitionLog::Open(std::vector<std::pair<int64_t, Message>>* records,
-                                 int64_t* base_offset, SegmentRecovery* recovery) {
+Status DurablePartitionLog::Open(const RecordSink& sink, int64_t* base_offset,
+                                 SegmentRecovery* recovery) {
   SegmentRecovery local;
   if (!recovery) recovery = &local;
   std::vector<Bytes> payloads;
   SQS_RETURN_IF_ERROR(segments_.Open(&payloads, recovery));
   *base_offset = recovery->first_base_offset;
-  records->reserve(records->size() + payloads.size());
+  // Records reach `sink` one behind the scan: a record followed by another
+  // at the same offset is an append whose frame reached the file but whose
+  // fsync failed (and whose rollback truncation also failed), re-appended
+  // by the producer's retry. Keep the last record for the offset — the
+  // retry is the acknowledged one.
+  RecordView held;
+  int64_t held_offset = 0;
+  bool holding = false;
   int64_t expect = -1;
-  for (const auto& payload : payloads) {
-    SQS_ASSIGN_OR_RETURN(decoded, DecodeLogRecord(payload));
-    if (expect >= 0 && decoded.first == expect - 1) {
-      // A duplicate of the previous offset: an append whose frame reached
-      // the file but whose fsync failed (and whose rollback truncation also
-      // failed), re-appended by the producer's retry. Keep the last record
-      // for the offset — the retry is the acknowledged one.
-      ++recovery->duplicate_records;
-      records->back() = std::move(decoded);
-      continue;
-    }
-    // Otherwise offsets must be dense: every append, rewrite, and truncation
+  auto release = [&]() -> Status {
+    // Offsets must be dense: every append, rewrite, and truncation
     // preserves contiguity, so a hole means the files were tampered with or
     // a codec bug slipped a record.
-    if (expect >= 0 && decoded.first != expect) {
+    if (expect >= 0 && held_offset != expect) {
       return Status::StateError(
           "offset discontinuity in " + segments_.dir() + ": got " +
-          std::to_string(decoded.first) + " after " + std::to_string(expect - 1));
+          std::to_string(held_offset) + " after " + std::to_string(expect - 1));
     }
-    expect = decoded.first + 1;
-    records->push_back(std::move(decoded));
+    expect = held_offset + 1;
+    sink(held_offset, held);
+    return Status::Ok();
+  };
+  for (const Bytes& payload : payloads) {
+    RecordView record;
+    SQS_ASSIGN_OR_RETURN(offset, DecodeLogRecord(payload, &record));
+    if (holding && offset == held_offset) {
+      ++recovery->duplicate_records;
+    } else if (holding) {
+      SQS_RETURN_IF_ERROR(release());
+    }
+    held = std::move(record);
+    held_offset = offset;
+    holding = true;
   }
+  if (holding) SQS_RETURN_IF_ERROR(release());
   return Status::Ok();
 }
 
@@ -211,15 +222,25 @@ Status DurablePartitionLog::Append(int64_t offset, const Message& message,
   return segments_.Append(EncodeLogRecord(offset, message), offset, sync_now);
 }
 
+Status DurablePartitionLog::AppendAll(const RecordLog& log, int64_t log_start) {
+  for (size_t i = 0; i < log.size(); ++i) {
+    int64_t offset = log_start + static_cast<int64_t>(i);
+    RecordView record = log.View(i);
+    SQS_RETURN_IF_ERROR(segments_.Append(
+        EncodeLogRecord(offset, record.meta, record.key, record.value), offset));
+  }
+  return dirty() ? Sync() : Status::Ok();
+}
+
 Status DurablePartitionLog::Sync() { return segments_.Sync(); }
 
-Status DurablePartitionLog::Rewrite(const std::vector<Message>& entries,
-                                    int64_t log_start) {
+Status DurablePartitionLog::Rewrite(const RecordLog& log, int64_t log_start) {
   std::vector<Bytes> records;
-  records.reserve(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    records.push_back(
-        EncodeLogRecord(log_start + static_cast<int64_t>(i), entries[i]));
+  records.reserve(log.size());
+  for (size_t i = 0; i < log.size(); ++i) {
+    RecordView record = log.View(i);
+    records.push_back(EncodeLogRecord(log_start + static_cast<int64_t>(i),
+                                      record.meta, record.key, record.value));
   }
   return segments_.Rewrite(records, log_start);
 }

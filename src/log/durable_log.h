@@ -14,10 +14,12 @@
 // that keeps them disjoint from "__meta" and from path components like
 // "." / "..". A partition record
 // carries the assigned offset plus every Message field except the trace
-// context (traces are sampled observability state, not data).
+// context (traces are sampled observability state, not data); it shares
+// its field codec with the heap record (log/record_log.h).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "common/status.h"
 #include "io/file.h"
 #include "log/message.h"
+#include "log/record_log.h"
 #include "log/segment.h"
 
 namespace sqs {
@@ -100,25 +103,33 @@ class DurablePartitionLog {
  public:
   DurablePartitionLog(std::string dir, SegmentLogOptions options);
 
-  // Recover: replay every record in offset order. `base_offset` reports the
-  // base offset of the oldest live segment (-1 when the directory held no
-  // segments) — it carries the log-start offset across restarts even when
-  // retention left the partition empty. A duplicate of the preceding offset
-  // (a retried append whose first frame survived a failed fsync) is
-  // collapsed keep-last; any other discontinuity is an error.
-  Status Open(std::vector<std::pair<int64_t, Message>>* records,
-              int64_t* base_offset, SegmentRecovery* recovery);
+  // Receives one recovered record; the view's key and value are valid only
+  // for the call.
+  using RecordSink = std::function<void(int64_t offset, const RecordView&)>;
+
+  // Recover: pass every record to `sink` in offset order. `base_offset`
+  // reports the base offset of the oldest live segment (-1 when the
+  // directory held no segments) — it carries the log-start offset across
+  // restarts even when retention left the partition empty. A duplicate of
+  // the preceding offset (a retried append whose first frame survived a
+  // failed fsync) is collapsed keep-last; any other discontinuity is an
+  // error.
+  Status Open(const RecordSink& sink, int64_t* base_offset,
+              SegmentRecovery* recovery);
 
   // `sync_now` forces the frame to stable storage regardless of the fsync
   // policy (the checkpoint-barrier topics); like a policy-driven sync, a
   // sync failure rolls the frame back off the file before returning.
   Status Append(int64_t offset, const Message& message, bool sync_now = false);
+  // Append every record of `log` (offsets log_start + i), then sync: the
+  // bootstrap of a partition that predates durability.
+  Status AppendAll(const RecordLog& log, int64_t log_start);
   Status Sync();
   bool dirty() const { return segments_.dirty(); }
 
-  // Replace the on-disk image with `entries` (offsets log_start + i), the
+  // Replace the on-disk image with `log` (offsets log_start + i), the
   // retention/compaction commit path.
-  Status Rewrite(const std::vector<Message>& entries, int64_t log_start);
+  Status Rewrite(const RecordLog& log, int64_t log_start);
 
   Status Close();
 

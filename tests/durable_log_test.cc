@@ -23,6 +23,7 @@
 #include "io/file.h"
 #include "log/broker.h"
 #include "log/durable_log.h"
+#include "log/record_log.h"
 #include "log/segment.h"
 
 namespace sqs {
@@ -602,6 +603,81 @@ TEST(DurableBrokerTest, ColdRestartRecoversTopicsOffsetsAndPayloads) {
   EXPECT_EQ(restarted.Append({"orders", 0}, Msg("k", "v")).value(), 5);
 }
 
+// The heap image a cold restart rebuilds from the segments is field-equal to
+// the one the broker held before it, except the trace context, which the
+// on-disk record leaves out.
+TEST(DurableBrokerTest, HeapImageIsFieldEqualAcrossColdRestart) {
+  std::string dir = TestDir();
+  std::vector<IncomingMessage> before;
+  PartitionBacklog backlog_before;
+  {
+    Broker broker;
+    ASSERT_TRUE(broker.EnableDurability(DurableAt(dir)).ok());
+    ASSERT_TRUE(
+        broker.CreateTopic("t", {.num_partitions = 1, .retention_messages = 6}).ok());
+    auto identity = broker.RegisterProducer("image");
+    ASSERT_TRUE(identity.ok());
+    int64_t next_sequence = 0;
+    for (int i = 0; i < 8; ++i) {
+      Message m = Msg(i == 3 ? "" : "k" + std::to_string(i),
+                      i == 4 ? "" : "v" + std::to_string(i));
+      m.timestamp = 1'700'000'000'000 + i;
+      m.ingest_us = i % 2 == 0 ? 0 : 1'700'000'000'000'000 + i;
+      m.append_us = 1'700'000'000'500'000 + i;
+      if (i == 5) m.value.assign(RecordLog::kChunkBytes + 1, 'z');
+      if (i % 3 != 0) {
+        m.producer_id = identity.value().pid;
+        m.producer_epoch = identity.value().epoch;
+        m.sequence = next_sequence++;
+      }
+      if (i != 6) StampMessageCrc(m);
+      m.trace = {.trace_id = 100u + static_cast<uint64_t>(i), .span_id = 7,
+                 .sampled = i % 2 == 1};
+      ASSERT_TRUE(broker.Append({"t", 0}, std::move(m)).ok());
+    }
+    ASSERT_TRUE(broker.EnforceRetention("t").ok());
+    ASSERT_EQ(broker.BeginOffset({"t", 0}).value(), 2);
+    auto fetched = broker.Fetch({"t", 0}, 2, 100);
+    ASSERT_TRUE(fetched.ok());
+    before = fetched.value();
+    ASSERT_EQ(before.size(), 6u);
+    EXPECT_EQ(before[0].message.trace.trace_id, 102u);  // held in the heap
+    backlog_before = broker.BacklogFrom({"t", 0}, 0).value();
+  }
+
+  Broker restarted;
+  ASSERT_TRUE(restarted.EnableDurability(DurableAt(dir)).ok());
+  EXPECT_EQ(restarted.BeginOffset({"t", 0}).value(), 2);
+  EXPECT_EQ(restarted.EndOffset({"t", 0}).value(), 8);
+  auto after = restarted.Fetch({"t", 0}, 2, 100);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after.value().size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    SCOPED_TRACE(i);
+    const Message& want = before[i].message;
+    const Message& got = after.value()[i].message;
+    EXPECT_EQ(after.value()[i].offset, before[i].offset);
+    EXPECT_EQ(got.key, want.key);
+    EXPECT_EQ(got.value, want.value);
+    EXPECT_EQ(got.timestamp, want.timestamp);
+    EXPECT_EQ(got.ingest_us, want.ingest_us);
+    EXPECT_EQ(got.append_us, want.append_us);
+    EXPECT_EQ(got.producer_id, want.producer_id);
+    EXPECT_EQ(got.producer_epoch, want.producer_epoch);
+    EXPECT_EQ(got.sequence, want.sequence);
+    EXPECT_EQ(got.crc, want.crc);
+    EXPECT_EQ(got.has_crc, want.has_crc);
+    // Not on disk: the trace context comes back empty.
+    EXPECT_EQ(got.trace.trace_id, 0u);
+    EXPECT_EQ(got.trace.span_id, 0u);
+    EXPECT_FALSE(got.trace.sampled);
+  }
+  PartitionBacklog backlog_after = restarted.BacklogFrom({"t", 0}, 0).value();
+  EXPECT_EQ(backlog_after.messages, backlog_before.messages);
+  EXPECT_EQ(backlog_after.bytes, backlog_before.bytes);
+  EXPECT_EQ(backlog_after.oldest_append_ms, backlog_before.oldest_append_ms);
+}
+
 TEST(DurableBrokerTest, EnableDurabilityIsIdempotentAndRejectsSecondDir) {
   std::string dir = TestDir();
   Broker broker;
@@ -793,6 +869,17 @@ TEST(SegmentLogTest, FailedFsyncRollsTheFrameBackOff) {
 // DurablePartitionLog: duplicate-offset tolerance at recovery
 // ---------------------------------------------------------------------------
 
+// A recovery sink that copies every record out as a Message.
+DurablePartitionLog::RecordSink CollectInto(
+    std::vector<std::pair<int64_t, Message>>* records) {
+  return [records](int64_t offset, const RecordView& record) {
+    Message m = record.meta;
+    m.key.assign(record.key.begin(), record.key.end());
+    m.value.assign(record.value.begin(), record.value.end());
+    records->emplace_back(offset, std::move(m));
+  };
+}
+
 TEST(DurablePartitionLogTest, DuplicateTrailingOffsetCollapsesKeepLast) {
   std::string dir = TestDir();
   SegmentLogOptions o;
@@ -813,7 +900,7 @@ TEST(DurablePartitionLogTest, DuplicateTrailingOffsetCollapsesKeepLast) {
   std::vector<std::pair<int64_t, Message>> records;
   int64_t base = -1;
   SegmentRecovery recovery;
-  ASSERT_TRUE(log.Open(&records, &base, &recovery).ok());
+  ASSERT_TRUE(log.Open(CollectInto(&records), &base, &recovery).ok());
   EXPECT_EQ(recovery.duplicate_records, 1);
   ASSERT_EQ(records.size(), 3u);
   for (int64_t i = 0; i < 3; ++i) EXPECT_EQ(records[static_cast<size_t>(i)].first, i);
@@ -835,7 +922,7 @@ TEST(DurablePartitionLogTest, OffsetGapStillFailsRecovery) {
   DurablePartitionLog log(dir, o);
   std::vector<std::pair<int64_t, Message>> records;
   int64_t base = -1;
-  EXPECT_FALSE(log.Open(&records, &base, nullptr).ok());
+  EXPECT_FALSE(log.Open(CollectInto(&records), &base, nullptr).ok());
 }
 
 // A failed fsync on the broker's exactly-once-adjacent append path: the

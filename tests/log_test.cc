@@ -7,6 +7,7 @@
 #include "log/broker.h"
 #include "log/consumer.h"
 #include "log/producer.h"
+#include "log/record_log.h"
 
 namespace sqs {
 namespace {
@@ -121,6 +122,167 @@ TEST_F(BrokerTest, CompactionKeepsLatestPerKey) {
   EXPECT_FALSE(broker_->Compact("t").ok());
 }
 
+// Every Message field survives Append then Fetch: the heap log encodes each
+// record and the fetch decodes it, so each field must make the round trip.
+void ExpectSameMessage(const Message& got, const Message& want) {
+  EXPECT_EQ(got.key, want.key);
+  EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(got.timestamp, want.timestamp);
+  EXPECT_EQ(got.ingest_us, want.ingest_us);
+  EXPECT_EQ(got.append_us, want.append_us);
+  EXPECT_EQ(got.producer_id, want.producer_id);
+  EXPECT_EQ(got.producer_epoch, want.producer_epoch);
+  EXPECT_EQ(got.sequence, want.sequence);
+  EXPECT_EQ(got.crc, want.crc);
+  EXPECT_EQ(got.has_crc, want.has_crc);
+  EXPECT_EQ(got.trace.trace_id, want.trace.trace_id);
+  EXPECT_EQ(got.trace.span_id, want.trace.span_id);
+  EXPECT_EQ(got.trace.sampled, want.trace.sampled);
+}
+
+TEST_F(BrokerTest, AppendFetchRoundTripsEveryField) {
+  auto identity = broker_->RegisterProducer("round-trip");
+  ASSERT_TRUE(identity.ok());
+  std::vector<Message> sent;
+
+  Message stamped = Msg("key", "value");
+  stamped.timestamp = 1'700'000'000'123;
+  stamped.ingest_us = 1'700'000'000'123'456;
+  stamped.append_us = 1'700'000'000'124'000;
+  stamped.producer_id = identity.value().pid;
+  stamped.producer_epoch = identity.value().epoch;
+  stamped.sequence = 0;
+  stamped.trace = {.trace_id = 0xfedcba9876543210ull, .span_id = 77, .sampled = true};
+  StampMessageCrc(stamped);
+  sent.push_back(stamped);
+
+  Message empty_key = Msg("", "v");  // has_crc false; epoch, sequence -1
+  empty_key.timestamp = -5;
+  empty_key.trace = {.trace_id = 9, .span_id = 0xffffffffffffffffull, .sampled = false};
+  sent.push_back(empty_key);
+
+  Message empty_value = Msg("k", "");
+  empty_value.crc = 0xdeadbeef;  // a stale crc is stored as is
+  sent.push_back(empty_value);
+
+  Message empty_both = Msg("", "");
+  StampMessageCrc(empty_both);
+  sent.push_back(empty_both);
+
+  Message large = Msg("big", std::string(3 * RecordLog::kChunkBytes + 7, 'x'));
+  large.value[12345] = 0;
+  large.trace.sampled = true;
+  StampMessageCrc(large);
+  sent.push_back(large);
+
+  Message after_large = Msg("after", "small");
+  after_large.append_us = 3;
+  sent.push_back(after_large);
+
+  for (const Message& m : sent) ASSERT_TRUE(broker_->Append({"t", 3}, m).ok());
+  auto fetched = broker_->Fetch({"t", 3}, 0, 100);
+  ASSERT_TRUE(fetched.ok());
+  ASSERT_EQ(fetched.value().size(), sent.size());
+  for (size_t i = 0; i < sent.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(fetched.value()[i].offset, static_cast<int64_t>(i));
+    ExpectSameMessage(fetched.value()[i].message, sent[i]);
+  }
+  EXPECT_TRUE(MessageCrcValid(fetched.value()[0].message));
+  EXPECT_TRUE(MessageCrcValid(fetched.value()[4].message));
+}
+
+TEST_F(BrokerTest, RetentionAcrossChunkBoundaries) {
+  ASSERT_TRUE(
+      broker_->CreateTopic("r", {.num_partitions = 1, .retention_messages = 4}).ok());
+  // Three records fill most of a chunk, so ten span four chunks and
+  // retention drops whole chunks and part of one more.
+  const size_t value_bytes = RecordLog::kChunkBytes / 3 - 100;
+  for (int i = 0; i < 10; ++i) {
+    Message m = Msg("k" + std::to_string(i),
+                    std::string(value_bytes, static_cast<char>('a' + i)));
+    m.timestamp = 1000 + i;
+    ASSERT_TRUE(broker_->Append({"r", 0}, std::move(m)).ok());
+  }
+  ASSERT_TRUE(broker_->EnforceRetention("r").ok());
+  EXPECT_EQ(broker_->BeginOffset({"r", 0}).value(), 6);
+  EXPECT_EQ(broker_->EndOffset({"r", 0}).value(), 10);
+  EXPECT_EQ(broker_->TopicSize("r").value(), 4);
+  EXPECT_FALSE(broker_->Fetch({"r", 0}, 5, 10).ok());
+
+  auto batch = broker_->Fetch({"r", 0}, 6, 10);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch.value().size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    const Message& m = batch.value()[static_cast<size_t>(i)].message;
+    EXPECT_EQ(FromBytes(m.key), "k" + std::to_string(6 + i));
+    EXPECT_EQ(m.value, ToBytes(std::string(value_bytes, static_cast<char>('g' + i))));
+    EXPECT_EQ(m.timestamp, 1006 + i);
+  }
+
+  const int64_t record_bytes = static_cast<int64_t>(2 + value_bytes);
+  auto backlog = broker_->BacklogFrom({"r", 0}, 0);  // clamps to the log start
+  ASSERT_TRUE(backlog.ok());
+  EXPECT_EQ(backlog.value().messages, 4);
+  EXPECT_EQ(backlog.value().bytes, 4 * record_bytes);
+  EXPECT_EQ(backlog.value().oldest_append_ms, 1006);
+  backlog = broker_->BacklogFrom({"r", 0}, 8);
+  ASSERT_TRUE(backlog.ok());
+  EXPECT_EQ(backlog.value().messages, 2);
+  EXPECT_EQ(backlog.value().bytes, 2 * record_bytes);
+  EXPECT_EQ(backlog.value().oldest_append_ms, 1008);
+
+  // Appends after retention continue the offsets and the byte ledger.
+  ASSERT_EQ(broker_->Append({"r", 0}, Msg("k10", "tail")).value(), 10);
+  backlog = broker_->BacklogFrom({"r", 0}, 9);
+  ASSERT_TRUE(backlog.ok());
+  EXPECT_EQ(backlog.value().messages, 2);
+  EXPECT_EQ(backlog.value().bytes, record_bytes + 3 + 4);
+}
+
+// Compaction renumbers: survivors keep their order and are packed against
+// the end, so each moves up by the number of records removed after it, the
+// log start advances by the number removed, and the end offset stays put.
+TEST_F(BrokerTest, CompactionOffsetRule) {
+  ASSERT_TRUE(broker_->CreateTopic("c", {.num_partitions = 1, .compacted = true}).ok());
+  // offset: 0  1  2  3  4  5  6
+  // key:    x  a  b  a  y  b  a
+  // Removed: 1, 2 and 3 (a and b are written again later).
+  const std::vector<std::string> keys = {"x", "a", "b", "a", "y", "b", "a"};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(broker_->Append({"c", 0}, Msg(keys[i], std::to_string(i))).ok());
+  }
+  ASSERT_TRUE(broker_->Compact("c").ok());
+  EXPECT_EQ(broker_->EndOffset({"c", 0}).value(), 7);
+  EXPECT_EQ(broker_->BeginOffset({"c", 0}).value(), 3);
+  // old offset -> new offset: x 0 -> 3 (three removed after it), y 4 -> 4,
+  // b 5 -> 5, a 6 -> 6.
+  const std::vector<std::pair<std::string, int64_t>> want = {
+      {"0", 3}, {"4", 4}, {"5", 5}, {"6", 6}};
+  auto batch = broker_->Fetch({"c", 0}, 3, 10).value();
+  ASSERT_EQ(batch.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(FromBytes(batch[i].message.value), want[i].first);
+    EXPECT_EQ(batch[i].offset, want[i].second);
+  }
+
+  // Second round: offsets 3..8 hold x y b a y' z, so y@4 goes. It sits
+  // after x, which moves 3 -> 4; everything after y@4 stays.
+  ASSERT_EQ(broker_->Append({"c", 0}, Msg("y", "7")).value(), 7);
+  ASSERT_EQ(broker_->Append({"c", 0}, Msg("z", "8")).value(), 8);
+  ASSERT_TRUE(broker_->Compact("c").ok());
+  EXPECT_EQ(broker_->EndOffset({"c", 0}).value(), 9);
+  EXPECT_EQ(broker_->BeginOffset({"c", 0}).value(), 4);
+  const std::vector<std::pair<std::string, int64_t>> want2 = {
+      {"0", 4}, {"5", 5}, {"6", 6}, {"7", 7}, {"8", 8}};
+  batch = broker_->Fetch({"c", 0}, 4, 10).value();
+  ASSERT_EQ(batch.size(), want2.size());
+  for (size_t i = 0; i < want2.size(); ++i) {
+    EXPECT_EQ(FromBytes(batch[i].message.value), want2[i].first);
+    EXPECT_EQ(batch[i].offset, want2[i].second);
+  }
+}
+
 TEST_F(BrokerTest, DeleteTopic) {
   ASSERT_TRUE(broker_->DeleteTopic("t").ok());
   EXPECT_FALSE(broker_->HasTopic("t"));
@@ -197,7 +359,9 @@ TEST_F(ConsumerTest, PreservesPerPartitionOrder) {
     if (batch.empty()) break;
     for (const auto& m : batch) {
       auto it = last_offset.find(m.origin.partition);
-      if (it != last_offset.end()) EXPECT_GT(m.offset, it->second);
+      if (it != last_offset.end()) {
+        EXPECT_GT(m.offset, it->second);
+      }
       last_offset[m.origin.partition] = m.offset;
     }
   }

@@ -340,13 +340,17 @@ TEST_F(FlightRecorderTest, ConcurrentWritersNeverTearRecords) {
   for (const FlightEvent& ev : events) {
     ASSERT_LE(static_cast<int>(ev.type),
               static_cast<int>(FlightEventType::kCrashDump));
-    if (!first) ASSERT_GT(ev.seq, last_seq);  // strict global order, no dups
+    if (!first) {
+      ASSERT_GT(ev.seq, last_seq);  // strict global order, no dups
+    }
     first = false;
     last_seq = ev.seq;
     EXPECT_EQ(std::string(ev.scope), "mt-test.t" + std::to_string(ev.a));
     EXPECT_EQ(std::string(ev.detail), "evt-" + std::to_string(ev.b));
     auto it = last_b.find(ev.a);
-    if (it != last_b.end()) EXPECT_GT(ev.b, it->second);
+    if (it != last_b.end()) {
+      EXPECT_GT(ev.b, it->second);
+    }
     last_b[ev.a] = ev.b;
   }
   EXPECT_EQ(last_b.size(), static_cast<size_t>(kThreads));
