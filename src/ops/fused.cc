@@ -31,7 +31,7 @@ bool FusedStageCanPassthrough(const sql::FusedStageSpec& spec,
   return true;
 }
 
-Status FusedStageOperator::Init(OperatorContext& ctx) {
+Status FusedStageOperator::Init(OperatorContext&) {
   // Keyed output needs the key column's decoded value, so it stays on the
   // re-serialize path (key sends are rare for filter/project pipelines).
   passthrough_ = key_index_ < 0 &&
@@ -42,23 +42,18 @@ Status FusedStageOperator::Init(OperatorContext& ctx) {
                        sql::FusedStageKernel::Compile(*spec_, input_serde_,
                                                       passthrough_, extra));
   kernel_ = std::move(kernel);
-  if (spec_->probe) SQS_RETURN_IF_ERROR(CompileProbe(ctx));
+  if (spec_->probe) SQS_RETURN_IF_ERROR(CompileProbe());
   return Status::Ok();
 }
 
-Status FusedStageOperator::CompileProbe(OperatorContext& ctx) {
+Status FusedStageOperator::CompileProbe() {
   const sql::FusedProbeSpec& spec = *spec_->probe;
-  if (relation_serde_ == nullptr) {
-    return Status::Internal("fused probe stage without a relation serde");
+  if (join_ == nullptr) {
+    return Status::Internal("fused probe stage without its join operator");
   }
   Probe probe;
   probe.key = JoinKey::Left(spec.equi_keys);
   probe.prefix_arity = spec.prefix_arity;
-  probe.table = ctx.task->GetStore(spec.store_prefix + "-table");
-  if (!probe.table) {
-    return Status::StateError("join table store not configured: " +
-                              spec.store_prefix + "-table");
-  }
   if (spec.residual) {
     SQS_ASSIGN_OR_RETURN(compiled, sql::CompiledExpr::Compile(*spec.residual));
     probe.residual = std::move(compiled);
@@ -95,16 +90,18 @@ Status FusedStageOperator::Evaluate(const IncomingMessage& msg, PendingSend& out
 Status FusedStageOperator::ProbeOne(PendingSend& pending) {
   const Probe& probe = *probe_;
   Bytes key;
-  std::optional<Bytes> stored;
-  if (probe.key.Encode(pending.row, &key)) stored = probe.table->Get(key);
-  if (!stored) {
+  const Row* found = nullptr;
+  if (probe.key.Encode(pending.row, &key)) {
+    SQS_ASSIGN_OR_RETURN(cached, join_->Lookup(key));
+    found = cached;
+  }
+  if (found == nullptr) {
     pending.fate = Fate::kDrop;  // inner join: no match, no output
     return Status::Ok();
   }
-  // The relation decode is the paper's join cost centre (§5.1): with the
-  // reflective state serde it is most of what still separates the fused
-  // join from the native task.
-  SQS_ASSIGN_OR_RETURN(relation, relation_serde_->DeserializeBytes(*stored));
+  // The relation decode, the paper's join cost centre (§5.1), happened
+  // once for this key in Lookup; only the projected columns are copied.
+  const Row& relation = *found;
   const Row& prefix = pending.row;
 
   if (!probe.needs_joined_row) {
@@ -123,8 +120,7 @@ Status FusedStageOperator::ProbeOne(PendingSend& pending) {
   joined.reserve(prefix.size() + relation.size());
   joined.insert(joined.end(), std::make_move_iterator(pending.row.begin()),
                 std::make_move_iterator(pending.row.end()));
-  joined.insert(joined.end(), std::make_move_iterator(relation.begin()),
-                std::make_move_iterator(relation.end()));
+  joined.insert(joined.end(), relation.begin(), relation.end());
   if (probe.residual && !Truthy(probe.residual->Eval(joined))) {
     pending.fate = Fate::kResidualMiss;
     return Status::Ok();

@@ -9,10 +9,12 @@
 //
 // With a relation probe (FusedProbeSpec) the stage is a fused stream-
 // relation join: after the kernel has run the join's stream input, it looks
-// the row up in the join's relation store, decodes the relation row with the
-// state serde, applies the residual and the chain above the join, and
+// the row up through the join operator's decoded-row cache
+// (StreamTableJoinOperator::Lookup: each relation row is decoded once per
+// key per task), applies the residual and the chain above the join, and
 // serializes — one stage from the stream bytes to the output bytes. The
-// relation side (its scan and the store upsert) stays interpreted.
+// relation side (its scan and the store upsert) stays interpreted, and the
+// join operator is the only reader and writer of the relation store.
 //
 // The stage is message-fed (a SourceOperator) and terminal (it owns the
 // send), so a fused plan has no per-operator dispatch on its stream path.
@@ -25,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "kv/store.h"
 #include "ops/join.h"
 #include "ops/operator.h"
 #include "sql/batch_eval.h"
@@ -38,24 +39,26 @@ class FusedStageOperator : public Operator, public SourceOperator {
   // `input_serde` decodes the scanned topic; `output_serde` encodes the
   // stage output. `out_key_index` >= 0 hash-partitions output by that
   // column of the output row; otherwise sends preserve the input partition.
-  // `relation_serde` decodes the stored relation rows of a probe stage (the
-  // join's state serde); unused without a probe. `spec` is shared read-only
-  // with every other task of the job.
+  // `join` is a probe stage's relation side: the operator whose side-1
+  // upsert fills the relation store and whose Lookup the probe reads through;
+  // unused without a probe. `spec` is shared read-only with every other task
+  // of the job.
   FusedStageOperator(std::shared_ptr<const sql::FusedStageSpec> spec,
                      RowSerdePtr input_serde,
                      std::string output_topic, RowSerdePtr output_serde,
-                     int out_key_index = -1, RowSerdePtr relation_serde = nullptr)
+                     int out_key_index = -1,
+                     std::shared_ptr<StreamTableJoinOperator> join = nullptr)
       : spec_(std::move(spec)),
         input_serde_(std::move(input_serde)),
         topic_(std::move(output_topic)),
         output_serde_(std::move(output_serde)),
         key_index_(out_key_index),
-        relation_serde_(std::move(relation_serde)) {}
+        join_(std::move(join)) {}
 
   std::string name() const override { return "fused"; }
 
   // Decides passthrough eligibility, compiles the kernel and, for a probe
-  // stage, the probe's expressions, and opens the relation store.
+  // stage, the probe's expressions.
   Status Init(OperatorContext& ctx) override;
 
   // One message: a run of one through ProcessMessages.
@@ -99,7 +102,6 @@ class FusedStageOperator : public Operator, public SourceOperator {
 
   struct Probe {
     JoinKey key;  // over the stream-prefix row
-    KeyValueStorePtr table;
     size_t prefix_arity = 0;
     std::optional<sql::CompiledExpr> residual;
     std::vector<sql::CompiledExpr> predicates;
@@ -109,7 +111,7 @@ class FusedStageOperator : public Operator, public SourceOperator {
     bool needs_joined_row = true;
   };
 
-  Status CompileProbe(OperatorContext& ctx);
+  Status CompileProbe();
   // Kernel apply for one message; fills `out`.
   Status Evaluate(const IncomingMessage& msg, PendingSend& out);
   // Relation lookup, residual and upper chain for one kernel survivor.
@@ -123,7 +125,7 @@ class FusedStageOperator : public Operator, public SourceOperator {
   std::string topic_;
   RowSerdePtr output_serde_;
   int key_index_;
-  RowSerdePtr relation_serde_;
+  std::shared_ptr<StreamTableJoinOperator> join_;
 
   sql::FusedStageKernel kernel_;
   std::optional<Probe> probe_;

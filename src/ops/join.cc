@@ -84,7 +84,17 @@ Status StreamTableJoinOperator::Init(OperatorContext& ctx) {
     return Status::StateError("join table store not configured: " + store_prefix_ +
                               "-table");
   }
+  rows_.clear();
   return Status::Ok();
+}
+
+Result<const Row*> StreamTableJoinOperator::Lookup(const Bytes& key) {
+  auto it = rows_.find(key);
+  if (it != rows_.end()) return &it->second;
+  std::optional<Bytes> stored = table_->Get(key);
+  if (!stored) return static_cast<const Row*>(nullptr);
+  SQS_ASSIGN_OR_RETURN(row, right_serde_->DeserializeBytes(*stored));
+  return &rows_.emplace(key, std::move(row)).first->second;
 }
 
 Status StreamTableJoinOperator::DoProcess(const TupleEvent& event, OperatorContext& ctx) {
@@ -92,15 +102,18 @@ Status StreamTableJoinOperator::DoProcess(const TupleEvent& event, OperatorConte
   if (event.side == 1) {
     // Relation changelog tuple: upsert into the cached table keyed by the
     // join key (last write wins — changelog semantics). A NULL-keyed row can
-    // never match, so it is not stored.
+    // never match, so it is not stored. The decoded row is dropped, not
+    // replaced: a failed changelog append leaves the store unchanged.
     if (!right_key_.Encode(event.row, &key)) return Status::Ok();
     BytesWriter writer(64);
     SQS_RETURN_IF_ERROR(right_serde_->Serialize(event.row, writer));
     table_->Put(key, writer.Take());
+    rows_.erase(key);
     return Status::Ok();
   }
 
-  // Stream tuple: lookup.
+  // Stream tuple: lookup. This path decodes on every probe, as the paper's
+  // join does; only the fused stage probes through Lookup.
   std::optional<Bytes> stored;
   if (left_key_.Encode(event.row, &key)) stored = table_->Get(key);
   if (!stored) {

@@ -8,6 +8,11 @@
 // implementation used Kryo-style generic serialization here, which is why
 // its join was ~2x slower than the native task (§5.1); ours defaults to
 // the reflective serde to reproduce that, switchable for the ablation.
+// The interpreted stream path (sql.fusion=off) keeps the paper's cost: it
+// decodes the stored row on every probe. The fused stage probes through
+// Lookup instead, which decodes each relation row once per key per task
+// and keeps it until the key's next upsert (Samza's CachedStore above the
+// serde layer plays the same part).
 //
 // StreamStreamJoinOperator — paper §3.8.1: windowed join over two streams.
 // Each side's recent tuples are kept in a time-indexed KV store; an
@@ -17,7 +22,9 @@
 #pragma once
 
 #include <optional>
+#include <unordered_map>
 
+#include "common/hash.h"
 #include "kv/store.h"
 #include "ops/operator.h"
 #include "sql/expr.h"
@@ -64,20 +71,33 @@ class StreamTableJoinOperator : public Operator {
         store_prefix_(std::move(store_prefix)) {}
 
   std::string name() const override { return "stream-table-join"; }
+  // Opens the relation store and empties the decoded-row cache: restore
+  // runs before Init, so a restarted task starts cold.
   Status Init(OperatorContext& ctx) override;
 
   static std::vector<std::string> RequiredStores(const std::string& prefix) {
     return {prefix + "-table"};
   }
 
+  size_t table_size() const { return table_ ? table_->Size() : 0; }
+
+  // The relation row stored under `key` (a JoinKey encoding), or nullptr
+  // when none is. A cache miss reads the store once and decodes the row
+  // with the state serde; absent keys are not cached. The side-1 upsert
+  // erases the key's entry instead of writing the row through, so the next
+  // Lookup reads exactly what the store holds, even after a failed
+  // changelog append left the store unchanged. The pointer is valid until
+  // the next upsert of `key` or Init.
+  Result<const Row*> Lookup(const Bytes& key);
+
  protected:
   Status DoProcess(const TupleEvent& event, OperatorContext& ctx) override;
 
- public:
-
-  size_t table_size() const { return table_ ? table_->Size() : 0; }
-
  private:
+  struct BytesHash {
+    size_t operator()(const Bytes& b) const { return Fnv1a64(b); }
+  };
+
   JoinKey left_key_;
   JoinKey right_key_;
   sql::ExprPtr residual_;
@@ -85,6 +105,8 @@ class StreamTableJoinOperator : public Operator {
   std::string store_prefix_;
   std::optional<sql::CompiledExpr> compiled_residual_;
   KeyValueStorePtr table_;
+  // Decoded relation rows by join key: at most one per stored key.
+  std::unordered_map<Bytes, Row, BytesHash> rows_;
 };
 
 class StreamStreamJoinOperator : public Operator {

@@ -212,26 +212,25 @@ Status MessageRouter::BuildFused() {
   const sql::SourceDef& source = spec->scan->source;
   SQS_ASSIGN_OR_RETURN(input_serde, SerdeForFormat(source.format, source.schema));
 
-  // A probe stage reads the relation store its join fills: only the
-  // relation side is built as operators, numbered after the stage's range,
-  // and its scan feeds the side-1 upsert of the join operator.
+  // A probe stage reads the relation through the join operator that fills
+  // it: only the relation side is built as operators, numbered after the
+  // stage's range, and its scan feeds the side-1 upsert of that join.
   Builder builder(config);
-  RowSerdePtr relation_serde;
+  std::shared_ptr<StreamTableJoinOperator> join;
   if (spec->probe) {
     const sql::FusedProbeSpec& probe = *spec->probe;
     SQS_ASSIGN_OR_RETURN(state_serde, builder.StateSerde(probe.relation_schema));
-    relation_serde = state_serde;
     builder.set_next_id(spec->last_op + 1);
     SQS_ASSIGN_OR_RETURN(relation, builder.BuildNode(*probe.relation));
-    auto join = std::make_shared<StreamTableJoinOperator>(
-        probe.equi_keys, nullptr, relation_serde, probe.store_prefix);
+    join = std::make_shared<StreamTableJoinOperator>(probe.equi_keys, nullptr,
+                                                     state_serde, probe.store_prefix);
     relation->SetNext(join, 1);
     builder.Register(probe.store_prefix, join);
   }
 
   auto fused = std::make_shared<FusedStageOperator>(
       spec, input_serde, config.output_topic, config.output_serde,
-      config.out_key_index, relation_serde);
+      config.out_key_index, join);
   fused->set_metric_id(spec->label);
   FlightRecorder::Record(FlightEventType::kPlanBuilt, source.topic, spec->label);
   operators_ = std::move(builder.operators_);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/executor.h"
+#include "ops/router.h"
 #include "sql/batch_eval.h"
 #include "sql/optimizer.h"
 #include "sql/parser.h"
@@ -363,6 +364,202 @@ TEST(FusionMetricsTest, FusedJoinCountsDropsLikeTheInterpretedJoin) {
   ASSERT_TRUE(interpreted.ok()) << interpreted.status().ToString();
   EXPECT_GT(interpreted.value(), 0);
   EXPECT_EQ(fused.value(), interpreted.value());
+}
+
+// ---------------------------------------------------------------------------
+// Relation decodes per task: the fused probe decodes each relation row once
+// per key per task (StreamTableJoinOperator::Lookup), while the interpreted
+// join (sql.fusion=off) keeps the paper's decode on every probe (§5.1).
+
+// Delegates to the job's state serde and counts the rows it decodes.
+class CountingRowSerde : public RowSerde {
+ public:
+  explicit CountingRowSerde(RowSerdePtr inner) : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  Status Serialize(const Row& row, BytesWriter& out) const override {
+    return inner_->Serialize(row, out);
+  }
+  Result<Row> Deserialize(BytesReader& in) const override {
+    ++decodes;
+    return inner_->Deserialize(in);
+  }
+  mutable int64_t decodes = 0;
+
+ private:
+  RowSerdePtr inner_;
+};
+
+// One task's context: in-memory stores, sends counted and dropped.
+class DecodeCountTask : public TaskContext, public MessageCollector {
+ public:
+  const std::string& task_name() const override { return name_; }
+  int32_t partition_id() const override { return 0; }
+  const Config& config() const override { return config_; }
+  MetricsRegistry& metrics() override { return metrics_; }
+  KeyValueStorePtr GetStore(const std::string& name) override {
+    auto& slot = stores_[name];
+    if (!slot) slot = std::make_shared<InMemoryStore>();
+    return slot;
+  }
+  Status Send(const std::string&, Bytes, Bytes) override {
+    ++sent;
+    return Status::Ok();
+  }
+  Status SendToPartition(const std::string&, int32_t, Bytes, Bytes) override {
+    ++sent;
+    return Status::Ok();
+  }
+  int64_t sent = 0;
+
+ private:
+  std::string name_ = "Partition 0";
+  Config config_;
+  MetricsRegistry metrics_;
+  std::map<std::string, KeyValueStorePtr> stores_;
+};
+
+// Counts joined tuples on the interpreted path.
+class CountingSink : public ops::Operator {
+ public:
+  std::string name() const override { return "sink"; }
+  Status Init(ops::OperatorContext&) override { return Status::Ok(); }
+  int64_t rows = 0;
+
+ protected:
+  Status DoProcess(const ops::TupleEvent&, ops::OperatorContext&) override {
+    ++rows;
+    return Status::Ok();
+  }
+};
+
+Result<std::shared_ptr<ops::ScanOperator>> ScanOf(const sql::SourceDef& source) {
+  SQS_ASSIGN_OR_RETURN(serde, ops::SerdeForFormat(source.format, source.schema));
+  const int rowtime =
+      source.rowtime_column.empty()
+          ? -1
+          : static_cast<int>(*source.schema->FieldIndex(source.rowtime_column));
+  return std::make_shared<ops::ScanOperator>(serde, source.schema, rowtime);
+}
+
+struct DecodeCount {
+  int64_t orders = 0;
+  int64_t distinct_products = 0;
+  int64_t joined = 0;
+  int64_t decodes = 0;
+};
+
+// Runs one task of `query` (a fused stream-relation join) over `partition`,
+// built the way MessageRouter builds it but with the relation rows decoded
+// through a CountingRowSerde: the relation's scan feeds the join's side-1
+// upsert, then the orders run in runs of 64 through the fused stage or, with
+// fusion off, through the interpreted scan into the join's side 0.
+Result<DecodeCount> RunJoinTask(SamzaSqlEnvironment& env, const std::string& query,
+                                int32_t partition, bool fusion) {
+  SQS_ASSIGN_OR_RETURN(stmt, sql::ParseStatement(query));
+  sql::QueryPlanner planner(env.catalog);
+  SQS_ASSIGN_OR_RETURN(logical, planner.Plan(*stmt.select));
+  sql::LogicalNodePtr optimized = sql::Optimize(logical);
+  ops::RouterConfig config;
+  config.output_serde = std::make_shared<AvroRowSerde>(optimized->schema);
+  ops::RouterPlanPtr plan = ops::MessageRouter::Plan(optimized, config);
+  if (!plan->fused || !plan->fused->probe) {
+    return Status::Internal("not a fused stream-relation join: " + query);
+  }
+  std::shared_ptr<const sql::FusedStageSpec> spec(plan, &*plan->fused);
+  const sql::FusedProbeSpec& probe = *spec->probe;
+  SQS_ASSIGN_OR_RETURN(state_serde,
+                       ops::SerdeForFormat(config.state_serde, probe.relation_schema));
+  auto counting = std::make_shared<CountingRowSerde>(state_serde);
+
+  DecodeCountTask task;
+  ops::OperatorContext ctx;
+  ctx.task = &task;
+  ctx.collector = &task;
+  auto join = std::make_shared<ops::StreamTableJoinOperator>(
+      probe.equi_keys, nullptr, counting, probe.store_prefix);
+  SQS_ASSIGN_OR_RETURN(relation_scan, ScanOf(probe.relation->source));
+  relation_scan->SetNext(join, 1);
+  std::vector<ops::Operator*> operators = {relation_scan.get(), join.get()};
+
+  const sql::SourceDef& stream = spec->scan->source;
+  SQS_ASSIGN_OR_RETURN(stream_serde,
+                       ops::SerdeForFormat(stream.format, stream.schema));
+  std::shared_ptr<ops::SourceOperator> source;
+  auto sink = std::make_shared<CountingSink>();
+  if (fusion) {
+    auto fused = std::make_shared<ops::FusedStageOperator>(
+        spec, stream_serde, "out", config.output_serde, -1, join);
+    operators.push_back(fused.get());
+    source = fused;
+  } else {
+    SQS_ASSIGN_OR_RETURN(scan, ScanOf(stream));
+    scan->SetNext(join, 0);
+    join->SetNext(sink, 0);
+    operators.push_back(scan.get());
+    operators.push_back(sink.get());
+    source = scan;
+  }
+  for (ops::Operator* op : operators) {
+    op->BindMetrics(task);
+    SQS_RETURN_IF_ERROR(op->Init(ctx));
+  }
+
+  auto fetch = [&](const std::string& topic) -> Result<std::vector<IncomingMessage>> {
+    SQS_ASSIGN_OR_RETURN(end, env.broker->EndOffset({topic, partition}));
+    return env.broker->Fetch({topic, partition}, 0, static_cast<int32_t>(end));
+  };
+  SQS_ASSIGN_OR_RETURN(relation_msgs, fetch(probe.relation->source.topic));
+  for (const IncomingMessage& m : relation_msgs) {
+    SQS_RETURN_IF_ERROR(relation_scan->ProcessMessage(m, ctx));
+  }
+  SQS_ASSIGN_OR_RETURN(orders, fetch(stream.topic));
+  DecodeCount out;
+  out.orders = static_cast<int64_t>(orders.size());
+  std::set<int32_t> products;
+  for (const IncomingMessage& m : orders) {
+    SQS_ASSIGN_OR_RETURN(row, stream_serde->DeserializeBytes(m.message.value));
+    products.insert(row[1].as_int32());
+  }
+  out.distinct_products = static_cast<int64_t>(products.size());
+  for (size_t i = 0; i < orders.size(); i += 64) {
+    size_t consumed = 0;
+    SQS_RETURN_IF_ERROR(source->ProcessMessages(
+        &orders[i], std::min<size_t>(64, orders.size() - i), ctx, &consumed));
+  }
+  out.joined = fusion ? task.sent : sink->rows;
+  out.decodes = counting->decodes;
+  return out;
+}
+
+TEST(FusionDecodeCountTest, FusedProbeDecodesEachRelationRowOncePerTask) {
+  // Orders over 15 products, every one in the relation: N orders per task
+  // probe K distinct keys, all matching.
+  auto env = SamzaSqlEnvironment::Make();
+  ASSERT_TRUE(workload::SetupPaperSources(*env, 2).ok());
+  ASSERT_TRUE(workload::ProduceProducts(*env, 15).ok());
+  workload::OrdersGeneratorOptions options;
+  options.num_products = 15;
+  options.seed = 41;
+  workload::OrdersGenerator gen(*env, options);
+  ASSERT_TRUE(gen.Produce(600).ok());
+  // The Figure 5c query.
+  const std::string query =
+      "SELECT STREAM Orders.rowtime, Orders.orderId, Orders.productId, "
+      "Orders.units, Products.supplierId FROM Orders JOIN Products ON "
+      "Orders.productId = Products.productId";
+  for (int32_t partition = 0; partition < 2; ++partition) {
+    auto fused = RunJoinTask(*env, query, partition, /*fusion=*/true);
+    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+    auto interpreted = RunJoinTask(*env, query, partition, /*fusion=*/false);
+    ASSERT_TRUE(interpreted.ok()) << interpreted.status().ToString();
+    const DecodeCount& f = fused.value();
+    const DecodeCount& i = interpreted.value();
+    ASSERT_GT(f.orders, f.distinct_products) << "partition " << partition;
+    EXPECT_EQ(f.joined, f.orders) << "partition " << partition;
+    EXPECT_EQ(i.joined, i.orders) << "partition " << partition;
+    EXPECT_EQ(f.decodes, f.distinct_products) << "partition " << partition;
+    EXPECT_EQ(i.decodes, i.orders) << "partition " << partition;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 // both joins, and the router directly, with a fake task context.
 #include <gtest/gtest.h>
 
+#include "core/executor.h"
+#include "kv/changelog.h"
+#include "log/fault_broker.h"
 #include "ops/basic.h"
 #include "ops/join.h"
 #include "ops/router.h"
@@ -10,6 +13,7 @@
 #include "sql/parser.h"
 #include "sql/planner.h"
 #include "sql_test_util.h"
+#include "workload/generators.h"
 
 namespace sqs::ops {
 namespace {
@@ -25,6 +29,9 @@ class FakeTaskContext : public TaskContext {
     auto& slot = stores_[name];
     if (!slot) slot = std::make_shared<InMemoryStore>();
     return slot;
+  }
+  void SetStore(const std::string& name, KeyValueStorePtr store) {
+    stores_[name] = std::move(store);
   }
 
   Config config_;
@@ -440,6 +447,160 @@ TEST_F(OpsTest, StreamTableJoinLooksUpAndHonorsUpserts) {
   EXPECT_EQ(join.table_size(), 1u);
   ASSERT_TRUE(join.Process(Ev(3, 7, 0, 2), ctx).ok());
   EXPECT_EQ(sink->events[1].row[4], Value("second"));
+}
+
+// The fused probe reads the relation through StreamTableJoinOperator::Lookup,
+// which keeps decoded rows; the side-1 upsert must never let it serve a row
+// the store does not hold.
+SchemaPtr RelationSchema() {
+  return Schema::Make("R", {{"rkey", FieldType::Int32(), false},
+                            {"info", FieldType::String(), false}});
+}
+
+TupleEvent Upsert(int32_t key, const std::string& info) {
+  TupleEvent e;
+  e.row = {Value(key), Value(info)};
+  e.side = 1;
+  return e;
+}
+
+Bytes RelationKey(int32_t key) {
+  Bytes out;
+  JoinKey({0}).Encode(Row{Value(key)}, &out);
+  return out;
+}
+
+// The `info` column of the row Lookup returns for `key`, or "<none>".
+std::string LookupInfo(StreamTableJoinOperator& join, int32_t key) {
+  auto row = join.Lookup(RelationKey(key));
+  if (!row.ok()) return row.status().ToString();
+  return row.value() == nullptr ? "<none>" : (*row.value())[1].as_string();
+}
+
+TEST_F(OpsTest, StreamTableJoinLookupAfterAHitSeesTheUpsert) {
+  StreamTableJoinOperator join({{1, 0}}, nullptr,
+                               std::make_shared<AvroRowSerde>(RelationSchema()), "j");
+  auto ctx = Ctx();
+  Bind(join);
+  ASSERT_TRUE(join.Init(ctx).ok());
+  ASSERT_TRUE(join.Process(Upsert(7, "first"), ctx).ok());
+  auto hit = join.Lookup(RelationKey(7));
+  ASSERT_TRUE(hit.ok());
+  ASSERT_NE(hit.value(), nullptr);
+  EXPECT_EQ(join.Lookup(RelationKey(7)).value(), hit.value()) << "a hit is cached";
+  EXPECT_EQ(LookupInfo(join, 7), "first");
+
+  ASSERT_TRUE(join.Process(Upsert(7, "second"), ctx).ok());
+  EXPECT_EQ(LookupInfo(join, 7), "second");
+  EXPECT_EQ(join.table_size(), 1u);
+}
+
+TEST_F(OpsTest, StreamTableJoinLookupMissIsNotCached) {
+  StreamTableJoinOperator join({{1, 0}}, nullptr,
+                               std::make_shared<AvroRowSerde>(RelationSchema()), "j");
+  auto ctx = Ctx();
+  Bind(join);
+  ASSERT_TRUE(join.Init(ctx).ok());
+  EXPECT_EQ(LookupInfo(join, 7), "<none>");
+  ASSERT_TRUE(join.Process(Upsert(7, "late"), ctx).ok());
+  EXPECT_EQ(LookupInfo(join, 7), "late");
+}
+
+TEST_F(OpsTest, StreamTableJoinInitDropsDecodedRows) {
+  auto serde = std::make_shared<AvroRowSerde>(RelationSchema());
+  StreamTableJoinOperator join({{1, 0}}, nullptr, serde, "j");
+  auto ctx = Ctx();
+  Bind(join);
+  ASSERT_TRUE(join.Init(ctx).ok());
+  ASSERT_TRUE(join.Process(Upsert(7, "first"), ctx).ok());
+  EXPECT_EQ(LookupInfo(join, 7), "first");
+  // A restore rewrites the store before Init, bypassing the upsert.
+  task_.GetStore("j-table")->Put(RelationKey(7),
+                                 serde->SerializeToBytes(Upsert(7, "restored").row));
+  ASSERT_TRUE(join.Init(ctx).ok());
+  EXPECT_EQ(LookupInfo(join, 7), "restored");
+}
+
+TEST_F(OpsTest, StreamTableJoinLookupAfterAFailedUpsertServesTheStoredRow) {
+  auto inner = std::make_shared<Broker>();
+  ASSERT_TRUE(
+      inner->CreateTopic("j-changelog", {.num_partitions = 1, .compacted = true}).ok());
+  auto fault = std::make_shared<FaultInjectingBroker>(inner, FaultPolicy{});
+  auto store = std::make_shared<ChangelogBackedStore>(
+      std::make_shared<InMemoryStore>(), fault, StreamPartition{"j-changelog", 0});
+  task_.SetStore("j-table", store);
+  StreamTableJoinOperator join({{1, 0}}, nullptr,
+                               std::make_shared<AvroRowSerde>(RelationSchema()), "j");
+  auto ctx = Ctx();
+  Bind(join);
+  ASSERT_TRUE(join.Init(ctx).ok());
+  ASSERT_TRUE(join.Process(Upsert(7, "first"), ctx).ok());
+  EXPECT_EQ(LookupInfo(join, 7), "first");
+
+  // The changelog append fails: the store keeps the old row, and so must
+  // every probe after it.
+  fault->FailNextAppends(1);
+  ASSERT_TRUE(join.Process(Upsert(7, "second"), ctx).ok());
+  EXPECT_FALSE(store->health().ok());
+  EXPECT_EQ(LookupInfo(join, 7), "first");
+}
+
+// The same failure inside a running fused join job: the container fails at
+// the store-health check that ends the batch holding the failed upsert, and no
+// output joins a row the store does not hold.
+TEST(StreamTableJoinJobTest, FailedRelationUpsertFailsAtTheBatchEndHealthCheck) {
+  auto env = core::SamzaSqlEnvironment::Make();
+  FaultPolicy policy;
+  policy.topics = {"samzasql-query-0-op1-table-changelog"};
+  auto fault = std::make_shared<FaultInjectingBroker>(env->broker, policy);
+  env->broker = fault;
+  ASSERT_TRUE(workload::SetupPaperSources(*env, 1).ok());
+  ASSERT_TRUE(workload::ProduceProducts(*env, 5).ok());
+  workload::OrdersGeneratorOptions options;
+  options.num_products = 5;
+  options.seed = 13;
+  workload::OrdersGenerator gen(*env, options);
+  ASSERT_TRUE(gen.Produce(100).ok());
+
+  Config defaults;
+  defaults.SetInt(cfg::kContainerCount, 1);
+  core::QueryExecutor executor(env, defaults);
+  auto submitted = executor.Execute(
+      "SELECT STREAM Orders.productId, Products.name FROM Orders JOIN Products "
+      "ON Orders.productId = Products.productId");
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  ASSERT_TRUE(executor.RunJobsUntilQuiescent().ok());
+  ASSERT_TRUE(env->broker->HasTopic(policy.topics[0]));
+  const size_t first_run = executor.ReadOutputRows(submitted.value().output_topic)
+                               .value()
+                               .size();
+  EXPECT_EQ(first_run, 100u);
+
+  // Rename every product, failing the first upsert's changelog append; then
+  // more orders.
+  fault->FailNextAppends(1);
+  Producer producer(env->broker, env->clock);
+  AvroRowSerde serde(env->catalog->GetSource("Products").value().schema);
+  for (int32_t id = 0; id < 5; ++id) {
+    Row row{Value(id), Value("renamed-" + std::to_string(id)), Value(id)};
+    ASSERT_TRUE(producer.Send("Products", EncodeOrderedKey(row[0]),
+                              serde.SerializeToBytes(row))
+                    .ok());
+  }
+  ASSERT_TRUE(gen.Produce(100).ok());
+
+  auto failed = executor.RunJobsUntilQuiescent();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().message().find("store 'op1-table' unhealthy: "),
+            std::string::npos)
+      << failed.status().ToString();
+  EXPECT_EQ(fault->injected_append_failures(), 1);
+  auto rows = executor.ReadOutputRows(submitted.value().output_topic).value();
+  EXPECT_GE(rows.size(), first_run);
+  for (const Row& row : rows) {
+    EXPECT_EQ(row[1].as_string().rfind("renamed-", 0), std::string::npos)
+        << RowToString(row);
+  }
 }
 
 TEST_F(OpsTest, StreamStreamJoinMatchesWithinWindowOnly) {
